@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -100,16 +99,11 @@ def _terminal_list(text: str) -> list[int]:
     return out
 
 
-def _default_threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("SKACAP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def cmd_capacity(args) -> int:
@@ -205,7 +199,6 @@ def cmd_simulate(args) -> int:
         recon_margin=args.delta,
         pa_margin=args.s,
         seed=args.seed,
-        threads=_default_threads(args),
     )
     res = run_sim(model, {t - 1 for t in a}, cfg, csv_path=args.csv)
     cap = polytree_capacity(model)
@@ -244,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("model", help="model file (JSON)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: SKACAP_THREADS or 1)")
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help="accepted for compatibility; has no effect")
 
     p = sub.add_parser("capacity", help="source-model SK/PK capacity")
     common(p)

@@ -36,7 +36,7 @@ from typing import Any, Union
 import numpy as np
 
 from .errors import ModelError
-from .models import Polytree, PolytreeEdge, SourceModel, TransceiverModel, edge
+from .models import Polytree, SourceModel, TransceiverModel, edge
 from .prob import Alphabet, Dmc, JointPMF
 
 Model = Union[SourceModel, TransceiverModel, Polytree]

@@ -9,13 +9,14 @@ group and X_j = (T_j, Y_j) is total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import InternalConsistencyError, ModelError
-from .prob import Alphabet, Dmc, JointPMF, VarId, compose, marginalize
+from .prob import Alphabet, Dmc, JointPMF, VarId, check_cells, compose
 
 
 def mask_of(terminals: Iterable[int]) -> int:
@@ -25,6 +26,11 @@ def mask_of(terminals: Iterable[int]) -> int:
             raise ModelError(f"negative terminal index {t}")
         m |= 1 << t
     return m
+
+
+def as_mask(terminals) -> int:
+    """A terminal set given as a bitmask or as 0-based indices, as a bitmask."""
+    return terminals if isinstance(terminals, int) else mask_of(terminals)
 
 
 def bits(mask: int) -> list[int]:
@@ -334,7 +340,9 @@ def polytree_to_transceiver(g: Polytree) -> TransceiverModel:
     z_sizes = [
         (e.wiretap.out_vars[0][1].size if e.wiretap is not None else 1) for e in g.edges
     ]
-    z_total = int(np.prod(z_sizes, dtype=np.int64))
+    z_total = math.prod(z_sizes)
+    n_in = math.prod(e.in_size for e in g.edges)
+    check_cells(n_in * math.prod(e.out_size for e in g.edges) * z_total, "flattened channel")
     z_var = fresh(z_total) if wiretapped else None
 
     # Build P(y_1..y_k, z_1..z_k | t_1..t_k) as a tensor, edge by edge.
@@ -355,7 +363,6 @@ def polytree_to_transceiver(g: Polytree) -> TransceiverModel:
         + [3 * i + 2 for i in range(k)]
     )
     full = np.transpose(full, perm)
-    n_in = int(np.prod([e.in_size for e in g.edges], dtype=np.int64))
     rows_mat = full.reshape(n_in, -1)
 
     in_list = list(t_vars) + [deg_in[j] for j in sorted(deg_in)]

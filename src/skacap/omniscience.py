@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import InternalConsistencyError, ModelError
 from .linprog import LinearProgram, lp_solve
-from .models import CapacityReport, PartySpec, SourceModel, bits, popcount
-from .prob import _plain_entropy
+from .models import CapacityReport, PartySpec, SourceModel, as_mask, bits, popcount
+from .prob import EntropyOracle
 
 #: Never enumerate families over more than this many participating terminals.
 MAX_FAMILY_TERMINALS = 20
@@ -91,48 +91,16 @@ def constraint_family(spec: PartySpec) -> SubsetFamily:
     return SubsetFamily(d_complement=dc, members=tuple(members))
 
 
-class EntropyCache:
-    """Subset entropies H(X_S) of a source, cached by terminal bitmask."""
+def incidence(members, terminals) -> np.ndarray:
+    """0/1 matrix whose entry [i, k] is 1 when ``terminals[k]`` lies in ``members[i]``."""
+    members = np.asarray(members, dtype=np.int64).reshape(-1, 1)
+    return ((members >> np.asarray(terminals, dtype=np.int64)) & 1).astype(float)
 
-    def __init__(self, model: SourceModel):
-        self.model = model
-        # one axis per terminal, eve and any extra variables summed out
-        pmf = model.pmf
-        order = [pmf.index_of(v) for g in model.terminal_vars for v in sorted(g)]
-        tens = np.transpose(pmf.tensor(), order + [
-            i for i in range(len(pmf.vars)) if i not in order
-        ])
-        extra = len(pmf.vars) - len(order)
-        if extra:
-            tens = tens.sum(axis=tuple(range(len(order), len(order) + extra)))
-        shape = []
-        for g in model.terminal_vars:
-            size = 1
-            for v in sorted(g):
-                size *= pmf.vars[pmf.index_of(v)][1].size
-            shape.append(size)
-        self.tensor = tens.reshape(shape)
-        self.m = model.m
-        self._cache: dict[int, float] = {}
 
-    def subset_entropy(self, mask: int) -> float:
-        """H over the variables of the terminals in ``mask``."""
-        if mask == 0:
-            return 0.0
-        hit = self._cache.get(mask)
-        if hit is not None:
-            return hit
-        drop = tuple(j for j in range(self.m) if not (mask >> j) & 1)
-        arr = self.tensor.sum(axis=drop) if drop else self.tensor
-        h = _plain_entropy(np.asarray(arr).ravel())
-        self._cache[mask] = h
-        return h
-
-    def conditional(self, b_mask: int) -> float:
-        """H(X_B | X_{B^c}) with the complement inside the full terminal set."""
-        full = (1 << self.m) - 1
-        h = self.subset_entropy(full) - self.subset_entropy(full & ~b_mask)
-        return max(h, 0.0)
+def _conditionals(oracle: EntropyOracle, m: int, members) -> np.ndarray:
+    """H(X_B | X_{B^c}) for every B in ``members``, complements inside [m]."""
+    full = (1 << m) - 1
+    return np.array([oracle.conditional(b, full & ~b) for b in members])
 
 
 def _check_compatible(model: SourceModel, spec: PartySpec):
@@ -151,30 +119,28 @@ def _require_pair(spec: PartySpec):
 def rco(model: SourceModel, spec: PartySpec) -> CapacityReport:
     """Minimum total communication-for-omniscience rate for D^c."""
     _check_compatible(model, spec)
+    return _rco(spec, EntropyOracle(model.pmf, model.terminal_vars))
+
+
+def _rco(spec: PartySpec, oracle: EntropyOracle) -> CapacityReport:
     family = constraint_family(spec)
-    cache = EntropyCache(model)
     participants = bits(spec.d_complement)
     if not family.members:
         witness = RateVector({j: 0.0 for j in participants})
         return CapacityReport(
             0.0, "exact", "omniscience-lp-primal", _rate_witness(witness)
         )
-    idx = {j: i for i, j in enumerate(participants)}
-    incidence = np.zeros((len(family.members), len(participants)))
-    h = np.zeros(len(family.members))
-    for row, b in enumerate(family.members):
-        for j in bits(b):
-            incidence[row, idx[j]] = 1.0
-        h[row] = cache.conditional(b)
+    inc = incidence(family.members, participants)
+    h = _conditionals(oracle, spec.m, family.members)
     # Solve the packing dual  max h.lam  s.t.  incidence^T lam <= 1, lam >= 0
     # (slack-basis start, no phase 1); the optimal rates are its duals.
     sol = lp_solve(
-        LinearProgram(c=-h, a_ge=-incidence.T, b_ge=-np.ones(len(participants)))
+        LinearProgram(c=-h, a_ge=-inc.T, b_ge=-np.ones(len(participants)))
     )
     value = -sol.value
     rates_vec = sol.dual_ge
-    rates = RateVector({j: float(rates_vec[idx[j]]) for j in participants})
-    slack = incidence @ rates_vec - h
+    rates = RateVector({j: float(r) for j, r in zip(participants, rates_vec)})
+    slack = inc @ rates_vec - h
     if slack.min() < -WITNESS_TOL:
         worst = family.members[int(np.argmin(slack))]
         raise InternalConsistencyError(
@@ -194,10 +160,9 @@ def pk_capacity(model: SourceModel, spec: PartySpec) -> CapacityReport:
     """Private-key capacity H(X_M | X_D) - R_CO (exact)."""
     _check_compatible(model, spec)
     _require_pair(spec)
-    cache = EntropyCache(model)
-    full = (1 << model.m) - 1
-    h_given_d = cache.subset_entropy(full) - cache.subset_entropy(spec.d)
-    co = rco(model, spec)
+    oracle = EntropyOracle(model.pmf, model.terminal_vars)
+    h_given_d = oracle.h((1 << model.m) - 1) - oracle.h(spec.d)
+    co = _rco(spec, oracle)
     value = h_given_d - co.value
     if value < -1e-9:
         raise InternalConsistencyError(
@@ -211,25 +176,20 @@ def pk_capacity(model: SourceModel, spec: PartySpec) -> CapacityReport:
 
 def sk_capacity(model: SourceModel, a) -> CapacityReport:
     """Secret-key capacity: the D = empty specialization of pk_capacity."""
-    a_mask = a if isinstance(a, int) else sum(1 << j for j in set(a))
-    return pk_capacity(model, PartySpec(model.m, a_mask, 0))
+    return pk_capacity(model, PartySpec(model.m, as_mask(a), 0))
 
 
 def sk_capacity_dual(model: SourceModel, a) -> CapacityReport:
     """SK capacity by the fractional-cover dual; cross-checks the primal."""
-    a_mask = a if isinstance(a, int) else sum(1 << j for j in set(a))
-    spec = PartySpec(model.m, a_mask, 0)
+    spec = PartySpec(model.m, as_mask(a), 0)
     _require_pair(spec)
     gamma = constraint_family(spec)
     if len(gamma.members) > MAX_GAMMA:
         raise ModelError(f"|Gamma(A)| = {len(gamma.members)} exceeds the guard {MAX_GAMMA}")
-    cache = EntropyCache(model)
-    h = np.array([cache.conditional(b) for b in gamma.members])
+    oracle = EntropyOracle(model.pmf, model.terminal_vars)
     m = model.m
-    cover = np.zeros((m, len(gamma.members)))
-    for col, b in enumerate(gamma.members):
-        for j in bits(b):
-            cover[j, col] = 1.0
+    h = _conditionals(oracle, m, gamma.members)
+    cover = incidence(gamma.members, range(m)).T
     sol = lp_solve(LinearProgram(c=-h, a_eq=cover, b_eq=np.ones(m)))
     lam = LambdaVector(
         {b: float(sol.x[i]) for i, b in enumerate(gamma.members) if sol.x[i] > 0}
@@ -237,8 +197,7 @@ def sk_capacity_dual(model: SourceModel, a) -> CapacityReport:
     coverage = cover @ sol.x
     if np.abs(coverage - 1.0).max() > WITNESS_TOL or sol.x.min() < -WITNESS_TOL:
         raise InternalConsistencyError("lambda witness violates Lambda(A) constraints")
-    full = (1 << m) - 1
-    value = cache.subset_entropy(full) + sol.value  # sol.value = -max sum(lam h)
+    value = oracle.h((1 << m) - 1) + sol.value  # sol.value = -max sum(lam h)
     witness = {
         "lambda": {
             "{" + ",".join(str(t + 1) for t in bits(b)) + "}": w

@@ -16,7 +16,8 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -34,6 +35,12 @@ DERIVED_TOL = 1e-10
 
 #: Hard cap on dense joint alphabet size (number of cells).
 MAX_CELLS = 1 << 24
+
+
+def check_cells(cells: int, what: str):
+    """Refuse a dense table of ``cells`` entries past ``MAX_CELLS``, before it is built."""
+    if cells > MAX_CELLS:
+        raise ModelError(f"{what} has {cells} cells, cap is {MAX_CELLS}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +100,7 @@ class JointPMF:
         cells = 1
         for _, alph in self.vars:
             cells *= alph.size
-        if cells > MAX_CELLS:
-            raise ModelError(f"joint alphabet has {cells} cells, cap is {MAX_CELLS}")
+        check_cells(cells, "joint alphabet")
         if arr.size != cells:
             raise ModelError(
                 f"pmf has {arr.size} entries, expected {cells} for the declared alphabets"
@@ -152,8 +158,9 @@ class Dmc:
         out_ids = {v for v, _ in self.out_vars}
         if in_ids & out_ids:
             raise ModelError(f"in/out variables overlap: {sorted(in_ids & out_ids)}")
-        n_in = int(np.prod([a.size for _, a in self.in_vars], dtype=np.int64))
-        n_out = int(np.prod([a.size for _, a in self.out_vars], dtype=np.int64))
+        n_in = math.prod(a.size for _, a in self.in_vars)
+        n_out = math.prod(a.size for _, a in self.out_vars)
+        check_cells(n_in * n_out, "channel")
         arr = np.ascontiguousarray(self.rows, dtype=float).reshape(n_in, n_out)
         if np.any(arr < 0):
             raise ModelError("channel has a negative transition probability")
@@ -204,12 +211,52 @@ def _plain_entropy(flat: np.ndarray) -> float:
     return float(-(vals * np.log2(vals)).sum())
 
 
-def _subset_entropy(p: JointPMF, subset: frozenset) -> float:
-    if not subset:
-        return 0.0
-    drop_axes = tuple(i for i, (v, _) in enumerate(p.vars) if v not in subset)
-    arr = p.tensor().sum(axis=drop_axes) if drop_axes else p.tensor()
-    return _plain_entropy(np.asarray(arr).ravel())
+class EntropyOracle:
+    """Entropies of unions of variable groups of one joint PMF.
+
+    ``groups`` lists sets of variable ids, which may overlap.  ``h(mask)``
+    is the entropy of all variables of the groups whose bits are set in
+    ``mask``.  Variables outside every group are summed out once, here, and
+    results are cached by the mask of the variable axes they cover, so two
+    group masks that name the same variables share one computation.
+    """
+
+    def __init__(self, p: JointPMF, groups: Iterable[Iterable[VarId]]):
+        groups = [frozenset(g) for g in groups]
+        used = frozenset().union(*groups)
+        kept = [v for v in p.ids if v in used]
+        drop = tuple(i for i, v in enumerate(p.ids) if v not in used)
+        self._tensor = p.tensor().sum(axis=drop) if drop else p.tensor()
+        axis = {v: i for i, v in enumerate(kept)}
+        self._group_axes = [sum(1 << axis[v] for v in g) for g in groups]
+        self._cache: dict[int, float] = {}
+
+    def h(self, mask: int) -> float:
+        """H of the variables of the groups in ``mask`` (0 for the empty mask)."""
+        axes = 0
+        for j, group_axes in enumerate(self._group_axes):
+            if (mask >> j) & 1:
+                axes |= group_axes
+        if axes == 0:
+            return 0.0
+        hit = self._cache.get(axes)
+        if hit is not None:
+            return hit
+        drop = tuple(i for i in range(self._tensor.ndim) if not (axes >> i) & 1)
+        arr = self._tensor.sum(axis=drop) if drop else self._tensor
+        h = _plain_entropy(np.asarray(arr).ravel())
+        self._cache[axes] = h
+        return h
+
+    def conditional(self, mask: int, given: int) -> float:
+        """H(groups in ``mask`` | groups in ``given``), clamped at 0."""
+        return max(self.h(mask | given) - self.h(given), 0.0)
+
+
+def _variable_oracle(p: JointPMF, *sets: frozenset) -> tuple:
+    """A one-group-per-variable oracle of ``p`` and the group masks of ``sets``."""
+    masks = (sum(1 << p.index_of(v) for v in s) for s in sets)
+    return (EntropyOracle(p, ([v] for v in p.ids)), *masks)
 
 
 def _clamp_nonneg(value: float, what: str) -> float:
@@ -236,7 +283,8 @@ def entropy(p: JointPMF, s: Iterable[VarId], given: Iterable[VarId] = ()) -> flo
     unknown = (s_set | g_set) - known
     if unknown:
         raise ModelError(f"unknown variable ids {sorted(unknown)}")
-    h = _subset_entropy(p, s_set | g_set) - _subset_entropy(p, g_set)
+    oracle, s_mask, g_mask = _variable_oracle(p, s_set, g_set)
+    h = oracle.h(s_mask | g_mask) - oracle.h(g_mask)
     return _clamp_nonneg(h, "conditional entropy")
 
 
@@ -264,11 +312,12 @@ def mutual_information(
     unknown = (s_set | t_set | g_set) - known
     if unknown:
         raise ModelError(f"unknown variable ids {sorted(unknown)}")
+    oracle, s_mask, t_mask, g_mask = _variable_oracle(p, s_set, t_set, g_set)
     value = (
-        _subset_entropy(p, s_set | g_set)
-        - _subset_entropy(p, g_set)
-        - _subset_entropy(p, s_set | t_set | g_set)
-        + _subset_entropy(p, t_set | g_set)
+        oracle.h(s_mask | g_mask)
+        - oracle.h(g_mask)
+        - oracle.h(s_mask | t_mask | g_mask)
+        + oracle.h(t_mask | g_mask)
     )
     return _clamp_nonneg(value, "mutual information")
 
@@ -337,6 +386,7 @@ def product_pmf(factors: list[JointPMF] | tuple[JointPMF, ...]) -> JointPMF:
         seen |= set(f.ids)
     if len(factors) == 1:
         return factors[0]
+    check_cells(math.prod(f.probs.size for f in factors), "product")
     arr = factors[0].probs
     vars_: tuple = factors[0].vars
     for f in factors[1:]:
@@ -352,7 +402,8 @@ def product_pmf(factors: list[JointPMF] | tuple[JointPMF, ...]) -> JointPMF:
 
 def uniform_pmf(vars_) -> JointPMF:
     vl = _as_varlist(vars_)
-    cells = int(np.prod([a.size for _, a in vl], dtype=np.int64))
+    cells = math.prod(a.size for _, a in vl)
+    check_cells(cells, "joint alphabet")
     return JointPMF(vl, np.full(cells, 1.0 / cells))
 
 

@@ -27,15 +27,13 @@ and a chi-square uniformity check over produced key bytes.  Reliability
 of blocks where some terminal's key disagrees.
 
 All randomness derives from one master seed through an indexed schedule
-(purpose, edge or block number), so runs are bit-reproducible at any
-thread count.
+(purpose, edge or block number), so runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -44,7 +42,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import DecodeBudgetError, ModelError, RateInfeasibleError
-from .models import Polytree
+from .models import Polytree, as_mask, bits
 from .prob import binary_entropy
 
 #: Exhaustive-decoder guards.
@@ -73,7 +71,6 @@ class SimConfig:
     recon_margin: delta >= 0; parity budget is ceil(n h(p) (1 + delta)).
     pa_margin: s security bits sacrificed in hashing.
     seed: 64-bit master seed.
-    threads: worker threads (identical results at any value).
     """
 
     n: int
@@ -82,7 +79,6 @@ class SimConfig:
     recon_margin: float = 0.25
     pa_margin: int = 8
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.n < 8:
@@ -93,8 +89,6 @@ class SimConfig:
             raise ModelError("rate must be positive")
         if self.recon_margin < 0 or self.pa_margin < 0:
             raise ModelError("margins must be nonnegative")
-        if self.threads < 1:
-            raise ModelError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -376,7 +370,7 @@ class _Static:
 
 
 def _prepare(g: Polytree, a, cfg: SimConfig) -> _Static:
-    a_nodes = set(a) if not isinstance(a, int) else {j for j in range(g.m) if (a >> j) & 1}
+    a_nodes = set(bits(as_mask(a)))
     if not a_nodes <= set(range(g.m)):
         raise ModelError(f"A references unknown terminals: {sorted(a_nodes)}")
     if len(a_nodes) < 2:
@@ -507,20 +501,12 @@ def _run_block(st: _Static, bid: int, want_transcript: bool):
 def run_sim(g: Polytree, a, cfg: SimConfig, csv_path: Optional[str] = None) -> SimResult:
     """Run ``cfg.blocks`` independent protocol executions and score them.
 
-    Deterministic given the seed, at any thread count: block b's randomness
-    is derived from (seed, block-namespace, b) regardless of scheduling.
-    Rate infeasibility is reported before any sampling happens.
+    Deterministic given the seed: block b's randomness is derived from
+    (seed, block-namespace, b).  Rate infeasibility is reported before any
+    sampling happens.
     """
     st = _prepare(g, a, cfg)
-
-    def work(bid: int):
-        return _run_block(st, bid, want_transcript=(bid == 0))
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(work, range(cfg.blocks)))
-    else:
-        results = [work(bid) for bid in range(cfg.blocks)]
+    results = [_run_block(st, b, want_transcript=(b == 0)) for b in range(cfg.blocks)]
 
     failed = 0
     decode_failures = {eid: 0 for eid in st.sub_edges}
@@ -614,7 +600,7 @@ def _uniformity_pvalue(bits: np.ndarray) -> Optional[float]:
 
 def max_feasible_rate(g: Polytree, a, cfg: SimConfig) -> float:
     """Largest key rate the budget rule allows for this model and margins."""
-    a_nodes = set(a) if not isinstance(a, int) else {j for j in range(g.m) if (a >> j) & 1}
+    a_nodes = set(bits(as_mask(a)))
     crossovers = {i: _bsc_crossover(e) for i, e in enumerate(g.edges)}
     _, _, _, sub_edges = _steiner_subtree(g, a_nodes)
     budgets = [

@@ -38,17 +38,18 @@ from .models import (
     PartySpec,
     SourceModel,
     TransceiverModel,
+    as_mask,
     bits,
     emulated_to_source,
     popcount,
 )
-from .omniscience import pk_capacity, sk_capacity
+from .omniscience import constraint_family, incidence, pk_capacity, sk_capacity
 from .optimize import AscentResult, InputOptimizerConfig, maximize_product_simplices
 from .prob import (
     Dmc,
+    EntropyOracle,
     JointPMF,
     VarId,
-    _plain_entropy,
     compose,
     extend_with_channel,
     product_pmf,
@@ -197,8 +198,7 @@ def lower_bound_pk(
 
 def lower_bound_sk(t: TransceiverModel, a, e: EmulationSpec) -> CapacityReport:
     """Theorem-2 style lower bound on the SK capacity (D = empty)."""
-    a_mask = a if isinstance(a, int) else sum(1 << j for j in set(a))
-    return lower_bound_pk(t, PartySpec(t.m, a_mask, 0), e)
+    return lower_bound_pk(t, PartySpec(t.m, as_mask(a), 0), e)
 
 
 # ---------------------------------------------------------------------------
@@ -206,79 +206,30 @@ def lower_bound_sk(t: TransceiverModel, a, e: EmulationSpec) -> CapacityReport:
 # ---------------------------------------------------------------------------
 
 
-class _AuxEntropies:
-    """Variable-subset entropies of the auxiliary joint, cached by mask."""
-
-    def __init__(self, aux: AuxiliaryMultiaccess, p_in: JointPMF):
-        if p_in.vars != aux.base.channel.in_vars:
-            raise ModelError("p_in must be declared over the channel input variables")
-        self.joint = compose(p_in, aux.base.channel)
-        self.ids = list(self.joint.ids)
-        self.pos = {v: i for i, v in enumerate(self.ids)}
-        self.tensor = self.joint.tensor()
-        self._cache: dict[int, float] = {}
-
-    def vars_mask(self, var_ids: frozenset) -> int:
-        m = 0
-        for v in var_ids:
-            m |= 1 << self.pos[v]
-        return m
-
-    def entropy(self, var_mask: int) -> float:
-        if var_mask == 0:
-            return 0.0
-        hit = self._cache.get(var_mask)
-        if hit is not None:
-            return hit
-        drop = tuple(i for i in range(len(self.ids)) if not (var_mask >> i) & 1)
-        arr = self.tensor.sum(axis=drop) if drop else self.tensor
-        h = _plain_entropy(np.asarray(arr).ravel())
-        self._cache[var_mask] = h
-        return h
-
-    def conditional(self, sub_mask: int, given_mask: int) -> float:
-        return max(self.entropy(sub_mask | given_mask) - self.entropy(given_mask), 0.0)
+def _aux_oracle(aux: AuxiliaryMultiaccess, p_in: JointPMF) -> EntropyOracle:
+    """Entropies of the auxiliary joint, one group per auxiliary terminal."""
+    if p_in.vars != aux.base.channel.in_vars:
+        raise ModelError("p_in must be declared over the channel input variables")
+    return EntropyOracle(compose(p_in, aux.base.channel), aux.groups)
 
 
-def _aux_gamma(aux: AuxiliaryMultiaccess, a_mask: int) -> list[int]:
-    n = aux.n_terminals
-    dc = ((1 << n) - 1) & ~aux.d_mask
-    out = []
-    for b in range(1, 1 << n):
-        if b & ~dc or b == dc:
-            continue
-        if (a_mask & b) == a_mask:
-            continue
-        out.append(b)
-    return out
+def _aux_term(aux: AuxiliaryMultiaccess, oracle: EntropyOracle, b: int) -> float:
+    """g_B = H(X_B | X_{B^c}) - H(X_{B & M'} | X_{B^c & M'}), M' the input terminals.
+
+    B^c is taken among all auxiliary terminals, compromised ones included,
+    in the first term and among the input terminals in the second.
+    """
+    everyone = (1 << aux.n_terminals) - 1
+    inputs = ((1 << aux.base.m) - 1) << aux.base.m
+    return oracle.conditional(b, everyone & ~b) - oracle.conditional(
+        b & inputs, inputs & ~b
+    )
 
 
-def _aux_term_masks(aux: AuxiliaryMultiaccess, ent: _AuxEntropies):
-    return [ent.vars_mask(g) for g in aux.groups]
-
-
-def _bracket_terms(aux, ent, term_masks, b_mask: int):
-    """Var-masks for H(X_B|X_{B^c}) and H(X_{B & M'}|X_{B^c & M'})."""
-    n = aux.n_terminals
-    m = aux.base.m
-    full = ((1 << n) - 1) & ~aux.d_mask
-    bc = full & ~b_mask
-    sub = 0
-    giv = 0
-    for j in range(n):
-        if (b_mask >> j) & 1:
-            sub |= term_masks[j]
-        elif (bc >> j) & 1 or (aux.d_mask >> j) & 1:
-            giv |= term_masks[j]
-    inputs = range(m, 2 * m)
-    sub_in = 0
-    giv_in = 0
-    for j in inputs:
-        if (b_mask >> j) & 1:
-            sub_in |= term_masks[j]
-        elif (bc >> j) & 1:
-            giv_in |= term_masks[j]
-    return sub, giv, sub_in, giv_in
+def _aux_constant(aux: AuxiliaryMultiaccess, oracle: EntropyOracle) -> float:
+    """H(X_M) - H(X_{M'}): output terminals minus input terminals."""
+    outputs = (1 << aux.base.m) - 1
+    return oracle.h(outputs) - oracle.h(outputs << aux.base.m)
 
 
 def lambda_upper_expression(
@@ -293,38 +244,20 @@ def lambda_upper_expression(
     terminals.  ``lam`` must lie in Lambda(A): weights in [0, 1] whose sum
     over sets containing j is 1 for every uncompromised terminal j.
     """
-    ent = _AuxEntropies(aux, p_in)
-    term_masks = _aux_term_masks(aux, ent)
-    n = aux.n_terminals
-    m = aux.base.m
-    coverage = np.zeros(n)
+    oracle = _aux_oracle(aux, p_in)
     for b, w in lam.items():
         if w < -LAMBDA_TOL or w > 1 + LAMBDA_TOL:
             raise ModelError(f"lambda weight {w!r} outside [0, 1]")
-        for j in bits(b):
-            coverage[j] += w
-    for j in range(n):
-        if (aux.d_mask >> j) & 1:
-            continue
-        if abs(coverage[j] - 1.0) > LAMBDA_TOL:
-            raise ModelError(
-                f"infeasible lambda: coverage of terminal {j + 1} is {coverage[j]!r}"
-            )
-    out_mask = 0
-    for j in range(m):
-        out_mask |= term_masks[j]
-    in_mask = 0
-    for j in range(m, 2 * m):
-        in_mask |= term_masks[j]
-    first = ent.entropy(out_mask)
-    second = ent.entropy(in_mask)
-    for b, w in lam.items():
-        sub, giv, sub_in, giv_in = _bracket_terms(aux, ent, term_masks, b)
-        if sub:
-            first -= w * ent.conditional(sub, giv)
-        if sub_in:
-            second -= w * ent.conditional(sub_in, giv_in)
-    return first - second
+        if b >> aux.n_terminals:
+            raise ModelError(f"lambda set {b:#b} names terminals outside the model")
+    participants = bits(((1 << aux.n_terminals) - 1) & ~aux.d_mask)
+    coverage = np.array(list(lam.values())) @ incidence(list(lam), participants)
+    for j, c in zip(participants, coverage):
+        if abs(c - 1.0) > LAMBDA_TOL:
+            raise ModelError(f"infeasible lambda: coverage of terminal {j + 1} is {c!r}")
+    return _aux_constant(aux, oracle) - sum(
+        w * _aux_term(aux, oracle, b) for b, w in lam.items()
+    )
 
 
 def min_lambda_upper_expression(
@@ -335,38 +268,13 @@ def min_lambda_upper_expression(
 
 
 def _min_lambda(aux, p_in: JointPMF, a_mask: int) -> tuple[float, dict[int, float]]:
-    ent = _AuxEntropies(aux, p_in)
-    term_masks = _aux_term_masks(aux, ent)
-    n = aux.n_terminals
-    m = aux.base.m
-    gamma = _aux_gamma(aux, a_mask)
-    out_mask = 0
-    in_mask = 0
-    for j in range(m):
-        out_mask |= term_masks[j]
-    for j in range(m, 2 * m):
-        in_mask |= term_masks[j]
-    const = ent.entropy(out_mask) - ent.entropy(in_mask)
-    g = np.zeros(len(gamma))
-    for i, b in enumerate(gamma):
-        sub, giv, sub_in, giv_in = _bracket_terms(aux, ent, term_masks, b)
-        val = ent.conditional(sub, giv) if sub else 0.0
-        val_in = ent.conditional(sub_in, giv_in) if sub_in else 0.0
-        g[i] = val - val_in
-    cover = np.zeros((0, len(gamma)))
-    rows = []
-    for j in range(n):
-        if (aux.d_mask >> j) & 1:
-            continue
-        row = np.zeros(len(gamma))
-        for i, b in enumerate(gamma):
-            if (b >> j) & 1:
-                row[i] = 1.0
-        rows.append(row)
-    cover = np.vstack(rows)
+    oracle = _aux_oracle(aux, p_in)
+    gamma = constraint_family(PartySpec(aux.n_terminals, a_mask, aux.d_mask))
+    g = np.array([_aux_term(aux, oracle, b) for b in gamma.members])
+    cover = incidence(gamma.members, bits(gamma.d_complement)).T
     sol = lp_solve(LinearProgram(c=-g, a_eq=cover, b_eq=np.ones(cover.shape[0])))
-    lam = {b: float(sol.x[i]) for i, b in enumerate(gamma) if sol.x[i] > 1e-12}
-    return const + float(sol.value), lam
+    lam = {b: float(sol.x[i]) for i, b in enumerate(gamma.members) if sol.x[i] > 1e-12}
+    return _aux_constant(aux, oracle) + float(sol.value), lam
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +318,7 @@ def noninteractive_sk_capacity(
     within the sweep cap the value is still reported, flagged as a lower
     bound instead of exact.
     """
-    a_mask = a if isinstance(a, int) else sum(1 << j for j in set(a))
+    a_mask = as_mask(a)
     if popcount(a_mask) < 2:
         raise ModelError("A must contain at least two terminals")
     res = _ni_search(t, a_mask, cfg, extra_inputs)
@@ -451,7 +359,7 @@ def upper_bound_sk(
     the value upper-bounds the noninteractive capacity restricted to that
     family, per the converse of the auxiliary construction.
     """
-    a_mask = a if isinstance(a, int) else sum(1 << j for j in set(a))
+    a_mask = as_mask(a)
     aux = build_auxiliary(t)
     if search is None:
         search = _ni_search(t, a_mask, cfg, extra_inputs)
@@ -490,7 +398,7 @@ def wsk_upper_by_pk(model: SourceModel, a) -> CapacityReport:
     """
     if model.eve_var is None:
         raise ModelError("model has no eavesdropper variable to promote")
-    a_mask = a if isinstance(a, int) else sum(1 << j for j in set(a))
+    a_mask = as_mask(a)
     promoted = SourceModel(
         pmf=model.pmf,
         terminal_vars=model.terminal_vars + (frozenset({model.eve_var}),),
@@ -517,7 +425,7 @@ def sk_bounds(
     ordering lower <= noninteractive <= upper holds by construction.
     Raises InternalConsistencyError if the computed numbers violate it.
     """
-    a_mask = a if isinstance(a, int) else sum(1 << j for j in set(a))
+    a_mask = as_mask(a)
     dims = _input_dims(t)
     inputs = [[np.full(k, 1.0 / k) for k in dims]]
     inputs += [[np.asarray(v, dtype=float) for v in vecs] for vecs in emulation_inputs]

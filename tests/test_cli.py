@@ -2,6 +2,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import jsonschema
 import numpy as np
@@ -147,6 +148,31 @@ def test_polytree_path_and_non_tree_exit_2(tmp_path):
     proc = run_cli("polytree", str(bad_path))
     assert proc.returncode == 2
     assert "not a tree" in proc.stderr
+
+
+def test_polytree_wiretap_over_cell_cap_exit_2(tmp_path):
+    g = Polytree(
+        13,
+        tuple(
+            edge(i, i + 1, bsc_matrix(0.1), wiretap_rows=bsc_matrix(0.25))
+            for i in range(12)
+        ),
+    )
+    path = write_model(tmp_path, g)
+    start = time.monotonic()
+    proc = run_cli("polytree", path, "--wiretap", "--restarts", "1")
+    assert time.monotonic() - start < 30
+    assert proc.returncode == 2, proc.stderr
+    assert "flattened channel has 68719476736 cells, cap is 16777216" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_threads_must_be_positive(tmp_path):
+    path = write_model(tmp_path, correlated_bits_source())
+    proc = run_cli("validate", path, "--threads", "0")
+    assert proc.returncode == 2
+    assert "--threads" in proc.stderr
+    assert run_cli("validate", path, "--threads", "3").returncode == 0
 
 
 def test_polytree_wiretap_pair(tmp_path):

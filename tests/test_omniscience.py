@@ -2,11 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skacap.errors import ModelError
 from skacap.models import PartySpec, SourceModel
 from skacap.omniscience import (
-    EntropyCache,
     constraint_family,
     pk_capacity,
     rco,
@@ -15,6 +16,7 @@ from skacap.omniscience import (
 )
 from skacap.prob import (
     Alphabet,
+    EntropyOracle,
     JointPMF,
     binary_entropy,
     entropy,
@@ -204,8 +206,8 @@ def test_pk_upper_bounded_by_conditional_entropy():
         model = one_var_per_terminal(flat, (2,) * m)
         spec = PartySpec(m, 0b011, 0b100)
         val = pk_capacity(model, spec).value
-        cache = EntropyCache(model)
-        h_md = cache.subset_entropy(0b111) - cache.subset_entropy(0b100)
+        oracle = EntropyOracle(model.pmf, model.terminal_vars)
+        h_md = oracle.h(0b111) - oracle.h(0b100)
         assert 0.0 <= val <= h_md + 1e-9
 
 
@@ -217,10 +219,11 @@ def test_rate_witness_feasible():
     spec = PartySpec(m, 0b0011, 0b1000)
     rep = rco(model, spec)
     rates = {int(k) - 1: v for k, v in rep.witness["rates"].items()}
-    cache = EntropyCache(model)
+    oracle = EntropyOracle(model.pmf, model.terminal_vars)
+    full = (1 << m) - 1
     for b in constraint_family(spec).members:
         got = sum(rates[j] for j in range(m) if (b >> j) & 1)
-        h = cache.conditional(b)
+        h = oracle.conditional(b, full & ~b)
         assert got >= h - 1e-8
 
 
@@ -229,13 +232,62 @@ def test_family_size_guard():
         constraint_family(PartySpec(24, a=0b11, d=0))
 
 
-def test_entropy_cache_matches_prob_entropy():
+def test_entropy_oracle_matches_prob_entropy():
     rng = np.random.default_rng(31)
     flat = rng.dirichlet(np.ones(16))
     model = one_var_per_terminal(flat, (2, 2, 2, 2))
-    cache = EntropyCache(model)
+    oracle = EntropyOracle(model.pmf, model.terminal_vars)
     for mask in range(1, 16):
         keep = {j for j in range(4) if (mask >> j) & 1}
-        assert cache.subset_entropy(mask) == pytest.approx(
+        assert oracle.h(mask) == pytest.approx(
             entropy(model.pmf, keep), abs=1e-12
         )
+
+
+def set_partitions(items):
+    """Every partition of the list ``items`` into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+
+
+def plain_entropy(tensor, keep):
+    """H of the axes ``keep`` of a probability tensor, with numpy alone."""
+    drop = tuple(i for i in range(tensor.ndim) if i not in keep)
+    p = tensor.sum(axis=drop).ravel() if drop else tensor.ravel()
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
+
+
+@st.composite
+def binary_sources(draw):
+    m = draw(st.integers(2, 5))
+    weights = draw(
+        st.lists(st.floats(0.0, 1.0), min_size=2**m, max_size=2**m).filter(
+            lambda w: sum(w) > 1e-3
+        )
+    )
+    flat = np.asarray(weights) / np.sum(weights)
+    return m, flat
+
+
+@settings(max_examples=60, deadline=None)
+@given(binary_sources())
+def test_sk_capacity_matches_partition_formula(source):
+    # Chan-Zheng: for A = M and D empty, C_SK is the minimum over partitions
+    # P of M with |P| >= 2 of [sum_C H(X_C) - H(X_M)] / (|P| - 1).
+    m, flat = source
+    tensor = flat.reshape((2,) * m)
+    h_all = plain_entropy(tensor, range(m))
+    want = min(
+        (sum(plain_entropy(tensor, block) for block in part) - h_all) / (len(part) - 1)
+        for part in set_partitions(list(range(m)))
+        if len(part) >= 2
+    )
+    got = sk_capacity(one_var_per_terminal(flat, (2,) * m), (1 << m) - 1).value
+    assert got == pytest.approx(want, abs=1e-9)

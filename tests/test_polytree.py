@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from skacap.errors import ModelError
-from skacap.models import Polytree, edge
+from skacap.models import Polytree, edge, polytree_to_transceiver
 from skacap.optimize import InputOptimizerConfig
 from skacap.polytree import (
     edge_capacity,
@@ -192,3 +192,21 @@ def test_wiretap_lower_never_exceeds_capacity():
         cap = edge_capacity(w_y, tol=1e-7).capacity
         res = wiretapped_edge_lower(w_y, w_z, InputOptimizerConfig(restarts=2, seed=1))
         assert res.value <= cap + 1e-7
+
+
+def wiretapped_bsc_path(k):
+    return Polytree(
+        k + 1,
+        tuple(
+            edge(i, i + 1, bsc_matrix(0.1), wiretap_rows=bsc_matrix(0.25)) for i in range(k)
+        ),
+    )
+
+
+def test_flattened_channel_cell_cap():
+    # k wiretapped binary edges flatten to 2^k inputs x 2^k outputs x 2^k
+    # eavesdropper symbols: 8 edges is exactly the 2^24-cell cap
+    t = polytree_to_transceiver(wiretapped_bsc_path(8))
+    assert t.channel.rows.size == 1 << 24
+    with pytest.raises(ModelError, match="flattened channel has 134217728 cells"):
+        polytree_to_transceiver(wiretapped_bsc_path(9))

@@ -5,6 +5,7 @@ from skacap.errors import ModelError
 from skacap.prob import (
     Alphabet,
     Dmc,
+    EntropyOracle,
     JointPMF,
     binary_entropy,
     bsc_matrix,
@@ -256,6 +257,36 @@ def test_extend_with_channel_subset_inputs():
 def test_cell_guard():
     with pytest.raises(ModelError):
         uniform_pmf([(i, Alphabet(4)) for i in range(13)])  # 4^13 > 2^24
+
+
+def test_cell_guard_precedes_allocation():
+    # 2^13 x 2^12 channel cells and a 2^25-cell product: both refused from
+    # the alphabet sizes alone, before any array of that size exists
+    big_in = [(i, B) for i in range(13)]
+    big_out = [(13 + i, B) for i in range(12)]
+    with pytest.raises(ModelError, match="channel has 33554432 cells"):
+        Dmc(big_in, big_out, np.zeros(1))
+    factor = uniform_pmf([(0, Alphabet(32))])
+    factors = [JointPMF(((i, Alphabet(32)),), factor.probs) for i in range(5)]
+    with pytest.raises(ModelError, match="product has 33554432 cells"):
+        product_pmf(factors)
+
+
+def test_entropy_oracle_overlapping_groups():
+    rng = np.random.default_rng(41)
+    p = pmf(((0, B), (1, Alphabet(3)), (2, B), (3, B)), rng.dirichlet(np.ones(24)))
+    # groups share variable 1; variable 3 belongs to no group
+    oracle = EntropyOracle(p, [{0, 1}, {1, 2}, {1}])
+    assert oracle.h(0) == 0.0
+    assert oracle.h(0b001) == pytest.approx(entropy(p, {0, 1}), abs=1e-12)
+    assert oracle.h(0b011) == pytest.approx(entropy(p, {0, 1, 2}), abs=1e-12)
+    assert oracle.h(0b110) == pytest.approx(entropy(p, {1, 2}), abs=1e-12)
+    # group masks naming the same variables give the same cached value
+    assert oracle.h(0b111) == oracle.h(0b011)
+    assert oracle.h(0b100) == pytest.approx(entropy(p, {1}), abs=1e-12)
+    assert oracle.conditional(0b001, 0b100) == pytest.approx(
+        entropy(p, {0}, {1}), abs=1e-12
+    )
 
 
 def test_dmc_row_error_reports_index_and_sum():

@@ -16,9 +16,11 @@ from skacap.optimize import InputOptimizerConfig
 from skacap.prob import (
     Alphabet,
     Dmc,
+    EntropyOracle,
     JointPMF,
     binary_entropy,
     bsc_matrix,
+    compose,
     entropy,
     marginalize,
     mutual_information,
@@ -198,25 +200,14 @@ def test_lambda_expression_independence_cancellation():
         # lambda: all singletons of the 2m auxiliary terminals
         lam = {1 << j: 1.0 for j in range(2 * m)}
         val = lambda_upper_expression(aux, p_in, lam)
-        ent = __import__("skacap.transceiver", fromlist=["_AuxEntropies"])._AuxEntropies(
-            aux, p_in
-        )
+        oracle = EntropyOracle(compose(p_in, t.channel), aux.groups)
         # evaluate the two brackets separately through the public expression:
         # with lam covering inputs exactly once, bracket2 = 0, so
         # E = H(X_M) - sum_B lam_B H(X_B | X_{B^c})
-        term_masks = [ent.vars_mask(g) for g in aux.groups]
-        out_mask = 0
-        for j in range(m):
-            out_mask |= term_masks[j]
-        first = ent.entropy(out_mask)
+        first = oracle.h((1 << m) - 1)
         full = (1 << (2 * m)) - 1
         for b, w in lam.items():
-            sub = term_masks[int(np.log2(b))]
-            giv = 0
-            for j in range(2 * m):
-                if not (b >> j) & 1:
-                    giv |= term_masks[j]
-            first -= w * ent.conditional(sub, giv)
+            first -= w * oracle.conditional(b, full & ~b)
         assert val == pytest.approx(first, abs=1e-10)
 
 
@@ -226,6 +217,8 @@ def test_lambda_expression_rejects_infeasible():
     p_in = _product_input(t, [np.array([0.5, 0.5]), np.array([0.5, 0.5])])
     with pytest.raises(ModelError, match="infeasible lambda"):
         lambda_upper_expression(aux, p_in, {0b0001: 1.0})
+    with pytest.raises(ModelError, match="outside the model"):
+        lambda_upper_expression(aux, p_in, {0b1111: 1.0, 0b10000: 1.0})
 
 
 def test_min_lambda_equals_sk_capacity_on_product_inputs():
