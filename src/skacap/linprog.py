@@ -1,14 +1,17 @@
-"""Dense two-phase simplex solver with Bland's anti-cycling rule.
+"""Dense two-phase simplex solver: Dantzig pricing with a Bland fallback.
 
 Solves   minimize c.x   subject to   a_ge.x >= b_ge,  a_eq.x == b_eq,
 x >= lower (finite, componentwise).
 
 The constraint matrices in this package are small 0/1 incidence matrices
-with entropy right-hand sides, so a dense tableau with Bland pivoting is
-plenty.  Every solve is certified after the fact: primal feasibility, dual
-feasibility, and the complementary-slackness / duality-gap residual must
-all be within ``FEAS_TOL`` or the solver raises instead of returning a
-wrong answer.
+with entropy right-hand sides, so a dense tableau is plenty.  The entering
+column is the most negative reduced cost (Dantzig); after
+``DEGENERATE_RUN`` degenerate pivots in a row the solver switches to
+Bland's smallest-index rule until the next nondegenerate pivot, which
+rules out cycling (Bland 1977).  Every solve is certified after the fact:
+primal feasibility, dual feasibility, and the complementary-slackness /
+duality-gap residual must all be within ``FEAS_TOL`` or the solver raises
+instead of returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from .errors import (
 
 #: Feasibility / optimality tolerance for the simplex and its certificates.
 FEAS_TOL = 1e-9
+
+#: Consecutive degenerate pivots after which pricing falls back to Bland's rule.
+DEGENERATE_RUN = 10
 
 
 @dataclass(frozen=True)
@@ -98,37 +104,41 @@ def _pivot(tab: np.ndarray, obj: np.ndarray, row: int, col: int):
 
 
 def _simplex(tab, obj, basis, cap, tol=FEAS_TOL):
-    """Bland-rule simplex on a tableau whose basis columns are identity.
+    """Simplex on a tableau whose basis columns are identity.
 
     ``tab`` is (m, n+1) with the rhs in the last column; ``obj`` is the
-    reduced-cost row of length n+1 (last entry = -objective).  Mutates all
-    three arguments; returns the iteration count.
+    reduced-cost row of length n+1 (last entry = -objective).  The entering
+    column is the most negative reduced cost, or the first negative one
+    once ``DEGENERATE_RUN`` pivots in a row have not moved (Bland), until a
+    pivot moves again.  Ratio ties leave by the smallest basis index.
+    Mutates all three arguments; returns the iteration count.
     """
-    m = tab.shape[0]
     it = 0
+    degenerate = 0
+    reduced, rhs = obj[:-1], tab[:, -1]  # views; pivots update them in place
     while True:
-        enter = -1
-        for j in range(tab.shape[1] - 1):
-            if obj[j] < -tol:
-                enter = j
-                break
-        if enter < 0:
-            return it
-        ratios_row = -1
-        best = np.inf
-        best_basis = None
-        for i in range(m):
-            a = tab[i, enter]
+        if degenerate < DEGENERATE_RUN:
+            enter = int(reduced.argmin())
+            if reduced[enter] >= -tol:
+                return it
+        else:
+            negative = np.flatnonzero(reduced < -tol)
+            if not negative.size:
+                return it
+            enter = int(negative[0])
+        # The rows are few (one per terminal in this package's LPs), so the
+        # ratio test is a scalar loop: numpy calls would cost more than it.
+        row, best = -1, np.inf
+        for i, (a, b) in enumerate(zip(tab[:, enter].tolist(), rhs.tolist())):
             if a > tol:
-                r = tab[i, -1] / a
-                if r < best - tol or (abs(r - best) <= tol and basis[i] < best_basis):
-                    best = r
-                    best_basis = basis[i]
-                    ratios_row = i
-        if ratios_row < 0:
+                r = b / a
+                if r < best - tol or (abs(r - best) <= tol and basis[i] < basis[row]):
+                    row, best = i, r
+        if row < 0:
             raise LpUnboundedError("LP is unbounded below")
-        _pivot(tab, obj, ratios_row, enter)
-        basis[ratios_row] = enter
+        degenerate = degenerate + 1 if best <= tol else 0
+        _pivot(tab, obj, row, enter)
+        basis[row] = enter
         it += 1
         if it > cap:
             raise LpIterationLimitError(f"simplex iteration cap {cap} exhausted")
@@ -196,12 +206,9 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
         keep_rows = []
         for i in range(m):
             if basis[i] >= n_tot:
-                piv = -1
-                for j in range(n_tot):
-                    if abs(tab[i, j]) > FEAS_TOL:
-                        piv = j
-                        break
-                if piv >= 0:
+                nonzero = np.flatnonzero(np.abs(tab[i, :n_tot]) > FEAS_TOL)
+                if nonzero.size:
+                    piv = int(nonzero[0])
                     _pivot(tab, obj, i, piv)
                     basis[i] = piv
                     keep_rows.append(i)

@@ -100,7 +100,8 @@ def incidence(members, terminals) -> np.ndarray:
 def _conditionals(oracle: EntropyOracle, m: int, members) -> np.ndarray:
     """H(X_B | X_{B^c}) for every B in ``members``, complements inside [m]."""
     full = (1 << m) - 1
-    return np.array([oracle.conditional(b, full & ~b) for b in members])
+    h = oracle.h_all()
+    return np.maximum(h[full] - h[full & ~np.asarray(members, dtype=np.int64)], 0.0)
 
 
 def _check_compatible(model: SourceModel, spec: PartySpec):

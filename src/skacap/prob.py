@@ -248,6 +248,39 @@ class EntropyOracle:
         self._cache[axes] = h
         return h
 
+    def h_all(self) -> np.ndarray:
+        """``h(mask)`` for every group mask, as one array of length 2^groups.
+
+        Walks the marginal lattice depth first: each child sums one group's
+        axes out of its parent (kept as size-1 axes), dropping groups in
+        ascending order so every mask is visited once, and at most about
+        twice the tensor is alive at a time.  Needs pairwise-disjoint groups.
+        """
+        k = len(self._group_axes)
+        union = 0
+        for g in self._group_axes:
+            if union & g:
+                raise ModelError("h_all needs pairwise-disjoint groups")
+            union |= g
+        drops = [
+            tuple(i for i in range(self._tensor.ndim) if (g >> i) & 1)
+            for g in self._group_axes
+        ]
+        full = (1 << k) - 1
+        out = np.zeros(1 << k)
+        out[full] = self.h(full)
+        # (parent marginal, group to drop from it, parent's mask)
+        stack = [(self._tensor, j, full) for j in range(k)]
+        while stack:
+            parent, j, parent_mask = stack.pop()
+            mask = parent_mask & ~(1 << j)
+            if not mask:
+                continue  # the empty mask keeps entropy 0
+            arr = parent.sum(axis=drops[j], keepdims=True)
+            out[mask] = _plain_entropy(arr.ravel())
+            stack.extend((arr, i, mask) for i in range(j + 1, k))
+        return out
+
     def conditional(self, mask: int, given: int) -> float:
         """H(groups in ``mask`` | groups in ``given``), clamped at 0."""
         return max(self.h(mask | given) - self.h(given), 0.0)

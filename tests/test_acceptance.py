@@ -8,13 +8,12 @@ scripts/pilot.py); everything else is pinned analytically.
 
 import json
 import pathlib
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from conftest import run_skacap
 
 from skacap.models import (
     PartySpec,
@@ -265,9 +264,7 @@ def test_criterion_9_noninteractive_transcripts():
 
 
 def _run_cli(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "skacap.cli", *argv], capture_output=True, text=True
-    )
+    return run_skacap(*argv)
 
 
 def test_criterion_10_reproducibility(tmp_path):

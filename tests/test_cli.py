@@ -1,12 +1,11 @@
 import json
 import pathlib
-import subprocess
-import sys
 import time
 
 import jsonschema
 import numpy as np
 import pytest
+from conftest import run_skacap
 
 from skacap.modelio import serialize_model
 from skacap.models import Polytree, SourceModel, edge, polytree_to_transceiver
@@ -18,18 +17,7 @@ SCHEMA = json.loads(
 
 
 def run_cli(*argv, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    proc = subprocess.run(
-        [sys.executable, "-m", "skacap.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=full_env,
-    )
-    return proc
+    return run_skacap(*argv, env=env)
 
 
 def write_model(tmp_path, model, name="model.json"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog as scipy_linprog
 
+from skacap import linprog
 from skacap.errors import LpInfeasibleError, LpUnboundedError
 from skacap.linprog import FEAS_TOL, LinearProgram, lp_solve
 
@@ -120,3 +121,25 @@ def test_duals_certify_strong_duality():
         dual_val = float(sol.dual_ge @ b)
         assert dual_val == pytest.approx(sol.value, abs=1e-8)
         assert np.all(sol.dual_ge >= -FEAS_TOL)
+
+
+
+def test_degenerate_fallback_terminates_on_beale_cycle():
+    # Beale's tableau: most-negative pricing with smallest-basis-index ties
+    # cycles through six degenerate bases; the Bland fallback must break it.
+    rows = np.array(
+        [
+            [1, 0, 0, 0.25, -8, -1, 9],
+            [0, 1, 0, 0.5, -12, -0.5, 3],
+            [0, 0, 1, 0, 0, 1, 0],
+        ]
+    )
+    rhs = np.array([0.0, 0.0, 1.0])
+    cost = np.array([0, 0, 0, -0.75, 20, -0.5, 6])
+    tab = np.hstack([rows, rhs[:, None]])
+    obj = np.append(cost, 0.0)
+    linprog._simplex(tab, obj, [0, 1, 2], cap=200)
+    ref = scipy_linprog(cost, A_eq=rows, b_eq=rhs, bounds=(0, None))
+    assert ref.success
+    assert -obj[-1] == pytest.approx(ref.fun, abs=1e-12)
+    assert ref.fun == pytest.approx(-1.25, abs=1e-12)

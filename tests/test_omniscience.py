@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skacap import omniscience
 from skacap.errors import ModelError
-from skacap.models import PartySpec, SourceModel
+from skacap.linprog import lp_solve
+from skacap.models import PartySpec, SourceModel, mask_of
 from skacap.omniscience import (
     constraint_family,
     pk_capacity,
@@ -265,8 +267,8 @@ def plain_entropy(tensor, keep):
 
 
 @st.composite
-def binary_sources(draw):
-    m = draw(st.integers(2, 5))
+def binary_sources(draw, min_m=2, max_m=7):
+    m = draw(st.integers(min_m, max_m))
     weights = draw(
         st.lists(st.floats(0.0, 1.0), min_size=2**m, max_size=2**m).filter(
             lambda w: sum(w) > 1e-3
@@ -291,3 +293,49 @@ def test_sk_capacity_matches_partition_formula(source):
     )
     got = sk_capacity(one_var_per_terminal(flat, (2,) * m), (1 << m) - 1).value
     assert got == pytest.approx(want, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(binary_sources(max_m=6), st.data())
+def test_sk_capacity_invariant_under_relabeling(source, data):
+    m, flat = source
+    perm = data.draw(st.permutations(range(m)))
+    a = data.draw(st.sets(st.integers(0, m - 1), min_size=2))
+    # terminal perm[j] of the relabeled source observes what terminal j did
+    moved = np.moveaxis(flat.reshape((2,) * m), range(m), perm).ravel()
+    before = sk_capacity(one_var_per_terminal(flat, (2,) * m), mask_of(a)).value
+    after = sk_capacity(
+        one_var_per_terminal(moved, (2,) * m), mask_of(perm[j] for j in a)
+    ).value
+    assert after == pytest.approx(before, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(binary_sources(min_m=3, max_m=6), st.data())
+def test_pk_capacity_at_most_sk_capacity(source, data):
+    # Compromised terminals can publish their observations, so any private
+    # key is also a secret key for the same A.
+    m, flat = source
+    d = data.draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m - 2))
+    rest = sorted(set(range(m)) - d)
+    a = data.draw(st.sets(st.sampled_from(rest), min_size=2))
+    model = one_var_per_terminal(flat, (2,) * m)
+    pk = pk_capacity(model, PartySpec(m, mask_of(a), mask_of(d))).value
+    sk = sk_capacity(model, mask_of(a)).value
+    assert pk <= sk + 1e-9
+
+
+@pytest.mark.parametrize("m", [10, 12])
+def test_co_lp_pivots_stay_linear_in_m(m, monkeypatch):
+    pivots = []
+
+    def counting(lp):
+        sol = lp_solve(lp)
+        pivots.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(omniscience, "lp_solve", counting)
+    flat = np.random.default_rng(m).dirichlet(np.ones(2**m))
+    sk_capacity(one_var_per_terminal(flat, (2,) * m), (1 << m) - 1)
+    assert len(pivots) == 1
+    assert pivots[0] <= 3 * m

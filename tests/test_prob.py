@@ -289,6 +289,29 @@ def test_entropy_oracle_overlapping_groups():
     )
 
 
+def test_entropy_oracle_h_all_matches_lazy_h():
+    rng = np.random.default_rng(43)
+    sizes = (2, 3, 2, 4, 3, 2)
+    # groups of one and two variables, listed out of axis order;
+    # variable 4 belongs to no group
+    groups = [{3, 0}, {2}, {5, 1}]
+    for _ in range(5):
+        flat = rng.dirichlet(np.full(int(np.prod(sizes)), 0.3))
+        p = pmf(tuple((i, Alphabet(s)) for i, s in enumerate(sizes)), flat)
+        every = EntropyOracle(p, groups).h_all()
+        lazy = EntropyOracle(p, groups)
+        assert every.shape == (1 << len(groups),)
+        for mask in range(1 << len(groups)):
+            assert every[mask] == pytest.approx(lazy.h(mask), abs=1e-12)
+
+
+def test_entropy_oracle_h_all_rejects_overlapping_groups():
+    rng = np.random.default_rng(44)
+    p = pmf(((0, B), (1, Alphabet(3)), (2, B)), rng.dirichlet(np.ones(12)))
+    with pytest.raises(ModelError, match="disjoint"):
+        EntropyOracle(p, [{0, 1}, {1, 2}]).h_all()
+
+
 def test_dmc_row_error_reports_index_and_sum():
     rows = np.array([[0.5, 0.5], [0.49, 0.49]])
     with pytest.raises(ModelError, match=r"row 1 sums to 0\.98"):
