@@ -9,7 +9,7 @@ Reports go to stdout as JSON with sorted keys and numbers rounded to 12
 significant digits; every report embeds the tool version, the model-file
 SHA-256, and the full configuration.  Diagnostics go to stderr.  Exit
 codes: 0 ok, 2 model/schema error, 3 LP failure, 4 internal-consistency
-failure, 5 infeasible rate.
+failure, 5 infeasible rate, 6 iteration cap hit before convergence.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (
+    ConvergenceError,
     DecodeBudgetError,
     InternalConsistencyError,
     LpError,
@@ -43,6 +44,7 @@ EXIT_MODEL = 2
 EXIT_LP = 3
 EXIT_CONSISTENCY = 4
 EXIT_RATE = 5
+EXIT_CONVERGENCE = 6
 
 #: Warn when the constraint family gets large.
 FAMILY_WARN = 1 << 14
@@ -300,6 +302,9 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         sys.stderr.write(f"internal consistency failure: {exc}\n")
         return EXIT_CONSISTENCY
+    except ConvergenceError as exc:
+        sys.stderr.write(f"no convergence: {exc}\n")
+        return EXIT_CONVERGENCE
     except SkacapError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_MODEL

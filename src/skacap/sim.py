@@ -7,7 +7,8 @@ Protocol per block of ``n`` channel rounds:
 2.  Reconciliation: each sender reveals r = ceil(n h(p) (1 + delta)) parity
     bits of a seeded random binary matrix applied to its input block; the
     receiver decodes the syndrome difference to the minimum-weight error
-    pattern (exhaustive over weight <= w_max).
+    pattern (exhaustive over weight <= w_max; among patterns of equal
+    weight the lexicographically first wins).
 3.  Privacy amplification: both ends of an edge hash their (corrected)
     copy of the sender bits through a seeded Toeplitz matrix down to
     key_len = floor(n rate) bits, sacrificing s margin bits.
@@ -27,7 +28,11 @@ and a chi-square uniformity check over produced key bytes.  Reliability
 of blocks where some terminal's key disagrees.
 
 All randomness derives from one master seed through an indexed schedule
-(purpose, edge or block number), so runs are bit-reproducible.
+(purpose, edge or block number), so runs are bit-reproducible.  The draws
+(``_draw_blocks``) are the only loop over blocks; after them everything works
+on whole arrays of blocks: syndromes and Toeplitz hashes are mod-2 matrix
+products, the decode table is a sorted array searched once per block, and
+decode checks, agreement and key forwarding are array compares and XORs.
 """
 
 from __future__ import annotations
@@ -35,19 +40,22 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import stats
 
 from .errors import DecodeBudgetError, ModelError, RateInfeasibleError
 from .models import Polytree, as_mask, bits
-from .prob import binary_entropy
+from .prob import binary_entropy, check_cells
 
 #: Exhaustive-decoder guards.
 MAX_BLOCK_LEN = 28
 MAX_TABLE_PATTERNS = 1 << 21
+
+#: Blocks per kernel pass, which bounds the per-block arrays in memory.
+_CHUNK_BLOCKS = 4096
+#: Parent patterns per step of the decode-table build.
+_GROW_CHUNK = 4096
 
 #: Seed-schedule namespaces.
 _NS_CODE = 0
@@ -161,11 +169,80 @@ def weight_cap(n: int, p: float) -> int:
     return int(math.ceil(2.0 * n * p)) + 2
 
 
-def _table_size(n: int, w_max: int) -> int:
-    return sum(math.comb(n, w) for w in range(min(w_max, n) + 1))
+def _pack(bit_rows: np.ndarray) -> np.ndarray:
+    """0/1 entries along the last axis as int32 words, entry i at bit i."""
+    return bit_rows @ (np.int32(1) << np.arange(bit_rows.shape[-1], dtype=np.int32))
 
 
-def _build_code(n: int, p: float, delta: float, rng: np.random.Generator):
+class _Code(NamedTuple):
+    """Parity matrix ``h`` and its minimum-weight decode table.
+
+    ``keys`` is sorted; ``patterns[i]`` is the n-bit mask of the first error
+    pattern in (weight, lex) order whose key is ``keys[i]``.  A key packs an
+    error's parities on ``rows``, rows of ``h`` spanning its GF(2) row space,
+    so two errors share a key exactly when they share a syndrome.
+    """
+
+    h: np.ndarray
+    rows: np.ndarray
+    keys: np.ndarray
+    patterns: np.ndarray
+
+
+def _spanning_rows(h: np.ndarray) -> list[int]:
+    """Indices of the rows of ``h`` that are GF(2)-independent of the rows before them."""
+    basis, keep = [], []
+    for i, row in enumerate(_pack(h).tolist()):
+        for b in basis:  # clears each basis vector's leading bit from ``row``
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+            keep.append(i)
+    return keep
+
+
+def _lookup(keys: np.ndarray, q: np.ndarray):
+    """Index into sorted ``keys`` of each query, and whether it is there."""
+    at = np.minimum(np.searchsorted(keys, q), keys.size - 1)
+    return at, keys[at] == q
+
+
+def _decode_table(cols: np.ndarray, n: int, w_max: int, full: int):
+    """Sorted keys and the first (weight, lex) error pattern of each.
+
+    ``cols[j]`` is the key of an error at position j.  Weight w grows from
+    weight w - 1 by appending a position past each parent's last, parent by
+    parent, which is the order of ``itertools.combinations``.  The build
+    stops after weight ``w_max`` or once all ``full`` keys have a pattern.
+    """
+    bit = np.int32(1) << np.arange(n, dtype=np.int32)
+    keys = patterns = np.zeros(1, dtype=np.int32)
+    level = (keys, patterns)  # keys and patterns of weight w - 1, in lex order
+    for w in range(1, w_max + 1):
+        if keys.size == full:
+            break
+        found, grown = [(keys, patterns)], []
+        for lo in range(0, level[0].size, _GROW_CHUNK):
+            key, patt = (a[lo : lo + _GROW_CHUNK] for a in level)
+            last = np.frexp(patt)[1] - 1  # highest error position, -1 for none
+            count = n - 1 - last
+            parent = np.repeat(np.arange(key.size), count)
+            pos = np.arange(parent.size) - np.repeat(np.cumsum(count) - n, count)
+            child = (key[parent] ^ cols[pos], patt[parent] | bit[pos])
+            if w < w_max:
+                grown.append(child)
+            new, first = np.unique(child[0], return_index=True)
+            fresh = ~_lookup(keys, new)[1]
+            found.append((new[fresh], child[1][first[fresh]]))
+        all_keys, all_patterns = map(np.concatenate, zip(*found))
+        keys, first = np.unique(all_keys, return_index=True)
+        patterns = all_patterns[first]
+        if grown:
+            level = tuple(map(np.concatenate, zip(*grown)))
+    return keys, patterns
+
+
+def _build_code(n: int, p: float, delta: float, rng: np.random.Generator) -> _Code:
     """Random binary parity matrix plus its exhaustive min-weight decode table."""
     if n > MAX_BLOCK_LEN:
         raise DecodeBudgetError(
@@ -173,28 +250,20 @@ def _build_code(n: int, p: float, delta: float, rng: np.random.Generator):
         )
     r = parity_count(n, p, delta)
     w_max = min(weight_cap(n, p), n)
-    if _table_size(n, w_max) > MAX_TABLE_PATTERNS:
-        raise DecodeBudgetError(
-            f"{_table_size(n, w_max)} candidate error patterns exceed the decode budget"
-        )
+    size = sum(math.comb(n, w) for w in range(w_max + 1))
+    if size > MAX_TABLE_PATTERNS:
+        raise DecodeBudgetError(f"{size} candidate error patterns exceed the decode budget")
     h = rng.integers(0, 2, size=(r, n), dtype=np.uint8)
-    cols = [int(sum(int(h[i, j]) << i for i in range(r))) for j in range(n)]
-    table: dict[int, tuple[int, ...]] = {}
-    for w in range(w_max + 1):
-        for positions in combinations(range(n), w):
-            s = 0
-            for j in positions:
-                s ^= cols[j]
-            if s not in table:
-                table[s] = positions
-    return h, cols, table, r, w_max
+    rows = h[_spanning_rows(h)]
+    keys, patterns = _decode_table(_pack(rows.T), n, w_max, 1 << rows.shape[0])
+    return _Code(h, rows, keys, patterns)
 
 
-def _syndrome_int(cols: list[int], bits: np.ndarray) -> int:
-    s = 0
-    for j in np.nonzero(bits)[0]:
-        s ^= cols[int(j)]
-    return s
+def _decode(code: _Code, err: np.ndarray):
+    """Table estimate (bits) of each row of ``err``, and whether its syndrome was found."""
+    at, found = _lookup(code.keys, _pack((err @ code.rows.T) & 1))
+    words = np.where(found, code.patterns[at], 0)[..., None]
+    return ((words >> np.arange(err.shape[-1], dtype=np.int32)) & 1).astype(np.uint8), found
 
 
 def reconcile_edge(
@@ -214,15 +283,9 @@ def reconcile_edge(
         raise ModelError("sender and receiver blocks differ in length")
     if not 0 <= p < 0.5:
         raise ModelError("crossover probability must lie in [0, 0.5)")
-    n = sender.size
-    h, cols, table, r, _ = _build_code(n, p, delta, _rng(seed, _NS_CODE, 0))
-    syn = _syndrome_int(cols, (sender ^ receiver) % 2)
-    patt = table.get(syn)
-    if patt is None:
-        return ReconcileResult(corrected=receiver.copy(), revealed=r, ok=False)
-    e_hat = np.zeros(n, dtype=np.uint8)
-    e_hat[list(patt)] = 1
-    return ReconcileResult(corrected=receiver ^ e_hat, revealed=r, ok=True)
+    code = _build_code(sender.size, p, delta, _rng(seed, _NS_CODE, 0))
+    e_hat, found = _decode(code, (sender ^ receiver) % 2)
+    return ReconcileResult(receiver ^ e_hat, code.h.shape[0], bool(found))
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +293,15 @@ def reconcile_edge(
 # ---------------------------------------------------------------------------
 
 
-def _toeplitz_bits(n_in: int, n_out: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.integers(0, 2, size=n_in + n_out - 1, dtype=np.uint8)
+def _toeplitz(n_in: int, n_out: int, rng: np.random.Generator) -> np.ndarray:
+    """Seeded n_in x n_out Toeplitz matrix T[j, k] = d[n_in - 1 + k - j]."""
+    d = rng.integers(0, 2, size=n_in + n_out - 1, dtype=np.uint8)
+    return d[(n_in - 1) + np.arange(n_out) - np.arange(n_in)[:, None]]
 
 
-def _toeplitz_hash(bits: np.ndarray, seed_bits: np.ndarray, n_out: int) -> np.ndarray:
-    if n_out == 0:
-        return np.zeros(0, dtype=np.uint8)
-    n = bits.size
-    conv = np.convolve(bits.astype(np.int64), seed_bits.astype(np.int64))
-    return (conv[n - 1 : n - 1 + n_out] % 2).astype(np.uint8)
+def _hash(bits: np.ndarray, toeplitz: np.ndarray) -> np.ndarray:
+    """Toeplitz hash of each row of ``bits``: one mod-2 product (uint8 sums keep parity)."""
+    return (bits @ toeplitz) & 1
 
 
 def privacy_amplify(
@@ -249,7 +311,8 @@ def privacy_amplify(
     matrix.
 
     Requires key_len <= L - revealed_count - s, where the block min-entropy
-    is L because sender inputs are uniform by construction.
+    is L because sender inputs are uniform by construction.  The L x key_len
+    matrix is refused past ``prob.MAX_CELLS`` entries.
     """
     bits = np.asarray(shared_bits, dtype=np.uint8).ravel()
     budget = bits.size - revealed_count - s
@@ -260,8 +323,8 @@ def privacy_amplify(
         )
     if key_len == 0:
         return np.zeros(0, dtype=np.uint8)
-    seed_bits = _toeplitz_bits(bits.size, key_len, _rng(hash_seed, _NS_HASH, 0))
-    return _toeplitz_hash(bits, seed_bits, key_len)
+    check_cells(bits.size * key_len, "Toeplitz hash matrix")
+    return _hash(bits, _toeplitz(bits.size, key_len, _rng(hash_seed, _NS_HASH, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,24 +342,23 @@ def propagate_group_key(
 
     ``tree`` lists (parent, child, edge_id) in top-down order; ``edge_keys``
     maps (edge_id, node) to that node's version of the edge's pairwise key.
+    Keys run along the last axis; leading axes (blocks) are carried along.
     Returns per-terminal key estimates and the per-edge masked messages.
     Each receiver recovers the root key exactly when its edge-key version
     matches the sender's.
     """
-    key_len = len(root_key)
     keys = {root: np.asarray(root_key, dtype=np.uint8)}
+    key_len = keys[root].shape[-1]
     masks: dict[int, np.ndarray] = {}
     for parent, child, eid in tree:
         if parent not in keys:
             raise ModelError(f"edge ({parent},{child}) visited before its parent")
         pk = np.asarray(edge_keys[(eid, parent)], dtype=np.uint8)
         ck = np.asarray(edge_keys[(eid, child)], dtype=np.uint8)
-        if pk.size < key_len or ck.size < key_len:
-            raise ModelError(
-                f"pairwise key on edge {eid} shorter than the group key"
-            )
-        masks[eid] = keys[parent] ^ pk[:key_len]
-        keys[child] = masks[eid] ^ ck[:key_len]
+        if pk.shape[-1] < key_len or ck.shape[-1] < key_len:
+            raise ModelError(f"pairwise key on edge {eid} shorter than the group key")
+        masks[eid] = keys[parent] ^ pk[..., :key_len]
+        keys[child] = masks[eid] ^ ck[..., :key_len]
     return keys, masks
 
 
@@ -363,8 +425,7 @@ class _Static:
     sub_edges: tuple[int, ...]
     p: dict[int, float]
     r: dict[int, int]
-    cols: dict[int, list[int]]
-    tables: dict[int, dict[int, tuple[int, ...]]]
+    codes: dict[int, _Code]
     toeplitz: dict[int, np.ndarray]
     key_len: int
 
@@ -382,42 +443,22 @@ def _prepare(g: Polytree, a, cfg: SimConfig) -> _Static:
         raise RateInfeasibleError(
             f"key_len = floor({cfg.n} * {cfg.rate}) < 1", max_feasible_rate=None
         )
-    r = {}
-    budgets = []
-    for eid in sub_edges:
-        r[eid] = parity_count(cfg.n, crossovers[eid], cfg.recon_margin)
-        budgets.append(cfg.n - r[eid] - cfg.pa_margin)
-    max_rate = max(min(budgets), 0) / cfg.n if budgets else 0.0
-    if any(key_len > b for b in budgets):
+    r = {eid: parity_count(cfg.n, crossovers[eid], cfg.recon_margin) for eid in sub_edges}
+    budget = cfg.n - max(r.values()) - cfg.pa_margin
+    if key_len > budget:
+        max_rate = max(budget, 0) / cfg.n
         raise RateInfeasibleError(
             f"key_len {key_len} exceeds an edge budget; "
             f"maximum feasible rate is {max_rate}",
             max_feasible_rate=max_rate,
         )
-    cols = {}
-    tables = {}
-    toeplitz = {}
+    codes, toeplitz = {}, {}
     for eid in sub_edges:
-        _, c, table, _, _ = _build_code(
-            cfg.n, crossovers[eid], cfg.recon_margin, _rng(cfg.seed, _NS_CODE, eid)
-        )
-        cols[eid] = c
-        tables[eid] = table
-        toeplitz[eid] = _toeplitz_bits(cfg.n, key_len, _rng(cfg.seed, _NS_HASH, eid))
-    return _Static(
-        g=g,
-        a_nodes=tuple(sorted(a_nodes)),
-        cfg=cfg,
-        root=root,
-        tree=tuple(tree),
-        sub_edges=tuple(sub_edges),
-        p=crossovers,
-        r=r,
-        cols=cols,
-        tables=tables,
-        toeplitz=toeplitz,
-        key_len=key_len,
-    )
+        code_rng = _rng(cfg.seed, _NS_CODE, eid)
+        codes[eid] = _build_code(cfg.n, crossovers[eid], cfg.recon_margin, code_rng)
+        toeplitz[eid] = _toeplitz(cfg.n, key_len, _rng(cfg.seed, _NS_HASH, eid))
+    return _Static(g, tuple(sorted(a_nodes)), cfg, root, tuple(tree), tuple(sub_edges),
+                   crossovers, r, codes, toeplitz, key_len)
 
 
 def _edge_label(g: Polytree, eid: int) -> str:
@@ -425,77 +466,62 @@ def _edge_label(g: Polytree, eid: int) -> str:
     return f"{e.sender + 1}->{e.receiver + 1}"
 
 
-def _run_block(st: _Static, bid: int, want_transcript: bool):
-    cfg = st.cfg
-    rng = _rng(cfg.seed, _NS_BLOCK, bid)
-    t_bits = {}
-    noise = {}
-    for eid in st.sub_edges:
-        t_bits[eid] = rng.integers(0, 2, size=cfg.n, dtype=np.uint8)
-        noise[eid] = (rng.random(cfg.n) < st.p[eid]).astype(np.uint8)
+def _draw_blocks(st: _Static, lo: int, hi: int):
+    """Sender bits and BSC noise of blocks lo..hi-1, as (edges, blocks, n) uint8.
 
-    syndromes = {}
-    decode_ok = {}
-    t_hat = {}
-    for eid in st.sub_edges:
-        syndromes[eid] = _syndrome_int(st.cols[eid], t_bits[eid])
-        syn_e = _syndrome_int(st.cols[eid], noise[eid])
-        patt = st.tables[eid].get(syn_e)
-        if patt is None:
-            e_hat = np.zeros(cfg.n, dtype=np.uint8)
-            found = False
-        else:
-            e_hat = np.zeros(cfg.n, dtype=np.uint8)
-            e_hat[list(patt)] = 1
-            found = True
-        y = t_bits[eid] ^ noise[eid]
-        t_hat[eid] = y ^ e_hat
-        decode_ok[eid] = found and bool(np.array_equal(e_hat, noise[eid]))
+    This is the seed schedule: block b draws from ``_rng(seed, _NS_BLOCK, b)``,
+    edge by edge, n sender bits and then n uniforms compared with the crossover.
+    """
+    n = st.cfg.n
+    sent = np.empty((len(st.sub_edges), hi - lo, n), dtype=np.uint8)
+    noise = np.empty_like(sent)
+    for i, b in enumerate(range(lo, hi)):
+        rng = _rng(st.cfg.seed, _NS_BLOCK, b)
+        for k, eid in enumerate(st.sub_edges):
+            sent[k, i] = rng.integers(0, 2, size=n, dtype=np.uint8)
+            noise[k, i] = rng.random(n) < st.p[eid]
+    return sent, noise
 
+
+def _transcript(st: _Static, sent, masks, keys) -> Transcript:
+    """Public messages and key estimates of the first block of the arrays."""
+    msgs = []
+    for terminal in range(st.g.m):
+        syn = {
+            _edge_label(st.g, eid): tuple(((st.codes[eid].h @ sent[k, 0]) & 1).tolist())
+            for k, eid in enumerate(st.sub_edges)
+            if st.g.edges[eid].sender == terminal
+        }
+        msk = {
+            _edge_label(st.g, eid): tuple(masks[eid][0].tolist())
+            for parent, _, eid in st.tree
+            if parent == terminal
+        }
+        msgs.append(TerminalMessage(terminal, st.cfg.n, syn, msk))
+    estimates = {j: tuple(keys[j][0].tolist()) for j in sorted(keys)}
+    return Transcript(st.cfg.n, tuple(msgs), estimates)
+
+
+def _run_blocks(st: _Static, lo: int, hi: int):
+    """Blocks lo..hi-1 on whole arrays.
+
+    Returns per-edge decode success (edges x blocks), agreement per block,
+    the root keys (blocks x key_len) and the transcript of block lo.
+    """
+    sent, noise = _draw_blocks(st, lo, hi)
+    decode_ok = np.empty(noise.shape[:2], dtype=bool)
     edge_keys = {}
-    for eid in st.sub_edges:
+    for k, eid in enumerate(st.sub_edges):
+        e_hat, found = _decode(st.codes[eid], noise[k])
+        residual = noise[k] ^ e_hat  # the receiver's corrected copy is sent ^ residual
+        decode_ok[k] = found & ~residual.any(axis=1)
         e = st.g.edges[eid]
-        sender_key = _toeplitz_hash(t_bits[eid], st.toeplitz[eid], st.key_len)
-        receiver_key = _toeplitz_hash(t_hat[eid], st.toeplitz[eid], st.key_len)
-        edge_keys[(eid, e.sender)] = sender_key
-        edge_keys[(eid, e.receiver)] = receiver_key
-
-    first_eid = st.tree[0][2]
-    root_key = edge_keys[(first_eid, st.root)]
-    keys, masks = propagate_group_key(list(st.tree), edge_keys, st.root, root_key)
-    agree = all(np.array_equal(keys[j], root_key) for j in st.a_nodes)
-
-    transcript = None
-    if want_transcript:
-        msgs = []
-        for terminal in range(st.g.m):
-            syn = {}
-            msk = {}
-            for eid in st.sub_edges:
-                e = st.g.edges[eid]
-                if e.sender == terminal:
-                    bits_r = st.r[eid]
-                    syn[_edge_label(st.g, eid)] = tuple(
-                        (syndromes[eid] >> i) & 1 for i in range(bits_r)
-                    )
-            for parent, child, eid in st.tree:
-                if parent == terminal:
-                    msk[_edge_label(st.g, eid)] = tuple(int(b) for b in masks[eid])
-            msgs.append(
-                TerminalMessage(
-                    terminal=terminal,
-                    emitted_after_round=cfg.n,
-                    syndromes=syn,
-                    masks=msk,
-                )
-            )
-        transcript = Transcript(
-            n=cfg.n,
-            messages=tuple(msgs),
-            keys={j: tuple(int(b) for b in keys[j]) for j in sorted(keys)},
-        )
-    ok_flags = [decode_ok[eid] for eid in st.sub_edges]
-    return ok_flags, agree, root_key, transcript
+        edge_keys[(eid, e.sender)] = _hash(sent[k], st.toeplitz[eid])
+        edge_keys[(eid, e.receiver)] = _hash(sent[k] ^ residual, st.toeplitz[eid])
+    root_key = edge_keys[(st.tree[0][2], st.root)]
+    keys, masks = propagate_group_key(st.tree, edge_keys, st.root, root_key)
+    agree = np.logical_and.reduce([(keys[j] == root_key).all(axis=1) for j in st.a_nodes])
+    return decode_ok, agree, root_key, _transcript(st, sent, masks, keys)
 
 
 def run_sim(g: Polytree, a, cfg: SimConfig, csv_path: Optional[str] = None) -> SimResult:
@@ -506,49 +532,35 @@ def run_sim(g: Polytree, a, cfg: SimConfig, csv_path: Optional[str] = None) -> S
     sampling happens.
     """
     st = _prepare(g, a, cfg)
-    results = [_run_block(st, b, want_transcript=(b == 0)) for b in range(cfg.blocks)]
-
-    failed = 0
-    decode_failures = {eid: 0 for eid in st.sub_edges}
-    key_pool = []
-    transcript = results[0][3]
-    rows = []
-    for bid, (ok_flags, agree, root_key, _) in enumerate(results):
-        if not agree:
-            failed += 1
-        for eid, ok in zip(st.sub_edges, ok_flags):
-            if not ok:
-                decode_failures[eid] += 1
-        key_pool.append(root_key)
-        rows.append([bid] + [int(okf) for okf in ok_flags] + [int(agree)])
+    starts = range(0, cfg.blocks, _CHUNK_BLOCKS)
+    chunks = [_run_blocks(st, lo, min(lo + _CHUNK_BLOCKS, cfg.blocks)) for lo in starts]
+    decode_ok, agree, root_keys, transcripts = zip(*chunks)
+    decode_ok = np.concatenate(decode_ok, axis=1)
+    agree = np.concatenate(agree)
+    failed = int(np.count_nonzero(~agree))
+    labels = [_edge_label(g, eid) for eid in st.sub_edges]
 
     if csv_path is not None:
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
-                ["block_id"]
-                + [f"decode_ok_{_edge_label(g, eid)}" for eid in st.sub_edges]
-                + ["agree"]
+                ["block_id"] + [f"decode_ok_{label}" for label in labels] + ["agree"]
             )
-            writer.writerows(rows)
+            rows = np.column_stack([np.arange(cfg.blocks), decode_ok.T, agree])
+            writer.writerows(rows.tolist())
 
-    eps_hat = failed / cfg.blocks
-    halfwidth = _wilson_halfwidth(failed, cfg.blocks)
-    uniformity_p = _uniformity_pvalue(np.concatenate(key_pool)) if key_pool else None
-
-    per_edge = []
-    for eid in st.sub_edges:
-        per_edge.append(
-            {
-                "edge": _edge_label(g, eid),
-                "block_len": cfg.n,
-                "syndrome_bits": st.r[eid],
-                "mask_bits": st.key_len,
-                "margin_bits": cfg.pa_margin,
-                "key_len": st.key_len,
-                "slack": cfg.n - st.r[eid] - cfg.pa_margin - st.key_len,
-            }
-        )
+    per_edge = [
+        {
+            "edge": label,
+            "block_len": cfg.n,
+            "syndrome_bits": st.r[eid],
+            "mask_bits": st.key_len,
+            "margin_bits": cfg.pa_margin,
+            "key_len": st.key_len,
+            "slack": cfg.n - st.r[eid] - cfg.pa_margin - st.key_len,
+        }
+        for eid, label in zip(st.sub_edges, labels)
+    ]
     leakage = {
         "per_edge": per_edge,
         "extractable_entropy_bits_per_edge": cfg.n,
@@ -562,35 +574,33 @@ def run_sim(g: Polytree, a, cfg: SimConfig, csv_path: Optional[str] = None) -> S
         "distance of the key definition is not estimated empirically"
     )
     return SimResult(
-        eps_hat=eps_hat,
-        eps_ci_halfwidth=halfwidth,
+        eps_hat=failed / cfg.blocks,
+        eps_ci_halfwidth=_wilson_halfwidth(failed, cfg.blocks),
         key_rate=st.key_len / cfg.n,
         key_len=st.key_len,
         blocks=cfg.blocks,
         failed_blocks=failed,
-        decode_failures={_edge_label(g, eid): c for eid, c in decode_failures.items()},
+        decode_failures={
+            label: int(np.count_nonzero(~ok)) for label, ok in zip(labels, decode_ok)
+        },
         leakage_budget=leakage,
-        uniformity_p=uniformity_p,
-        transcript=transcript,
+        uniformity_p=_uniformity_pvalue(np.concatenate(root_keys).ravel()),
+        transcript=transcripts[0],
         secrecy_note=note,
     )
 
 
 def _wilson_halfwidth(k: int, n: int) -> float:
-    z = _Z95
-    p = k / n
-    denom = 1 + z * z / n
-    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    return half
+    z, p = _Z95, k / n
+    return z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / (1 + z * z / n)
 
 
 def _uniformity_pvalue(bits: np.ndarray) -> Optional[float]:
+    from scipy import stats  # here, not at the top: it is most of the import time
+
     if bits.size < 64:
         return None
-    usable = (bits.size // 8) * 8
-    if usable == 0:
-        return None
-    by = np.packbits(bits[:usable])
+    by = np.packbits(bits[: (bits.size // 8) * 8])
     for nbins, shift in ((256, 0), (16, 4), (4, 6), (2, 7)):
         if by.size / nbins >= 5:
             counts = np.bincount(by >> shift, minlength=nbins)

@@ -8,11 +8,11 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-def run_skacap(*argv, env=None):
-    """Run ``python -m skacap.cli argv`` in a child that imports this checkout.
+def child_env(env=None):
+    """``os.environ`` plus ``env``, with the checkout's ``src`` first on ``PYTHONPATH``.
 
     ``pythonpath`` in ``pyproject.toml`` only reaches the pytest process, so
-    the child gets the checkout's ``src`` prepended to its ``PYTHONPATH``.
+    a child interpreter gets the checkout's ``src`` this way.
     """
     full_env = dict(os.environ)
     if env:
@@ -20,9 +20,14 @@ def run_skacap(*argv, env=None):
     full_env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(SRC), full_env.get("PYTHONPATH")))
     )
+    return full_env
+
+
+def run_skacap(*argv, env=None):
+    """Run ``python -m skacap.cli argv`` in a child that imports this checkout."""
     return subprocess.run(
         [sys.executable, "-m", "skacap.cli", *argv],
         capture_output=True,
         text=True,
-        env=full_env,
+        env=child_env(env),
     )

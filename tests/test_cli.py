@@ -1,12 +1,16 @@
 import json
 import pathlib
+import re
+import subprocess
+import sys
 import time
 
 import jsonschema
 import numpy as np
 import pytest
-from conftest import run_skacap
+from conftest import child_env, run_skacap
 
+from skacap import cli
 from skacap.modelio import serialize_model
 from skacap.models import Polytree, SourceModel, edge, polytree_to_transceiver
 from skacap.prob import Alphabet, JointPMF, bsc_matrix
@@ -256,3 +260,38 @@ def test_seeded_commands_bit_reproducible(tmp_path):
         # --threads appears nowhere in the payload: identical output required
         assert proc.stdout == first.stdout
     assert env_threads.stdout == first.stdout
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats is most of the start-up time; only a simulation needs it
+    code = "import sys, skacap.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_polytree_ba_iteration_cap_exit_6(tmp_path):
+    # Input 3's divergence from the optimal output law equals the capacity
+    # (0.8 bit) while its optimal weight is 0, so Blahut-Arimoto's gap only
+    # shrinks like 1/k^2: about 1e-10 at the 100,000-iteration cap.
+    a = 0.15639185363452918
+    rows = [[0.8, 0.2, 0.0], [0.0, 0.2, 0.8], [a, 1 - 2 * a, a]]
+    doc = {"kind": "polytree", "terminals": 2,
+           "edges": [{"from": 1, "to": 2, "channel": rows}]}
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("polytree", str(path), "--tol", "1e-12")
+    assert proc.returncode == 6, proc.stderr
+    assert "100000-iteration cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert run_cli("polytree", str(path), "--tol", "1e-6").returncode == 0
+
+
+def test_readme_exit_codes_match_cli():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("Exit codes:", 1)[1].split("\n\n")[1]
+    documented = {int(code) for code in re.findall(r"^\|\s*(\d+)\s*\|", table, re.M)}
+    constants = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
+    assert documented == constants

@@ -339,3 +339,21 @@ def test_co_lp_pivots_stay_linear_in_m(m, monkeypatch):
     sk_capacity(one_var_per_terminal(flat, (2,) * m), (1 << m) - 1)
     assert len(pivots) == 1
     assert pivots[0] <= 3 * m
+
+
+@settings(max_examples=40, deadline=None)
+@given(binary_sources(max_m=5), st.data())
+def test_sk_capacity_ignores_independent_local_noise(source, data):
+    # A variable independent of everything else, seen by one terminal only,
+    # is noise that no public discussion can turn into key.
+    m, flat = source
+    a = data.draw(st.sets(st.integers(0, m - 1), min_size=2))
+    j = data.draw(st.integers(0, m - 1))
+    size = data.draw(st.integers(2, 3))
+    weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size))
+    noise = np.asarray(weights) / np.sum(weights)
+    vl = tuple((i, B) for i in range(m)) + ((m, Alphabet(size)),)
+    groups = tuple(frozenset({i, m} if i == j else {i}) for i in range(m))
+    noisy = SourceModel(JointPMF(vl, np.multiply.outer(flat, noise).ravel()), groups)
+    before = sk_capacity(one_var_per_terminal(flat, (2,) * m), mask_of(a)).value
+    assert sk_capacity(noisy, mask_of(a)).value == pytest.approx(before, abs=1e-9)

@@ -1,10 +1,14 @@
+import csv
+import io
 import json
 import math
 import pathlib
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from skacap import sim
 from skacap.errors import DecodeBudgetError, ModelError, RateInfeasibleError
 from skacap.models import Polytree, edge
 from skacap.prob import binary_entropy, bsc_matrix
@@ -255,3 +259,190 @@ def test_steered_subtree_prunes_non_a_leaves():
     assert set(res.decode_failures) == {"1->2", "2->3"}
     # the noisy pruned edge would have made the rate infeasible otherwise
     assert res.key_len == 1
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: one block at a time, with Python ints and dicts
+# ---------------------------------------------------------------------------
+
+
+def reference_table(h, w_max):
+    """Syndrome (bit i = parity of row i) -> first error pattern in (weight, lex) order."""
+    r, n = h.shape
+    cols = [sum(int(h[i, j]) << i for i in range(r)) for j in range(n)]
+    table = {}
+    for w in range(w_max + 1):
+        for positions in combinations(range(n), w):
+            s = 0
+            for j in positions:
+                s ^= cols[j]
+            table.setdefault(s, positions)
+    return table, cols
+
+
+def syndrome_int(cols, bits):
+    s = 0
+    for j in np.nonzero(bits)[0]:
+        s ^= cols[int(j)]
+    return s
+
+
+def toeplitz_hash(bits, seed_bits, n_out):
+    conv = np.convolve(bits.astype(np.int64), seed_bits.astype(np.int64))
+    return (conv[bits.size - 1 : bits.size - 1 + n_out] % 2).astype(np.uint8)
+
+
+def reference_run(g, a, cfg):
+    """The simulation block by block: the seed schedule, exhaustive decoding,
+    convolution hashing and per-block key forwarding, written out directly."""
+    a_nodes = set(a)
+    root, _, tree, sub_edges = sim._steiner_subtree(g, a_nodes)
+    p = {eid: float(g.edges[eid].channel.rows[0, 1]) for eid in sub_edges}
+    key_len = int(math.floor(cfg.n * cfg.rate))
+    label = {eid: sim._edge_label(g, eid) for eid in sub_edges}
+    tables, cols, toeplitz, r = {}, {}, {}, {}
+    for eid in sub_edges:
+        r[eid] = parity_count(cfg.n, p[eid], cfg.recon_margin)
+        h = sim._rng(cfg.seed, sim._NS_CODE, eid).integers(
+            0, 2, size=(r[eid], cfg.n), dtype=np.uint8
+        )
+        tables[eid], cols[eid] = reference_table(h, min(weight_cap(cfg.n, p[eid]), cfg.n))
+        toeplitz[eid] = sim._rng(cfg.seed, sim._NS_HASH, eid).integers(
+            0, 2, size=cfg.n + key_len - 1, dtype=np.uint8
+        )
+    failed, failures, pool, rows, transcript = 0, {eid: 0 for eid in sub_edges}, [], [], None
+    for bid in range(cfg.blocks):
+        rng = sim._rng(cfg.seed, sim._NS_BLOCK, bid)
+        t_bits, noise = {}, {}
+        for eid in sub_edges:
+            t_bits[eid] = rng.integers(0, 2, size=cfg.n, dtype=np.uint8)
+            noise[eid] = (rng.random(cfg.n) < p[eid]).astype(np.uint8)
+        ok, edge_keys = {}, {}
+        for eid in sub_edges:
+            patt = tables[eid].get(syndrome_int(cols[eid], noise[eid]))
+            e_hat = np.zeros(cfg.n, dtype=np.uint8)
+            if patt is not None:
+                e_hat[list(patt)] = 1
+            ok[eid] = patt is not None and np.array_equal(e_hat, noise[eid])
+            e = g.edges[eid]
+            t_hat = t_bits[eid] ^ noise[eid] ^ e_hat
+            edge_keys[(eid, e.sender)] = toeplitz_hash(t_bits[eid], toeplitz[eid], key_len)
+            edge_keys[(eid, e.receiver)] = toeplitz_hash(t_hat, toeplitz[eid], key_len)
+        root_key = edge_keys[(tree[0][2], root)]
+        keys, masks = {root: root_key}, {}
+        for parent, child, eid in tree:
+            masks[eid] = keys[parent] ^ edge_keys[(eid, parent)]
+            keys[child] = masks[eid] ^ edge_keys[(eid, child)]
+        agree = all(np.array_equal(keys[j], root_key) for j in a_nodes)
+        failed += not agree
+        for eid in sub_edges:
+            failures[eid] += not ok[eid]
+        pool.append(root_key)
+        rows.append([bid] + [int(ok[eid]) for eid in sub_edges] + [int(agree)])
+        if bid == 0:
+            msgs = []
+            for terminal in range(g.m):
+                syn = {}
+                for eid in sub_edges:
+                    if g.edges[eid].sender == terminal:
+                        s = syndrome_int(cols[eid], t_bits[eid])
+                        syn[label[eid]] = tuple((s >> i) & 1 for i in range(r[eid]))
+                msk = {label[eid]: tuple(int(b) for b in masks[eid])
+                       for parent, _, eid in tree if parent == terminal}
+                msgs.append(sim.TerminalMessage(terminal, cfg.n, syn, msk))
+            transcript = sim.Transcript(
+                cfg.n, tuple(msgs), {j: tuple(int(b) for b in keys[j]) for j in sorted(keys)}
+            )
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    header = [f"decode_ok_{label[eid]}" for eid in sub_edges]
+    writer.writerow(["block_id"] + header + ["agree"])
+    writer.writerows(rows)
+    return {
+        "eps_hat": failed / cfg.blocks,
+        "eps_ci_halfwidth": sim._wilson_halfwidth(failed, cfg.blocks),
+        "failed_blocks": failed,
+        "decode_failures": {label[eid]: c for eid, c in failures.items()},
+        "uniformity_p": sim._uniformity_pvalue(np.concatenate(pool)),
+    }, transcript, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "n, p, delta, seed",
+    [
+        (24, 0.1, 0.25, 5),  # w_max = 7, the largest tables the benchmark builds
+        (24, 0.1, 0.0, 5),  # 2^12 syndromes, all covered by weight 5 < w_max = 7
+        # r = 44 > n; the first 32 parity rows have rank 27 < 28, so keys packed
+        # from them alone would merge syndromes
+        (28, 0.02, 10.0, 219),
+        (20, 0.05, 0.5, 5),
+        (12, 0.2, 0.0, 5),
+        (24, 0.0, 0.5, 5),  # r = 0: the empty pattern decodes everything
+    ],
+)
+def test_decode_table_matches_combinations_loop(n, p, delta, seed):
+    w_max = min(weight_cap(n, p), n)
+    code = sim._build_code(n, p, delta, sim._rng(seed, sim._NS_CODE, n))
+    ref, cols = reference_table(code.h, w_max)
+    assert len(code.keys) == len(ref)
+    errors = np.zeros((len(ref), n), dtype=np.uint8)
+    for i, positions in enumerate(ref.values()):
+        errors[i, list(positions)] = 1
+    e_hat, found = sim._decode(code, errors)
+    assert found.all()
+    np.testing.assert_array_equal(e_hat, errors)  # each syndrome's own representative
+    rank = code.rows.shape[0]
+    if len(ref) < 2**rank:  # syndromes past w_max are reported as not found
+        heavy = np.random.default_rng(n).integers(0, 2, size=(400, n), dtype=np.uint8)
+        missing = np.array([syndrome_int(cols, e) not in ref for e in heavy])
+        assert missing.any()
+        np.testing.assert_array_equal(sim._decode(code, heavy)[1], ~missing)
+    if (n, p, delta) == (24, 0.1, 0.0):
+        assert len(ref) == 2**rank and max(map(len, ref.values())) < w_max
+
+
+KERNEL_TOPOLOGIES = {
+    "single_edge": (Polytree(2, (edge(0, 1, bsc_matrix(0.05)),)), {0, 1}),
+    "two_edge_path": (
+        Polytree(3, (edge(0, 1, bsc_matrix(0.05)), edge(2, 1, bsc_matrix(0.08)))),
+        {0, 1, 2},
+    ),
+    # the root (terminal 1) receives, terminal 2 relays outside A, leaf 5 is pruned
+    "star_non_a_leaf": (
+        Polytree(
+            5,
+            (
+                edge(1, 0, bsc_matrix(0.05)),
+                edge(1, 2, bsc_matrix(0.03)),
+                edge(3, 1, bsc_matrix(0.06)),
+                edge(1, 4, bsc_matrix(0.4)),
+            ),
+        ),
+        {0, 2, 3},
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [3, 2**63 + 17])
+@pytest.mark.parametrize("topology", sorted(KERNEL_TOPOLOGIES))
+def test_batched_kernel_matches_per_block_reference(topology, seed, tmp_path, monkeypatch):
+    g, a = KERNEL_TOPOLOGIES[topology]
+    cfg = SimConfig(n=24, blocks=300, rate=4 / 24, recon_margin=0.5, pa_margin=4, seed=seed)
+    monkeypatch.setattr(sim, "_CHUNK_BLOCKS", 128)  # several kernel passes per run
+    res = run_sim(g, a, cfg, csv_path=str(tmp_path / "blocks.csv"))
+    want, transcript, rows = reference_run(g, a, cfg)
+    assert {k: res.to_dict()[k] for k in want} == want
+    assert res.transcript == transcript
+    assert (tmp_path / "blocks.csv").read_bytes() == rows.encode()
+    assert 0 < res.failed_blocks < cfg.blocks
+
+
+@pytest.mark.parametrize("n, key_len", [(24, 5), (300, 40), (1000, 7)])
+def test_privacy_amplify_matches_convolution(n, key_len):
+    # n > 255 checks that the uint8 matrix product keeps the parity of its sums
+    bits = np.random.default_rng(n).integers(0, 2, size=n, dtype=np.uint8)
+    seed_bits = sim._rng(11, sim._NS_HASH, 0).integers(
+        0, 2, size=n + key_len - 1, dtype=np.uint8
+    )
+    want = toeplitz_hash(bits, seed_bits, key_len)
+    np.testing.assert_array_equal(privacy_amplify(bits, 0, key_len, 0, hash_seed=11), want)
