@@ -175,7 +175,7 @@ def cmd_polytree(args) -> int:
     config = {"tol": args.tol, "wiretap": bool(args.wiretap)}
     if args.wiretap:
         cfg = InputOptimizerConfig(restarts=args.restarts, seed=args.seed)
-        lower, upper = wiretapped_polytree_bounds(model, cfg, tol=args.tol)
+        lower, upper = wiretapped_polytree_bounds(model, cfg)
         result = {"lower": lower.to_dict(), "upper": upper.to_dict()}
         config.update({"restarts": args.restarts, "seed": args.seed})
     else:
@@ -262,9 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polytree", help="polytree-PIN capacity")
     common(p)
     p.add_argument("--wiretap", action="store_true", help="wiretapped lower/upper pair")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="Blahut-Arimoto certificate gap (without --wiretap)")
+    p.add_argument("--restarts", type=int, default=8,
+                   help="random starts of each edge's I(T;Y|Z) search (with --wiretap)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of each edge's I(T;Y|Z) search (with --wiretap)")
     p.set_defaults(fn=cmd_polytree)
 
     p = sub.add_parser("simulate", help="Monte-Carlo key-agreement simulation")

@@ -5,6 +5,17 @@ per-edge mutual informations, and because each edge term depends only on
 its own edge-input marginal the max-min separates: it equals the minimum
 over edges of the ordinary channel capacity.  The decomposition is
 cross-checked against the generic transceiver optimizer in the tests.
+
+With a wiretap the key terminals are all terminals and the edges are
+independent, so each edge is a cut: the key capacity is
+min_e max_p I(T_e;Y_e|Z_e).  The two-party wiretap bound on each edge
+gives the upper side (Ahlswede and Csiszar, IEEE Trans. IT 1993), and
+per-edge keys joined by one-time pads over the tree reach it (Nitinawarat,
+Ye, Barg, Narayan and Reznik, IEEE Trans. IT 2010).  Under T - Y - Z the
+edge objective I(T;Y) - I(T;Z) is concave (van Dijk, IEEE Trans. IT 1997),
+so the Frank-Wolfe gap at a searched input certifies an upper bound over
+all inputs; for I(T;Y) alone that gap is the Blahut-Arimoto certificate.
+No dense model of the tree is built.
 """
 
 from __future__ import annotations
@@ -15,9 +26,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, InternalConsistencyError, ModelError
-from .models import CapacityReport, Polytree, polytree_to_transceiver, emulated_to_source
+from .models import CapacityReport, Polytree
 from .optimize import InputOptimizerConfig, maximize_product_simplices
-from .prob import Dmc, JointPMF, ZERO_CUTOFF
+from .prob import Dmc, ZERO_CUTOFF
 
 #: Blahut-Arimoto iteration cap.
 BA_MAX_ITER = 100_000
@@ -36,12 +47,17 @@ class EdgeCapacityResult:
 
 @dataclass(frozen=True)
 class WiretapEdgeResult:
-    """Best-found value of max_p I(T;Y|Z) on one wiretapped edge."""
+    """Best-found value of max_p I(T;Y|Z) on one wiretapped edge.
+
+    ``gap`` is the Frank-Wolfe gap at ``optimal_input``, so ``value + gap``
+    bounds max_p I(T;Y|Z) from above over all inputs.
+    """
 
     edge: Optional[tuple[int, int]]
     value: float
     optimal_input: np.ndarray
     converged: bool
+    gap: float
 
 
 def _rows_of(channel) -> np.ndarray:
@@ -132,65 +148,59 @@ def polytree_capacity(g: Polytree, tol: float = 1e-9) -> CapacityReport:
     return CapacityReport(value, "exact", "polytree-min-edge-ba", witness)
 
 
-def _constant_wiretap(out_size: int) -> np.ndarray:
-    return np.ones((out_size, 1))
-
-
-def wiretapped_edge_lower(channel, wiretap, cfg: InputOptimizerConfig) -> WiretapEdgeResult:
+def wiretapped_edge_lower(
+    channel, wiretap, cfg: InputOptimizerConfig, edge: Optional[tuple[int, int]] = None
+) -> WiretapEdgeResult:
     """Best found max_p [I(T;Y) - I(T;Z)] under the Markov chain T - Y - Z.
 
     Equals max_p I(T;Y|Z) by the Markov identity, so it lower-bounds the
-    edge's wiretap key rate.  Flagged, not certified: the objective is a
-    difference of mutual informations and is not assumed concave.
+    edge's wiretap key rate; an edge without a wiretap has no Z term.  The
+    objective is concave, so the Frank-Wolfe gap at the found input,
+    max_x g_x - p.g with g_x = D(W_x||pW) - D(V_x||pV) and V = W W_z,
+    certifies value + gap as an upper bound over all inputs.
     """
     w_y = _rows_of(channel)
-    w_z = w_y @ _rows_of(wiretap) if wiretap is not None else w_y @ _constant_wiretap(
-        w_y.shape[1]
-    )
-    if (wiretap is not None) and _rows_of(wiretap).shape[0] != w_y.shape[1]:
-        raise ModelError("wiretap input alphabet must match the edge output")
+    w_z = None
+    if wiretap is not None:
+        w_tap = _rows_of(wiretap)
+        if w_tap.shape[0] != w_y.shape[1]:
+            raise ModelError("wiretap input alphabet must match the edge output")
+        w_z = w_y @ w_tap
 
     def objective(point):
         p = point[0]
-        return mutual_information_matrix(p, w_y) - mutual_information_matrix(p, w_z)
+        i_z = mutual_information_matrix(p, w_z) if w_z is not None else 0.0
+        return mutual_information_matrix(p, w_y) - i_z
 
     res = maximize_product_simplices([w_y.shape[0]], objective, cfg)
+    p = res.point[0]
+    grad = _divergences(w_y, p @ w_y)
+    if w_z is not None:
+        grad = grad - _divergences(w_z, p @ w_z)
     return WiretapEdgeResult(
-        edge=None,
+        edge=edge,
         value=max(res.value, 0.0),
-        optimal_input=res.point[0],
+        optimal_input=p,
         converged=res.converged,
+        gap=max(float(grad.max() - p @ grad), 0.0),
     )
 
 
 def wiretapped_polytree_bounds(
-    g: Polytree, cfg: InputOptimizerConfig, tol: float = 1e-9
+    g: Polytree, cfg: InputOptimizerConfig
 ) -> tuple[CapacityReport, CapacityReport]:
-    """Wiretap key-capacity bounds for a wiretapped polytree-PIN.
+    """Wiretap key-capacity bounds for a wiretapped polytree-PIN, A = all terminals.
 
-    Lower: min over edges of the best-found I(T;Y|Z) (edges without a
-    wiretap entry count as constant wiretaps).  Upper: the private-key
-    capacity with the eavesdropper promoted to a compromised terminal,
-    maximized over a declared family of product inputs.  The pair is
-    reported without asserting tightness.
+    Every edge is a cut, so the key capacity is min_e max_p I(T_e;Y_e|Z_e).
+    Lower: min over edges of the best-found I(T;Y|Z).  Upper: min over
+    edges of that value plus its Frank-Wolfe gap, a bound over all inputs.
     """
-    from .transceiver import wsk_upper_by_pk  # local import avoids a cycle
-
-    per_edge = []
-    for e in g.edges:
-        res = wiretapped_edge_lower(e.channel, e.wiretap, cfg)
-        per_edge.append(
-            WiretapEdgeResult(
-                edge=(e.sender, e.receiver),
-                value=res.value,
-                optimal_input=res.optimal_input,
-                converged=res.converged,
-            )
-        )
-    lower_value = min(r.value for r in per_edge)
-    all_converged = all(r.converged for r in per_edge)
+    per_edge = [
+        wiretapped_edge_lower(e.channel, e.wiretap, cfg, edge=(e.sender, e.receiver))
+        for e in g.edges
+    ]
     lower = CapacityReport(
-        lower_value,
+        min(r.value for r in per_edge),
         "lower_bound",
         "wiretapped-pin-edges",
         {
@@ -203,53 +213,26 @@ def wiretapped_polytree_bounds(
                 }
                 for r in per_edge
             ],
-            "all_converged": all_converged,
+            "all_converged": all(r.converged for r in per_edge),
         },
     )
-
-    t = polytree_to_transceiver(g)
-    a_mask = (1 << g.m) - 1
-    uniform = [np.full(a.size, 1.0 / a.size) for _, a in t.channel.in_vars]
-    tuned = [r.optimal_input for r in per_edge]
-    family = [uniform, _family_point(t, tuned, g)]
-    best = None
-    tried = []
-    for vecs in family:
-        flat = np.ones(1)
-        for v in vecs:
-            flat = np.multiply.outer(flat, np.asarray(v, dtype=float)).ravel()
-        p_in = JointPMF(t.channel.in_vars, flat)
-        src = emulated_to_source(t, p_in)
-        if src.eve_var is None:
-            from .omniscience import sk_capacity
-
-            rep = sk_capacity(src, a_mask)
-        else:
-            rep = wsk_upper_by_pk(src, a_mask)
-        tried.append({"input": [[float(x) for x in v] for v in vecs], "value": rep.value})
-        if best is None or rep.value > best.value:
-            best = rep
     upper = CapacityReport(
-        best.value,
+        min(r.value + r.gap for r in per_edge),
         "upper_bound",
-        "wsk-pk-promotion-family",
-        {"family": tried},
+        "wiretapped-pin-edge-cut",
+        {
+            "edges": [
+                {
+                    "edge": [r.edge[0] + 1, r.edge[1] + 1],
+                    "value": r.value + r.gap,
+                    "gap": r.gap,
+                }
+                for r in per_edge
+            ]
+        },
     )
     if lower.value > upper.value + 1e-7:
         raise InternalConsistencyError(
             f"wiretap lower bound {lower.value} exceeds upper bound {upper.value}"
         )
     return lower, upper
-
-
-def _family_point(t, per_edge_inputs, g: Polytree):
-    """Arrange per-edge optimal inputs into the transceiver's input order."""
-    vecs = []
-    edge_iter = iter(per_edge_inputs)
-    k = len(g.edges)
-    for i, (vid, alph) in enumerate(t.channel.in_vars):
-        if i < k:
-            vecs.append(np.asarray(next(edge_iter), dtype=float))
-        else:
-            vecs.append(np.ones(alph.size) / alph.size)
-    return vecs

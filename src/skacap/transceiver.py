@@ -321,7 +321,11 @@ def noninteractive_sk_capacity(
     a_mask = as_mask(a)
     if popcount(a_mask) < 2:
         raise ModelError("A must contain at least two terminals")
-    res = _ni_search(t, a_mask, cfg, extra_inputs)
+    return _ni_report(_ni_search(t, a_mask, cfg, extra_inputs))
+
+
+def _ni_report(res: AscentResult) -> CapacityReport:
+    """Noninteractive report of a search: exact when the best ascent converged."""
     kind = "exact" if res.converged else "lower_bound"
     witness = {
         "input": [[float(x) for x in v] for v in res.point],
@@ -434,13 +438,7 @@ def sk_bounds(
         spec = constant_emulation(t, vecs)
         lowers.append(lower_bound_sk(t, a_mask, spec))
     search = _ni_search(t, a_mask, cfg, extra_inputs=inputs)
-    ni_kind = "exact" if search.converged else "lower_bound"
-    ni = CapacityReport(
-        search.value,
-        ni_kind,
-        "noninteractive-input-search",
-        {"input": [[float(x) for x in v] for v in search.point]},
-    )
+    ni = _ni_report(search)
     upper = upper_bound_sk(t, a_mask, cfg, extra_inputs=inputs, search=search)
     best_lower = max(l.value for l in lowers)
     if best_lower > ni.value + 1e-7 or ni.value > upper.value + 1e-7:

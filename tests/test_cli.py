@@ -13,7 +13,7 @@ from conftest import child_env, run_skacap
 from skacap import cli
 from skacap.modelio import serialize_model
 from skacap.models import Polytree, SourceModel, edge, polytree_to_transceiver
-from skacap.prob import Alphabet, JointPMF, bsc_matrix
+from skacap.prob import Alphabet, JointPMF, binary_entropy, bsc_matrix
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).parents[1] / "src" / "skacap" / "report.schema.json").read_text()
@@ -142,20 +142,45 @@ def test_polytree_path_and_non_tree_exit_2(tmp_path):
     assert "not a tree" in proc.stderr
 
 
-def test_polytree_wiretap_over_cell_cap_exit_2(tmp_path):
-    g = Polytree(
-        13,
-        tuple(
-            edge(i, i + 1, bsc_matrix(0.1), wiretap_rows=bsc_matrix(0.25))
-            for i in range(12)
-        ),
-    )
-    path = write_model(tmp_path, g)
+def test_polytree_wiretap_long_paths_exit_0(tmp_path):
+    # the edge-cut bounds build no dense model, so path length is no limit
+    want = binary_entropy(0.3) - binary_entropy(0.1)  # BSC(0.1) then BSC(0.25)
+    for k in (12, 40):
+        g = Polytree(
+            k + 1,
+            tuple(
+                edge(i, i + 1, bsc_matrix(0.1), wiretap_rows=bsc_matrix(0.25))
+                for i in range(k)
+            ),
+        )
+        path = write_model(tmp_path, g, name=f"path{k}.json")
+        start = time.monotonic()
+        proc = run_cli("polytree", path, "--wiretap", "--restarts", "1")
+        assert time.monotonic() - start < 30
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        doc = validate_schema(proc.stdout)
+        assert doc["result"]["lower"]["value"] == pytest.approx(want, abs=1e-9)
+        assert doc["result"]["upper"]["value"] == pytest.approx(want, abs=1e-9)
+
+
+def test_transceiver_over_cell_cap_exit_2(tmp_path):
+    # declared alphabets of 8192 x 4096 cells; refused before rows are read
+    doc = {
+        "kind": "transceiver", "terminals": 2,
+        "inputs": [{"id": 0, "size": 8192, "terminal": 1},
+                   {"id": 1, "size": 1, "terminal": 2}],
+        "outputs": [{"id": 2, "size": 1, "terminal": 1},
+                    {"id": 3, "size": 4096, "terminal": 2}],
+        "rows": [],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc, separators=(",", ":")))
     start = time.monotonic()
-    proc = run_cli("polytree", path, "--wiretap", "--restarts", "1")
+    proc = run_cli("bounds", str(path), "--A", "1,2")
     assert time.monotonic() - start < 30
     assert proc.returncode == 2, proc.stderr
-    assert "flattened channel has 68719476736 cells, cap is 16777216" in proc.stderr
+    assert "channel has 33554432 cells, cap is 16777216" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from skacap.errors import ModelError
-from skacap.models import Polytree, edge, polytree_to_transceiver
+from skacap.models import Polytree, edge, emulated_to_source, polytree_to_transceiver
 from skacap.optimize import InputOptimizerConfig
 from skacap.polytree import (
     edge_capacity,
@@ -11,7 +11,8 @@ from skacap.polytree import (
     wiretapped_edge_lower,
     wiretapped_polytree_bounds,
 )
-from skacap.prob import bec_matrix, binary_entropy, bsc_matrix
+from skacap.prob import JointPMF, bec_matrix, binary_entropy, bsc_matrix
+from skacap.transceiver import wsk_upper_by_pk
 
 CFG = InputOptimizerConfig(restarts=3, ascent=20, seed=7)
 
@@ -192,6 +193,83 @@ def test_wiretap_lower_never_exceeds_capacity():
         cap = edge_capacity(w_y, tol=1e-7).capacity
         res = wiretapped_edge_lower(w_y, w_z, InputOptimizerConfig(restarts=2, seed=1))
         assert res.value <= cap + 1e-7
+
+
+def test_wiretap_mismatched_alphabet_is_model_error():
+    with pytest.raises(ModelError, match="wiretap input alphabet"):
+        wiretapped_edge_lower(np.eye(2), np.ones((3, 1)), CFG)
+
+
+def random_wiretapped_tree(rng, k):
+    """k binary edges, each attached to an earlier node in a random direction."""
+    edges = []
+    for i in range(1, k + 1):
+        a, b = int(rng.integers(i)), i
+        if rng.random() < 0.5:
+            a, b = b, a
+        w_y = rng.dirichlet(np.ones(2), size=2)
+        w_z = rng.dirichlet(np.ones(2), size=2)
+        edges.append(edge(a, b, w_y, wiretap_rows=w_z))
+    return Polytree(k + 1, tuple(edges))
+
+
+def test_wiretapped_bounds_match_dense_pk_route():
+    # independent route: flatten the tree, promote Z to a compromised
+    # terminal and solve the PK capacity by the CO LP at the per-edge inputs
+    rng = np.random.default_rng(606)
+    for k in (1, 2, 3, 1, 2, 3):
+        g = random_wiretapped_tree(rng, k)
+        lower, upper = wiretapped_polytree_bounds(g, CFG)
+        t = polytree_to_transceiver(g)
+        flat = np.ones(1)
+        for e in lower.witness["edges"]:
+            flat = np.kron(flat, e["optimal_input"])
+        src = emulated_to_source(t, JointPMF(t.channel.in_vars, flat))
+        dense = wsk_upper_by_pk(src, (1 << g.m) - 1).value
+        assert dense == pytest.approx(lower.value, abs=1e-9)
+        assert dense <= upper.value + 1e-9
+
+
+def mutual_information_grid(t, rows):
+    """I(T;Y) in bits for every binary input (t_i, 1 - t_i), from the joint."""
+    p = np.stack([t, 1 - t], axis=1)[:, :, None]
+    joint = p * rows[None]
+    p_y = joint.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(joint > 0, joint * np.log2(joint / (p * p_y)), 0.0)
+    return terms.sum(axis=(1, 2))
+
+
+def test_wiretapped_upper_bounds_every_input():
+    rng = np.random.default_rng(607)
+    grid = np.linspace(0.0, 1.0, 10_001)
+    for _ in range(8):
+        w_y = rng.dirichlet(np.ones(2), size=2)
+        w_z = rng.dirichlet(np.ones(2), size=2)
+        g = Polytree(2, (edge(0, 1, w_y, wiretap_rows=w_z),))
+        lower, upper = wiretapped_polytree_bounds(g, CFG)
+        f = mutual_information_grid(grid, w_y) - mutual_information_grid(grid, w_y @ w_z)
+        assert upper.value >= f.max() - 1e-12
+        gap = upper.witness["edges"][0]["gap"]
+        assert 0.0 <= gap <= 1e-6  # the search ends near the optimum: a tight certificate
+        assert upper.value - lower.value == pytest.approx(gap, abs=1e-12)
+        assert upper.method == "wiretapped-pin-edge-cut"
+
+
+def test_wiretap_gap_certifies_a_rough_search():
+    # one sweep from one start stops short of the optimum on ternary edges;
+    # value + gap must still cover the value a full search finds
+    rng = np.random.default_rng(608)
+    rough = InputOptimizerConfig(restarts=1, ascent=1)
+    shortfalls = []
+    for _ in range(6):
+        w_y = rng.dirichlet(np.ones(3), size=3)
+        w_z = rng.dirichlet(np.ones(3), size=3)
+        res = wiretapped_edge_lower(w_y, w_z, rough)
+        best = wiretapped_edge_lower(w_y, w_z, InputOptimizerConfig()).value
+        assert res.value + res.gap >= best - 1e-12
+        shortfalls.append(best - res.value)
+    assert max(shortfalls) > 1e-4
 
 
 def wiretapped_bsc_path(k):

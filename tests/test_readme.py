@@ -1,0 +1,60 @@
+"""Run the ``skacap`` example commands of the README's command-line section."""
+
+import json
+import pathlib
+import shlex
+
+import jsonschema
+import pytest
+from conftest import run_skacap
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCHEMA = json.loads((ROOT / "src" / "skacap" / "report.schema.json").read_text())
+
+
+def readme_commands() -> list[list[str]]:
+    """argv of every ``skacap`` command in the bash block that holds them."""
+    text = (ROOT / "README.md").read_text()
+    blocks = [b.split("```", 1)[0] for b in text.split("```bash\n")[1:]]
+    (block,) = [b for b in blocks if "\nskacap " in "\n" + b]
+    commands, pending = [], ""
+    for line in block.splitlines():
+        if pending:
+            line = pending + " " + line.strip()
+            pending = ""
+        if line.endswith("\\"):
+            pending = line[:-1].strip()
+            continue
+        if line.startswith("skacap "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+COMMANDS = readme_commands()
+
+
+def test_readme_lists_every_verb():
+    assert {argv[0] for argv in COMMANDS} == {
+        "capacity", "bounds", "polytree", "simulate", "validate"
+    }
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(a[:2]) for a in COMMANDS])
+def test_readme_command(argv, tmp_path):
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if arg.startswith("sample_models/"):
+            argv[i] = str(ROOT / arg)
+        elif i and argv[i - 1] == "--csv":
+            argv[i] = str(tmp_path / arg)
+    proc = run_skacap(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["command"] == argv[0]
+    if "--wiretap" in argv:
+        assert doc["result"]["lower"]["value"] == 0.455823111384
+        assert doc["result"]["upper"]["value"] == 0.455823111384
+    if "--csv" in argv:
+        assert pathlib.Path(argv[argv.index("--csv") + 1]).is_file()

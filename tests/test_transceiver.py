@@ -338,6 +338,18 @@ def test_sk_bounds_sandwich_and_witnesses():
     assert out["lower_bounds"][0].witness["emulation"]["v_alphabet"] == 1
 
 
+def test_sk_bounds_noninteractive_report_equals_direct_search():
+    # sk_bounds seeds its search with the uniform input, so the direct call
+    # with that one extra seed runs the same search and must report the same
+    rng = np.random.default_rng(45)
+    t = random_transceiver(rng, 2)
+    uniform = [np.full(2, 0.5), np.full(2, 0.5)]
+    got = sk_bounds(t, {0, 1}, CFG)["noninteractive"].to_dict()
+    want = noninteractive_sk_capacity(t, {0, 1}, CFG, extra_inputs=[uniform]).to_dict()
+    assert got == want
+    assert {"evaluations", "converged"} <= set(got["witness"])
+
+
 def test_v_correlated_lower_bound_is_valid_report():
     rng = np.random.default_rng(50)
     t = random_transceiver(rng, 2)
