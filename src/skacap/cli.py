@@ -174,10 +174,8 @@ def cmd_polytree(args) -> int:
         raise ModelError("polytree requires a polytree-model file")
     config = {"tol": args.tol, "wiretap": bool(args.wiretap)}
     if args.wiretap:
-        cfg = InputOptimizerConfig(restarts=args.restarts, seed=args.seed)
-        lower, upper = wiretapped_polytree_bounds(model, cfg)
+        lower, upper = wiretapped_polytree_bounds(model, tol=args.tol)
         result = {"lower": lower.to_dict(), "upper": upper.to_dict()}
-        config.update({"restarts": args.restarts, "seed": args.seed})
     else:
         rep = polytree_capacity(model, tol=args.tol)
         result = {"capacity": rep.to_dict()}
@@ -256,18 +254,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", default="")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", type=int, default=8, help="grid resolution denominator")
+    p.add_argument("--grid", type=_positive_int, default=8,
+                   help="grid resolution denominator")
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("polytree", help="polytree-PIN capacity")
     common(p)
     p.add_argument("--wiretap", action="store_true", help="wiretapped lower/upper pair")
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="Blahut-Arimoto certificate gap (without --wiretap)")
+                   help="certified Frank-Wolfe gap at which each edge's ascent stops "
+                        "(Blahut-Arimoto, or I(T;Y|Z) with --wiretap)")
     p.add_argument("--restarts", type=int, default=8,
-                   help="random starts of each edge's I(T;Y|Z) search (with --wiretap)")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed of each edge's I(T;Y|Z) search (with --wiretap)")
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(fn=cmd_polytree)
 
     p = sub.add_parser("simulate", help="Monte-Carlo key-agreement simulation")

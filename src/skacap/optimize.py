@@ -1,11 +1,12 @@
 """Deterministic multistart coordinate ascent over products of simplices.
 
-Used for every "max over input distributions" search in the package: the
-noninteractive capacity optimizer and the wiretapped-edge bounds.  The
-objective is treated as a black box; it is piecewise smooth but not
-assumed concave, so the search is honest: multistart (Dirichlet restarts
-split from one master seed, plus a coarse grid pass), cyclic line searches
-along mass-exchange directions, and an explicit converged flag.
+Used only by the noninteractive capacity optimizer of transceiver models;
+the concave per-edge objectives of a polytree have their own certified
+loop in ``polytree.py``.  The objective is treated as a black box; it is
+piecewise smooth but not assumed concave, so the search is honest:
+multistart (Dirichlet restarts split from one master seed, plus a coarse
+grid pass), cyclic line searches along mass-exchange directions, and an
+explicit converged flag.
 
 The line search first scans the segment, centers on the plateau of
 near-maximal scan values, then refines by golden section.  Centering
@@ -52,6 +53,8 @@ class InputOptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ModelError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ModelError("seed must be >= 0")
         if self.tolerance <= 0:
             raise ModelError("tolerance must be > 0")
         if not 0 < self.grid_resolution <= 0.5:

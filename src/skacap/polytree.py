@@ -1,4 +1,4 @@
-"""Polytree-PIN capacities: per-edge Blahut-Arimoto plus wiretapped bounds.
+"""Polytree-PIN capacities: one certified Arimoto loop per edge.
 
 The noninteractive SK capacity of a polytree-PIN is the max-min of the
 per-edge mutual informations, and because each edge term depends only on
@@ -13,8 +13,9 @@ gives the upper side (Ahlswede and Csiszar, IEEE Trans. IT 1993), and
 per-edge keys joined by one-time pads over the tree reach it (Nitinawarat,
 Ye, Barg, Narayan and Reznik, IEEE Trans. IT 2010).  Under T - Y - Z the
 edge objective I(T;Y) - I(T;Z) is concave (van Dijk, IEEE Trans. IT 1997),
-so the Frank-Wolfe gap at a searched input certifies an upper bound over
-all inputs; for I(T;Y) alone that gap is the Blahut-Arimoto certificate.
+so both edge objectives share ``_edge_ascent``: Arimoto's multiplicative
+step (with the wiretap term as in Yasui, Suko and Matsushima, ISIT 2007)
+until its Frank-Wolfe gap, a bound over all inputs, is at most ``tol``.
 No dense model of the tree is built.
 """
 
@@ -27,7 +28,6 @@ import numpy as np
 
 from .errors import ConvergenceError, InternalConsistencyError, ModelError
 from .models import CapacityReport, Polytree
-from .optimize import InputOptimizerConfig, maximize_product_simplices
 from .prob import Dmc, ZERO_CUTOFF
 
 #: Blahut-Arimoto iteration cap.
@@ -47,10 +47,11 @@ class EdgeCapacityResult:
 
 @dataclass(frozen=True)
 class WiretapEdgeResult:
-    """Best-found value of max_p I(T;Y|Z) on one wiretapped edge.
+    """Certified value of max_p I(T;Y|Z) on one wiretapped edge.
 
     ``gap`` is the Frank-Wolfe gap at ``optimal_input``, so ``value + gap``
-    bounds max_p I(T;Y|Z) from above over all inputs.
+    bounds max_p I(T;Y|Z) from above over all inputs; ``converged`` says
+    whether that gap reached the requested tolerance.
     """
 
     edge: Optional[tuple[int, int]]
@@ -89,6 +90,31 @@ def mutual_information_matrix(p_in: np.ndarray, rows: np.ndarray) -> float:
     return float(p_in @ _divergences(rows, p_in @ rows))
 
 
+def _edge_ascent(w_y: np.ndarray, w_z: Optional[np.ndarray], tol: float, max_iter: int):
+    """Arimoto ascent of I(T;Y) - I(T;Z) from the uniform input; no Z if ``w_z`` is None.
+
+    Step r <- r 2^g / sum with g_x = D(W_x||rW) - D(V_x||rV), V = ``w_z``,
+    until the Frank-Wolfe gap max_x g_x - r.g is at most ``tol``.  Returns
+    (value, r, iterations, gap, converged) at the last evaluated r.
+    """
+    if not 0 < tol < np.inf:
+        raise ModelError(f"tolerance must be positive and finite, got {tol!r}")
+    if max_iter < 1:
+        raise ModelError("iteration cap must be >= 1")
+    k = w_y.shape[0]
+    r = np.full(k, 1.0 / k)
+    for it in range(1, max_iter + 1):
+        g = _divergences(w_y, r @ w_y)
+        if w_z is not None:
+            g = g - _divergences(w_z, r @ w_z)
+        value = float(r @ g)
+        gap = float(g.max()) - value
+        if gap <= tol or it == max_iter:
+            return value, r, it, gap, gap <= tol
+        r = r * np.exp2(g)
+        r = r / r.sum()
+
+
 def edge_capacity(channel, tol: float = 1e-9, max_iter: int = BA_MAX_ITER,
                   edge: Optional[tuple[int, int]] = None) -> EdgeCapacityResult:
     """Channel capacity by Blahut-Arimoto from the uniform input.
@@ -97,30 +123,12 @@ def edge_capacity(channel, tol: float = 1e-9, max_iter: int = BA_MAX_ITER,
     information I(r) lower-bounds capacity and max_x D(W(.|x)||p_y)
     upper-bounds it; iteration stops when their gap is at most ``tol``.
     """
-    if tol <= 0:
-        raise ModelError("tolerance must be positive")
-    rows = _rows_of(channel)
-    k = rows.shape[0]
-    r = np.full(k, 1.0 / k)
-    gap = np.inf
-    for it in range(1, max_iter + 1):
-        d = _divergences(rows, r @ rows)
-        i_low = float(r @ d)
-        i_up = float(d.max())
-        gap = i_up - i_low
-        if gap <= tol:
-            return EdgeCapacityResult(
-                edge=edge,
-                capacity=max(i_low, 0.0),
-                optimal_input=r,
-                iterations=it,
-                gap=max(gap, 0.0),
-            )
-        r = r * np.exp2(d)
-        r = r / r.sum()
-    raise ConvergenceError(
-        f"Blahut-Arimoto hit the {max_iter}-iteration cap (gap {gap:.3e})", gap=gap
-    )
+    value, r, it, gap, converged = _edge_ascent(_rows_of(channel), None, tol, max_iter)
+    if not converged:
+        raise ConvergenceError(
+            f"Blahut-Arimoto hit the {max_iter}-iteration cap (gap {gap:.3e})", gap=gap
+        )
+    return EdgeCapacityResult(edge, max(value, 0.0), r, it, max(gap, 0.0))
 
 
 def polytree_capacity(g: Polytree, tol: float = 1e-9) -> CapacityReport:
@@ -149,15 +157,17 @@ def polytree_capacity(g: Polytree, tol: float = 1e-9) -> CapacityReport:
 
 
 def wiretapped_edge_lower(
-    channel, wiretap, cfg: InputOptimizerConfig, edge: Optional[tuple[int, int]] = None
+    channel, wiretap, tol: float = 1e-9, max_iter: int = BA_MAX_ITER,
+    edge: Optional[tuple[int, int]] = None,
 ) -> WiretapEdgeResult:
-    """Best found max_p [I(T;Y) - I(T;Z)] under the Markov chain T - Y - Z.
+    """Certified max_p [I(T;Y) - I(T;Z)] under the Markov chain T - Y - Z.
 
     Equals max_p I(T;Y|Z) by the Markov identity, so it lower-bounds the
     edge's wiretap key rate; an edge without a wiretap has no Z term.  The
-    objective is concave, so the Frank-Wolfe gap at the found input,
-    max_x g_x - p.g with g_x = D(W_x||pW) - D(V_x||pV) and V = W W_z,
-    certifies value + gap as an upper bound over all inputs.
+    objective is concave, so the Frank-Wolfe gap at the returned input
+    certifies value + gap as an upper bound over all inputs.  Hitting
+    ``max_iter`` is not an error: both bounds stay valid, and the result
+    says ``converged=False``.
     """
     w_y = _rows_of(channel)
     w_z = None
@@ -166,37 +176,21 @@ def wiretapped_edge_lower(
         if w_tap.shape[0] != w_y.shape[1]:
             raise ModelError("wiretap input alphabet must match the edge output")
         w_z = w_y @ w_tap
-
-    def objective(point):
-        p = point[0]
-        i_z = mutual_information_matrix(p, w_z) if w_z is not None else 0.0
-        return mutual_information_matrix(p, w_y) - i_z
-
-    res = maximize_product_simplices([w_y.shape[0]], objective, cfg)
-    p = res.point[0]
-    grad = _divergences(w_y, p @ w_y)
-    if w_z is not None:
-        grad = grad - _divergences(w_z, p @ w_z)
-    return WiretapEdgeResult(
-        edge=edge,
-        value=max(res.value, 0.0),
-        optimal_input=p,
-        converged=res.converged,
-        gap=max(float(grad.max() - p @ grad), 0.0),
-    )
+    value, p, _, gap, converged = _edge_ascent(w_y, w_z, tol, max_iter)
+    return WiretapEdgeResult(edge, max(value, 0.0), p, converged, max(gap, 0.0))
 
 
 def wiretapped_polytree_bounds(
-    g: Polytree, cfg: InputOptimizerConfig
+    g: Polytree, tol: float = 1e-9
 ) -> tuple[CapacityReport, CapacityReport]:
     """Wiretap key-capacity bounds for a wiretapped polytree-PIN, A = all terminals.
 
     Every edge is a cut, so the key capacity is min_e max_p I(T_e;Y_e|Z_e).
-    Lower: min over edges of the best-found I(T;Y|Z).  Upper: min over
+    Lower: min over edges of the certified I(T;Y|Z).  Upper: min over
     edges of that value plus its Frank-Wolfe gap, a bound over all inputs.
     """
     per_edge = [
-        wiretapped_edge_lower(e.channel, e.wiretap, cfg, edge=(e.sender, e.receiver))
+        wiretapped_edge_lower(e.channel, e.wiretap, tol=tol, edge=(e.sender, e.receiver))
         for e in g.edges
     ]
     lower = CapacityReport(

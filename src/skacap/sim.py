@@ -93,10 +93,10 @@ class SimConfig:
             raise ModelError("need n >= 8 rounds per block")
         if self.blocks < 1:
             raise ModelError("need at least one block")
-        if not self.rate > 0:
-            raise ModelError("rate must be positive")
-        if self.recon_margin < 0 or self.pa_margin < 0:
-            raise ModelError("margins must be nonnegative")
+        if not 0 < self.rate < math.inf:
+            raise ModelError("rate must be positive and finite")
+        if not (0 <= self.recon_margin < math.inf and 0 <= self.pa_margin < math.inf):
+            raise ModelError("margins must be nonnegative and finite")
 
 
 @dataclass(frozen=True)

@@ -314,6 +314,38 @@ def test_polytree_ba_iteration_cap_exit_6(tmp_path):
     assert run_cli("polytree", str(path), "--tol", "1e-6").returncode == 0
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+@pytest.mark.parametrize("wiretap", [False, True], ids=["ba", "wiretap"])
+def test_polytree_tol_must_be_positive_and_finite(tmp_path, tol, wiretap):
+    g = Polytree(2, (edge(0, 1, bsc_matrix(0.1), wiretap_rows=bsc_matrix(0.3)),))
+    path = write_model(tmp_path, g)
+    argv = ["polytree", path, f"--tol={tol}"] + (["--wiretap"] if wiretap else [])
+    proc = run_cli(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "tolerance must be positive and finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "transceiver_bsc.json", "--A", "1,2", "--grid", "0"],
+        ["bounds", "transceiver_bsc.json", "--A", "1,2", "--seed", "-1"],
+        ["simulate", "polytree_sim.json", "--n", "24", "--blocks", "4", "--rate", "inf"],
+        ["simulate", "polytree_sim.json", "--n", "24", "--blocks", "4", "--rate", "0.2",
+         "--delta", "inf"],
+        ["simulate", "polytree_sim.json", "--n", "24", "--blocks", "4", "--rate", "0.2",
+         "--delta", "nan"],
+    ],
+    ids=["grid-0", "seed-negative", "rate-inf", "delta-inf", "delta-nan"],
+)
+def test_bad_numeric_flags_exit_2(argv):
+    samples = pathlib.Path(__file__).parents[1] / "sample_models"
+    proc = run_cli(argv[0], str(samples / argv[1]), *argv[2:])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_readme_exit_codes_match_cli():
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     table = readme.split("Exit codes:", 1)[1].split("\n\n")[1]

@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
-from skacap.errors import ModelError
+from skacap import polytree
+from skacap.errors import ConvergenceError, ModelError
 from skacap.models import Polytree, edge, emulated_to_source, polytree_to_transceiver
-from skacap.optimize import InputOptimizerConfig
+from skacap.optimize import InputOptimizerConfig, maximize_product_simplices
 from skacap.polytree import (
     edge_capacity,
     mutual_information_matrix,
@@ -13,8 +16,6 @@ from skacap.polytree import (
 )
 from skacap.prob import JointPMF, bec_matrix, binary_entropy, bsc_matrix
 from skacap.transceiver import wsk_upper_by_pk
-
-CFG = InputOptimizerConfig(restarts=3, ascent=20, seed=7)
 
 
 def cascade(p, q):
@@ -74,6 +75,63 @@ def test_ba_monotone_lower_bound_sequence():
         r /= r.sum()
 
 
+#: 3x3 channel whose third input is tangent at the optimum: its divergence
+#: equals the capacity (0.8 bit) while its optimal weight is 0, so the
+#: Blahut-Arimoto gap shrinks only like 1/k^2.
+_A = 0.15639185363452918
+TANGENT = np.array([[0.8, 0.2, 0.0], [0.0, 0.2, 0.8], [_A, 1 - 2 * _A, _A]])
+
+
+def reference_ba(rows, tol, max_iter):
+    """The Blahut-Arimoto loop as it stood before the shared ascent routine."""
+    from skacap.polytree import _divergences
+
+    k = rows.shape[0]
+    r = np.full(k, 1.0 / k)
+    gap = np.inf
+    for it in range(1, max_iter + 1):
+        d = _divergences(rows, r @ rows)
+        i_low = float(r @ d)
+        i_up = float(d.max())
+        gap = i_up - i_low
+        if gap <= tol:
+            return max(i_low, 0.0), r, it, max(gap, 0.0)
+        r = r * np.exp2(d)
+        r = r / r.sum()
+    raise ConvergenceError(
+        f"Blahut-Arimoto hit the {max_iter}-iteration cap (gap {gap:.3e})", gap=gap
+    )
+
+
+def test_edge_capacity_bit_identical_to_reference_ba():
+    rng = np.random.default_rng(21)
+    cases = [(rng.dirichlet(np.ones(n_out), size=n_in), 1e-9)
+             for n_in, n_out in ((2, 2), (3, 2), (2, 5), (4, 4), (6, 3))]
+    cases.append((TANGENT, 1e-8))
+    for rows, tol in cases:
+        res = edge_capacity(rows, tol=tol)
+        cap, r, it, gap = reference_ba(rows, tol, polytree.BA_MAX_ITER)
+        assert res.capacity == cap
+        assert np.array_equal(res.optimal_input, r)
+        assert res.iterations == it
+        assert res.gap == gap
+    # the cap raises with the same message and gap
+    with pytest.raises(ConvergenceError) as new:
+        edge_capacity(TANGENT, tol=1e-9, max_iter=50)
+    with pytest.raises(ConvergenceError) as old:
+        reference_ba(TANGENT, 1e-9, 50)
+    assert str(new.value) == str(old.value)
+    assert new.value.gap == old.value.gap
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+def test_edge_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(ModelError, match="tolerance"):
+        edge_capacity(bsc_matrix(0.1), tol=tol)
+    with pytest.raises(ModelError, match="tolerance"):
+        wiretapped_edge_lower(bsc_matrix(0.1), bsc_matrix(0.3), tol=tol)
+
+
 def test_polytree_capacity_single_edge():
     g = Polytree(2, (edge(0, 1, bsc_matrix(0.11)),))
     rep = polytree_capacity(g)
@@ -104,14 +162,14 @@ def test_polytree_capacity_edge_order_invariant():
 
 
 def test_wiretap_constant_equals_edge_capacity():
-    res = wiretapped_edge_lower(bsc_matrix(0.11), None, CFG)
+    res = wiretapped_edge_lower(bsc_matrix(0.11), None)
     cap = edge_capacity(bsc_matrix(0.11)).capacity
     assert res.value == pytest.approx(cap, abs=1e-6)
     assert res.value <= cap + 1e-9
 
 
 def test_wiretap_identity_kills_key():
-    res = wiretapped_edge_lower(bsc_matrix(0.1), np.eye(2), CFG)
+    res = wiretapped_edge_lower(bsc_matrix(0.1), np.eye(2))
     assert res.value == pytest.approx(0.0, abs=1e-10)
 
 
@@ -127,7 +185,7 @@ def test_wiretap_markov_identity_at_uniform():
     expect = binary_entropy(cascade(p, q)) - binary_entropy(p)
     assert got == pytest.approx(expect, abs=1e-12)
     # the optimizer should do at least as well as the uniform input
-    res = wiretapped_edge_lower(w_y, w_z, CFG)
+    res = wiretapped_edge_lower(w_y, w_z)
     assert res.value >= got - 1e-9
 
 
@@ -155,7 +213,7 @@ def test_wiretap_markov_identity_vs_joint_conditional_mi():
 
 def test_wiretapped_bounds_single_edge_z_equals_y():
     g = Polytree(2, (edge(0, 1, bsc_matrix(0.1), wiretap_rows=np.eye(2)),))
-    lower, upper = wiretapped_polytree_bounds(g, CFG)
+    lower, upper = wiretapped_polytree_bounds(g)
     assert lower.value == pytest.approx(0.0, abs=1e-9)
     assert upper.value == pytest.approx(0.0, abs=1e-9)
 
@@ -168,7 +226,7 @@ def test_wiretapped_bounds_constant_wiretap_reduces_to_capacity():
             edge(1, 2, bsc_matrix(0.2), wiretap_rows=np.ones((2, 1))),
         ),
     )
-    lower, upper = wiretapped_polytree_bounds(g, CFG)
+    lower, upper = wiretapped_polytree_bounds(g)
     cap = polytree_capacity(g).value
     assert lower.value == pytest.approx(cap, abs=1e-6)
     assert lower.value <= upper.value + 1e-7
@@ -176,7 +234,7 @@ def test_wiretapped_bounds_constant_wiretap_reduces_to_capacity():
 
 def test_wiretapped_bounds_markov_single_edge_tight():
     g = Polytree(2, (edge(0, 1, bsc_matrix(0.1), wiretap_rows=bsc_matrix(0.3)),))
-    lower, upper = wiretapped_polytree_bounds(g, CFG)
+    lower, upper = wiretapped_polytree_bounds(g)
     # m=2 closed form: both sides equal max_p I(T;Y|Z)
     assert lower.value <= upper.value + 1e-7
     assert upper.value == pytest.approx(lower.value, abs=1e-5)
@@ -191,13 +249,13 @@ def test_wiretap_lower_never_exceeds_capacity():
         w_y = rng.dirichlet(np.ones(2), size=2)
         w_z = rng.dirichlet(np.ones(2), size=2)
         cap = edge_capacity(w_y, tol=1e-7).capacity
-        res = wiretapped_edge_lower(w_y, w_z, InputOptimizerConfig(restarts=2, seed=1))
+        res = wiretapped_edge_lower(w_y, w_z)
         assert res.value <= cap + 1e-7
 
 
 def test_wiretap_mismatched_alphabet_is_model_error():
     with pytest.raises(ModelError, match="wiretap input alphabet"):
-        wiretapped_edge_lower(np.eye(2), np.ones((3, 1)), CFG)
+        wiretapped_edge_lower(np.eye(2), np.ones((3, 1)))
 
 
 def random_wiretapped_tree(rng, k):
@@ -219,7 +277,7 @@ def test_wiretapped_bounds_match_dense_pk_route():
     rng = np.random.default_rng(606)
     for k in (1, 2, 3, 1, 2, 3):
         g = random_wiretapped_tree(rng, k)
-        lower, upper = wiretapped_polytree_bounds(g, CFG)
+        lower, upper = wiretapped_polytree_bounds(g)
         t = polytree_to_transceiver(g)
         flat = np.ones(1)
         for e in lower.witness["edges"]:
@@ -247,7 +305,7 @@ def test_wiretapped_upper_bounds_every_input():
         w_y = rng.dirichlet(np.ones(2), size=2)
         w_z = rng.dirichlet(np.ones(2), size=2)
         g = Polytree(2, (edge(0, 1, w_y, wiretap_rows=w_z),))
-        lower, upper = wiretapped_polytree_bounds(g, CFG)
+        lower, upper = wiretapped_polytree_bounds(g)
         f = mutual_information_grid(grid, w_y) - mutual_information_grid(grid, w_y @ w_z)
         assert upper.value >= f.max() - 1e-12
         gap = upper.witness["edges"][0]["gap"]
@@ -257,19 +315,55 @@ def test_wiretapped_upper_bounds_every_input():
 
 
 def test_wiretap_gap_certifies_a_rough_search():
-    # one sweep from one start stops short of the optimum on ternary edges;
-    # value + gap must still cover the value a full search finds
+    # two Arimoto steps stop short of the optimum on ternary edges;
+    # value + gap must still cover the certified value
     rng = np.random.default_rng(608)
-    rough = InputOptimizerConfig(restarts=1, ascent=1)
     shortfalls = []
     for _ in range(6):
         w_y = rng.dirichlet(np.ones(3), size=3)
         w_z = rng.dirichlet(np.ones(3), size=3)
-        res = wiretapped_edge_lower(w_y, w_z, rough)
-        best = wiretapped_edge_lower(w_y, w_z, InputOptimizerConfig()).value
+        res = wiretapped_edge_lower(w_y, w_z, max_iter=2)
+        assert res.converged is False
+        best = wiretapped_edge_lower(w_y, w_z).value
         assert res.value + res.gap >= best - 1e-12
         shortfalls.append(best - res.value)
     assert max(shortfalls) > 1e-4
+
+
+def test_wiretap_ascent_matches_an_independent_search():
+    # the multistart coordinate search of optimize.py never beats the
+    # certified value by more than the tolerance
+    rng = np.random.default_rng(609)
+    tol = 1e-9
+    for k in (3, 3, 4, 4, 8, 8):
+        w_y = rng.dirichlet(np.ones(k), size=k)
+        w_z = rng.dirichlet(np.ones(k), size=k)
+        v = w_y @ w_z
+
+        def f(p):
+            return mutual_information_matrix(p, w_y) - mutual_information_matrix(p, v)
+
+        res = wiretapped_edge_lower(w_y, w_z, tol=tol)
+        search = maximize_product_simplices([k], lambda pt: f(pt[0]),
+                                            InputOptimizerConfig(restarts=4, seed=k))
+        assert res.converged
+        assert res.gap <= tol
+        assert res.value == pytest.approx(f(res.optimal_input), abs=1e-12)
+        assert res.value >= search.value - tol
+
+
+def test_wiretapped_bounds_at_the_iteration_cap(monkeypatch):
+    # the tangent channel needs thousands of steps; at a cap of 50 the pair
+    # is still reported, and flagged as not converged
+    capped = functools.partial(wiretapped_edge_lower, max_iter=50)
+    monkeypatch.setattr(polytree, "wiretapped_edge_lower", capped)
+    g = Polytree(2, (edge(0, 1, TANGENT, wiretap_rows=np.ones((3, 1))),))
+    lower, upper = wiretapped_polytree_bounds(g)
+    assert lower.witness["all_converged"] is False
+    assert lower.witness["edges"][0]["converged"] is False
+    assert 0.0 < lower.value <= upper.value
+    assert upper.witness["edges"][0]["gap"] > 1e-9
+    assert upper.value >= edge_capacity(TANGENT, tol=1e-8).capacity
 
 
 def wiretapped_bsc_path(k):

@@ -1,12 +1,16 @@
-"""Run the ``skacap`` example commands of the README's command-line section."""
+"""Run the README's examples: the ``skacap`` commands and the library block."""
 
 import json
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import jsonschema
 import pytest
-from conftest import run_skacap
+from conftest import child_env, run_skacap
+
+from skacap.prob import binary_entropy
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((ROOT / "src" / "skacap" / "report.schema.json").read_text())
@@ -58,3 +62,14 @@ def test_readme_command(argv, tmp_path):
         assert doc["result"]["upper"]["value"] == 0.455823111384
     if "--csv" in argv:
         assert pathlib.Path(argv[argv.index("--csv") + 1]).is_file()
+
+
+def test_readme_library_example():
+    text = (ROOT / "README.md").read_text()
+    (block,) = [b.split("```", 1)[0] for b in text.split("```python\n")[1:]]
+    proc = subprocess.run(
+        [sys.executable, "-c", block], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    printed = [float(line) for line in proc.stdout.split()]
+    assert printed == pytest.approx([1 - binary_entropy(0.2)] * 2, abs=1e-9)
