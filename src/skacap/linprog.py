@@ -12,6 +12,15 @@ rules out cycling (Bland 1977).  Every solve is certified after the fact:
 primal feasibility, dual feasibility, and the complementary-slackness /
 duality-gap residual must all be within ``FEAS_TOL`` or the solver raises
 instead of returning a wrong answer.
+
+A search that solves many LPs over one fixed polytope, changing only the
+cost, can keep the optimal basis of its last full solve in a
+``BasisHint``.  A basis B stays optimal for a new cost exactly when the
+duals y = B^-T c_B are dual feasible, so ``BasisHint.reuse`` reads the
+solution off B^-1 without pivoting, and returns it only when it passes
+the checks of ``_certify`` (dual feasibility held to the threshold at
+which ``_simplex`` stops); otherwise the caller solves in full and hands
+the new basis to ``BasisHint.adopt``.
 """
 
 from __future__ import annotations
@@ -88,11 +97,18 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """Optimum, duals and pivot count; ``basis`` lists the final basic columns.
+
+    Columns are numbered over [x | surplus of each >= row], one per row the
+    solve kept (phase 1 drops redundant rows).
+    """
+
     value: float
     x: np.ndarray
     dual_ge: np.ndarray
     dual_eq: np.ndarray
     iterations: int
+    basis: tuple[int, ...] = ()
 
 
 def _pivot(tab: np.ndarray, obj: np.ndarray, row: int, col: int):
@@ -253,7 +269,7 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     dual_eq = nu[k:]
 
     _certify(lp, x, value, dual_ge, dual_eq)
-    return LpSolution(value, x, dual_ge, dual_eq, it1 + it2)
+    return LpSolution(value, x, dual_ge, dual_eq, it1 + it2, tuple(basis))
 
 
 def _certify(lp: LinearProgram, x, value, dual_ge, dual_eq):
@@ -285,3 +301,80 @@ def _certify(lp: LinearProgram, x, value, dual_ge, dual_eq):
         raise LpCertificationError(
             f"duality gap {gap:.3e} / complementary slackness {comp:.3e} too large"
         )
+
+
+class BasisHint:
+    """The optimal basis of the last full solve of  min c.x  s.t.
+    a_ge.x >= b_ge, x >= 0, reused while only the cost c changes.
+
+    ``key`` names what the caller built the constraints from, so that it
+    can refuse a hint built for other constraints.  The right-hand side is
+    fixed, so the primal point x_B = B^-1 b_ge depends on the basis alone
+    and is formed once per adopted basis, together with the map
+    c -> y = B^-T c_B from a cost to the basis duals.
+    """
+
+    def __init__(self, a_ge: np.ndarray, b_ge: np.ndarray, key=None):
+        self.a_ge = np.array(a_ge, dtype=float)
+        self.b_ge = np.array(b_ge, dtype=float).ravel()
+        self.key = key
+        self._b_max = float(np.abs(self.b_ge).max(initial=0.0))
+        self.adopt(())
+
+    def adopt(self, basis):
+        """Keep ``basis`` (an ``LpSolution.basis``); B^-1 is formed at the next reuse."""
+        self._basis = tuple(basis)
+        self._dual_map = None
+
+    def _factor(self) -> bool:
+        """Factor the kept basis; False (and the basis dropped) when it is unusable."""
+        k, n = self.a_ge.shape
+        if len(self._basis) != k:
+            return False
+        cols = list(self._basis)
+        try:
+            binv = np.linalg.inv(np.hstack([self.a_ge, -np.eye(k)])[:, cols])
+        except np.linalg.LinAlgError:
+            self._basis = ()
+            return False
+        x_std = np.zeros(n + k)
+        x_std[cols] = binv @ self.b_ge
+        self._x = x_std[:n]
+        self._x.setflags(write=False)
+        # The primal checks of _certify, on the constraints themselves, so
+        # an inaccurate inverse cannot pass them.
+        self._slack = self.a_ge @ self._x - self.b_ge
+        self._primal_min = min(
+            float(self._slack.min(initial=0.0)), float(self._x.min(initial=0.0))
+        )
+        # Surplus columns cost 0, so only the structural basic columns enter.
+        dual_map = np.zeros((n + k, k))
+        dual_map[cols] = binv
+        self._dual_map = np.ascontiguousarray(dual_map[:n].T)
+        return True
+
+    def reuse(self, c: np.ndarray) -> Optional[LpSolution]:
+        """The solution for cost ``c`` off the kept basis, or None to solve in full.
+
+        Returned only when it passes the checks of ``_certify`` at its
+        ``FEAS_TOL`` scale: primal feasibility, dual feasibility (the
+        duals' signs and the reduced costs), and the duality gap and
+        complementary slackness.  Dual feasibility is held to ``FEAS_TOL``
+        itself, the threshold at which ``_simplex`` stops, so a reused
+        basis is one at which a full solve would stop too.
+        """
+        if self._dual_map is None and not self._factor():
+            return None
+        tol = FEAS_TOL * max(1.0, float(np.abs(c).max()), self._b_max)
+        dual = self._dual_map @ c
+        sigma = c - dual @ self.a_ge
+        if self._primal_min < -tol or min(dual.min(), sigma.min()) < -FEAS_TOL:
+            return None
+        x = self._x
+        value = float(c @ x)
+        scale = tol * max(1.0, abs(value))
+        if abs(value - float(dual @ self.b_ge)) > scale:
+            return None
+        if abs(float(dual @ self._slack)) + abs(float(sigma @ x)) > 10 * scale:
+            return None
+        return LpSolution(value, x, dual, np.zeros(0), 0, self._basis)

@@ -67,7 +67,9 @@ class PartySpec:
         if self.a == 0:
             raise ModelError("A must be nonempty")
         if self.a & self.d:
-            raise ModelError(f"A and D intersect: terminals {bits(self.a & self.d)}")
+            raise ModelError(
+                f"A and D intersect: terminals {[t + 1 for t in bits(self.a & self.d)]}"
+            )
         if (self.a | self.d) & ~full:
             raise ModelError("A or D references terminals outside [m]")
 
@@ -102,9 +104,9 @@ class SourceModel:
         claimed: set[VarId] = set()
         for j, g in enumerate(groups):
             if not g:
-                raise ModelError(f"terminal {j} owns no variables")
+                raise ModelError(f"terminal {j + 1} owns no variables")
             if g & claimed:
-                raise ModelError(f"terminal {j} shares variables with another terminal")
+                raise ModelError(f"terminal {j + 1} shares variables with another terminal")
             claimed |= g
         expected = all_ids - ({self.eve_var} if self.eve_var is not None else set())
         if claimed != expected:
@@ -189,7 +191,7 @@ class PolytreeEdge:
 
     def __post_init__(self):
         if self.sender == self.receiver:
-            raise ModelError(f"self-loop at terminal {self.sender}")
+            raise ModelError(f"self-loop at terminal {self.sender + 1}")
         if len(self.channel.in_vars) != 1 or len(self.channel.out_vars) != 1:
             raise ModelError("edge channels are scalar-input scalar-output")
         if self.wiretap is not None:
@@ -245,11 +247,13 @@ class Polytree:
         for e in self.edges:
             if not (0 <= e.sender < self.m and 0 <= e.receiver < self.m):
                 raise ModelError(
-                    f"edge {e.sender}->{e.receiver} references unknown terminals"
+                    f"edge {e.sender + 1}->{e.receiver + 1} references unknown terminals"
                 )
             key = (min(e.sender, e.receiver), max(e.sender, e.receiver))
             if key in pairs:
-                raise ModelError(f"parallel edges between terminals {key}")
+                raise ModelError(
+                    f"parallel edges between terminals ({key[0] + 1}, {key[1] + 1})"
+                )
             pairs.add(key)
             ra, rb = find(e.sender), find(e.receiver)
             if ra == rb:

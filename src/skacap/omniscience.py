@@ -21,6 +21,16 @@ where Lambda(A) are the fractional covers: lambda_B in [0, 1] with
 sum of lambda_B over B containing j equal to 1 for every terminal j.
 Both programs run on the package's own simplex solver and are checked
 against each other in the test suite.
+
+The CO LP is solved as its packing dual, max h.lam s.t. incidence^T lam
+<= 1, lam >= 0, whose feasible set depends on (m, A, D) alone: only the
+cost h, the conditional entropies, depends on the source.  A search over
+many sources with one spec (the noninteractive input search) passes one
+``co_basis_hint(spec)`` to every ``_rco`` call.  Each call first reads
+the value and the rates off the last optimal basis, accepted only with
+the solver's own certificate (rates feasible, lam feasible, equal
+objectives within ``FEAS_TOL``); otherwise it solves in full and keeps
+the new basis.  Without a hint every call solves in full.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InternalConsistencyError, ModelError
-from .linprog import LinearProgram, lp_solve
+from .linprog import BasisHint, LinearProgram, lp_solve
 from .models import CapacityReport, PartySpec, SourceModel, as_mask, bits, popcount
 from .prob import EntropyOracle
 
@@ -120,37 +130,50 @@ def _require_pair(spec: PartySpec):
 def rco(model: SourceModel, spec: PartySpec) -> CapacityReport:
     """Minimum total communication-for-omniscience rate for D^c."""
     _check_compatible(model, spec)
-    return _rco(spec, EntropyOracle(model.pmf, model.terminal_vars))
+    value, rates = _rco(spec, EntropyOracle(model.pmf, model.terminal_vars))
+    return CapacityReport(value, "exact", "omniscience-lp-primal", _rate_witness(spec, rates))
 
 
-def _rco(spec: PartySpec, oracle: EntropyOracle) -> CapacityReport:
+def co_basis_hint(spec: PartySpec) -> BasisHint:
+    """An empty basis hint for the CO LPs of ``spec``, shared by one search."""
     family = constraint_family(spec)
-    participants = bits(spec.d_complement)
+    inc = incidence(family.members, bits(spec.d_complement))
+    return BasisHint(a_ge=-inc.T, b_ge=-np.ones(inc.shape[1]), key=spec)
+
+
+def _rco(
+    spec: PartySpec, oracle: EntropyOracle, hint: BasisHint | None = None
+) -> tuple[float, np.ndarray]:
+    """R_CO and its optimal rates, one per terminal of D^c in ascending order."""
+    family = constraint_family(spec)
     if not family.members:
-        witness = RateVector({j: 0.0 for j in participants})
-        return CapacityReport(
-            0.0, "exact", "omniscience-lp-primal", _rate_witness(witness)
-        )
-    inc = incidence(family.members, participants)
+        return 0.0, np.zeros(popcount(spec.d_complement))
+    if hint is None:
+        hint = co_basis_hint(spec)
+    elif hint.key != spec:
+        raise ModelError("basis hint was built for the CO LP of another spec")
     h = _conditionals(oracle, spec.m, family.members)
     # Solve the packing dual  max h.lam  s.t.  incidence^T lam <= 1, lam >= 0
     # (slack-basis start, no phase 1); the optimal rates are its duals.
-    sol = lp_solve(
-        LinearProgram(c=-h, a_ge=-inc.T, b_ge=-np.ones(len(participants)))
-    )
+    sol = hint.reuse(-h)
+    if sol is None:
+        sol = lp_solve(LinearProgram(c=-h, a_ge=hint.a_ge, b_ge=hint.b_ge))
+        hint.adopt(sol.basis)
     value = -sol.value
-    rates_vec = sol.dual_ge
-    rates = RateVector({j: float(r) for j, r in zip(participants, rates_vec)})
-    slack = inc @ rates_vec - h
+    rates = sol.dual_ge
+    slack = -hint.a_ge.T @ rates - h  # incidence @ rates - h
     if slack.min() < -WITNESS_TOL:
         worst = family.members[int(np.argmin(slack))]
         raise InternalConsistencyError(
             f"rate vector violates constraint B={{{','.join(str(t + 1) for t in bits(worst))}}}"
         )
-    return CapacityReport(value, "exact", "omniscience-lp-primal", _rate_witness(rates))
+    if value < -1e-9:
+        raise InternalConsistencyError(f"R_CO {value!r} below zero beyond tolerance")
+    return max(value, 0.0), rates
 
 
-def _rate_witness(rates: RateVector) -> dict:
+def _rate_witness(spec: PartySpec, rates_vec: np.ndarray) -> dict:
+    rates = RateVector({j: float(r) for j, r in zip(bits(spec.d_complement), rates_vec)})
     return {
         "rates": {str(j + 1): v for j, v in sorted(rates.rates.items())},
         "total": rates.total(),
@@ -161,18 +184,26 @@ def pk_capacity(model: SourceModel, spec: PartySpec) -> CapacityReport:
     """Private-key capacity H(X_M | X_D) - R_CO (exact)."""
     _check_compatible(model, spec)
     _require_pair(spec)
-    oracle = EntropyOracle(model.pmf, model.terminal_vars)
-    h_given_d = oracle.h((1 << model.m) - 1) - oracle.h(spec.d)
-    co = _rco(spec, oracle)
-    value = h_given_d - co.value
+    value, h_given_d, co, rates = _pk(spec, EntropyOracle(model.pmf, model.terminal_vars))
+    witness = _rate_witness(spec, rates)
+    witness["rco"] = co
+    witness["h_given_d"] = h_given_d
+    return CapacityReport(value, "exact", "omniscience-lp", witness)
+
+
+def _pk(
+    spec: PartySpec, oracle: EntropyOracle, hint: BasisHint | None = None
+) -> tuple[float, float, float, np.ndarray]:
+    """C_PK, H(X_M | X_D), R_CO and the CO rates, off an oracle with one
+    group per terminal of ``spec``."""
+    h_given_d = oracle.h((1 << spec.m) - 1) - oracle.h(spec.d)
+    co, rates = _rco(spec, oracle, hint)
+    value = h_given_d - co
     if value < -1e-9:
         raise InternalConsistencyError(
             f"PK capacity {value!r} below zero beyond tolerance"
         )
-    witness = dict(co.witness)
-    witness["rco"] = co.value
-    witness["h_given_d"] = h_given_d
-    return CapacityReport(max(value, 0.0), "exact", "omniscience-lp", witness)
+    return max(value, 0.0), h_given_d, co, rates
 
 
 def sk_capacity(model: SourceModel, a) -> CapacityReport:

@@ -17,6 +17,7 @@ stall the ascent one coordinate at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -80,39 +81,34 @@ def _normalize(v: np.ndarray) -> np.ndarray:
     return v / s
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of length ``parts`` summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _composition(total: int, parts: int, rank: int) -> list[int]:
+    """The ``rank``-th nonnegative vector of length ``parts`` summing to
+    ``total``, in lexicographic order (combinatorial number system)."""
+    out = []
+    for rest in range(parts - 1, 0, -1):
+        head = 0
+        while rank >= (count := math.comb(total - head + rest - 1, rest - 1)):
+            rank -= count
+            head += 1
+        out.append(head)
+        total -= head
+    return out + [total]
 
 
 def _grid_seeds(dims: Sequence[int], resolution: float) -> list[list[np.ndarray]]:
+    """Every stride-th point of the product of the grid simplices (fewer
+    than 2 * ``GRID_CAP``), unranked one by one, so only kept points are built."""
     g = max(1, int(round(1.0 / resolution)))
-    per_axis: list[list[np.ndarray]] = []
-    for k in dims:
-        if k == 1:
-            per_axis.append([np.ones(1)])
-            continue
-        pts = [np.array(c, dtype=float) / g for c in _compositions(g, k)]
-        per_axis.append(pts)
-    total = 1
-    for pts in per_axis:
-        total *= len(pts)
-    stride = max(1, total // GRID_CAP)
+    radices = [math.comb(g + k - 1, k - 1) for k in dims]
+    total = math.prod(radices)
     seeds = []
-    radices = [len(p) for p in per_axis]
-    for flat in range(0, total, stride):
-        idx = []
-        x = flat
+    for flat in range(0, total, max(1, total // GRID_CAP)):
+        idx, x = [], flat
         for r in reversed(radices):
             idx.append(x % r)
             x //= r
-        idx.reverse()
-        seeds.append([per_axis[i][j].copy() for i, j in enumerate(idx)])
+        seeds.append([np.array(_composition(g, k, j), dtype=float) / g
+                      for k, j in zip(dims, reversed(idx))])
     return seeds
 
 

@@ -231,6 +231,22 @@ class EntropyOracle:
         self._group_axes = [sum(1 << axis[v] for v in g) for g in groups]
         self._cache: dict[int, float] = {}
 
+    @classmethod
+    def from_tensor(cls, tensor: np.ndarray, group_axes: Iterable[int]) -> "EntropyOracle":
+        """Oracle of a joint already laid out with one axis per variable.
+
+        ``group_axes[j]`` is the bitmask of the axes of group j, and every
+        axis must lie in some group.  Nothing is validated: this is the
+        constructor for callers that build many joints of one known layout,
+        and it gives the same entropies as the ``JointPMF`` route with those
+        variables and groups.
+        """
+        oracle = cls.__new__(cls)
+        oracle._tensor = tensor
+        oracle._group_axes = list(group_axes)
+        oracle._cache = {}
+        return oracle
+
     def h(self, mask: int) -> float:
         """H of the variables of the groups in ``mask`` (0 for the empty mask)."""
         axes = 0

@@ -432,8 +432,9 @@ class _Static:
 
 def _prepare(g: Polytree, a, cfg: SimConfig) -> _Static:
     a_nodes = set(bits(as_mask(a)))
-    if not a_nodes <= set(range(g.m)):
-        raise ModelError(f"A references unknown terminals: {sorted(a_nodes)}")
+    unknown = sorted(t + 1 for t in a_nodes - set(range(g.m)))
+    if unknown:
+        raise ModelError(f"A references unknown terminals: {unknown}")
     if len(a_nodes) < 2:
         raise ModelError("A must contain at least two terminals")
     crossovers = {i: _bsc_crossover(e) for i, e in enumerate(g.edges)}

@@ -12,6 +12,12 @@ input T_j and observes output Y_j:
   message per terminal after all transmissions, the capacity equals
   max over product input distributions of the emulated source's SK
   capacity.  Realized by a multistart search over per-terminal simplices.
+  The search builds its objective once: each evaluation forms the
+  emulated joint as an outer product of the inputs times the channel
+  rows, takes its entropies off that array, and solves the CO LP from the
+  previous evaluation's optimal basis when that basis still carries a
+  duality certificate (its polytope depends on (m, A) alone), so the
+  values are those of ``sk_capacity`` on the validated emulated source.
 * Auxiliary multiaccess upper bounds: split each transceiver into an input
   terminal (owning T_j, connected through a noiseless identity layer) and
   an output terminal (owning (T_j, Y_j)); the weighted-entropy converse
@@ -40,10 +46,17 @@ from .models import (
     TransceiverModel,
     as_mask,
     bits,
-    emulated_to_source,
+    emulated_to_source,  # noqa: F401  unused here; bench/spans.py probes this name
     popcount,
 )
-from .omniscience import constraint_family, incidence, pk_capacity, sk_capacity
+from .omniscience import (
+    _pk,
+    co_basis_hint,
+    constraint_family,
+    incidence,
+    pk_capacity,
+    sk_capacity,  # noqa: F401  unused here; bench/spans.py probes this name
+)
 from .optimize import AscentResult, InputOptimizerConfig, maximize_product_simplices
 from .prob import (
     Dmc,
@@ -338,13 +351,59 @@ def _ni_report(res: AscentResult) -> CapacityReport:
 def _ni_search(
     t: TransceiverModel, a_mask: int, cfg, extra_inputs=()
 ) -> AscentResult:
-    def objective(point):
-        p_in = _product_input(t, point)
-        return sk_capacity(emulated_to_source(t, p_in), a_mask).value
-
+    dims = _input_dims(t)
+    for vecs in extra_inputs:
+        got = [int(np.size(v)) for v in vecs]
+        if got != dims:
+            raise ModelError(f"extra input has group sizes {got}, expected {dims}")
     return maximize_product_simplices(
-        _input_dims(t), objective, cfg, extra_seeds=extra_inputs
+        dims, _ni_objective(t, a_mask), cfg, extra_seeds=extra_inputs
     )
+
+
+def _emulated_oracles(t: TransceiverModel):
+    """The entropy oracle of the emulated source as a function of the
+    per-terminal inputs, built on plain arrays.
+
+    Gives what ``EntropyOracle`` of ``emulated_to_source(t, _product_input(t,
+    p))`` gives, by the same floating-point operations: the input
+    permutation, the joint shape and the group axes are fixed per model and
+    computed here once, and no ``JointPMF`` is validated per point.
+    """
+    ch = t.channel
+    sizes = dict((vid, a.size) for vid, a in ch.in_vars)
+    group_order = [v for g in t.input_vars for v in g]
+    group_shape = [sizes[v] for v in group_order]
+    to_channel = [group_order.index(v) for v in ch.in_ids]
+    ids = ch.in_ids + ch.out_ids
+    joint_shape = tuple(a.size for _, a in ch.in_vars + ch.out_vars)
+    eve_axes = tuple(i for i, v in enumerate(ids) if v == t.eve_var)
+    axis = {v: i for i, v in enumerate(v for v in ids if v != t.eve_var)}
+    group_axes = [sum(1 << axis[v] for v in g) for g in t.terminal_vars()]
+
+    def oracle(point) -> EntropyOracle:
+        p_in = point[0]
+        for v in point[1:]:
+            p_in = np.multiply.outer(p_in, v)
+        p_in = np.transpose(p_in.reshape(group_shape), to_channel).ravel()
+        joint = (p_in[:, None] * ch.rows).reshape(joint_shape)
+        if eve_axes:
+            joint = joint.sum(axis=eve_axes)
+        return EntropyOracle.from_tensor(joint, group_axes)
+
+    return oracle
+
+
+def _ni_objective(t: TransceiverModel, a_mask: int):
+    """C_SK of the emulated source as a function of the per-terminal inputs.
+
+    Each evaluation's CO LP starts from the optimal basis of the last one
+    (``co_basis_hint``), which is accepted only with its certificate.
+    """
+    spec = PartySpec(t.m, a_mask, 0)
+    oracle = _emulated_oracles(t)
+    hint = co_basis_hint(spec)
+    return lambda point: _pk(spec, oracle(point), hint)[0]
 
 
 def upper_bound_sk(

@@ -352,3 +352,34 @@ def test_readme_exit_codes_match_cli():
     documented = {int(code) for code in re.findall(r"^\|\s*(\d+)\s*\|", table, re.M)}
     constants = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
     assert documented == constants
+
+
+def _parallel_edges_file(tmp_path):
+    doc = {"kind": "polytree", "terminals": 2, "edges": [
+        {"from": 1, "to": 2, "channel": [[1.0, 0.0], [0.0, 1.0]]},
+        {"from": 2, "to": 1, "channel": [[1.0, 0.0], [0.0, 1.0]]},
+    ]}
+    path = tmp_path / "parallel.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["capacity", "source_bsc_pair.json", "--A", "1,2", "--D", "1"],
+         "A and D intersect: terminals [1]"),
+        (["simulate", "polytree_sim.json", "--A", "1,9", "--n", "24", "--blocks", "4",
+          "--rate", "0.2"],
+         "A references unknown terminals: [9]"),
+        (["validate", None], "parallel edges between terminals (1, 2)"),
+    ],
+    ids=["a-d-intersect", "unknown-terminal", "parallel-edges"],
+)
+def test_terminal_numbers_in_errors_are_one_based(tmp_path, argv, message):
+    samples = pathlib.Path(__file__).parents[1] / "sample_models"
+    model = _parallel_edges_file(tmp_path) if argv[1] is None else str(samples / argv[1])
+    proc = run_cli(argv[0], model, *argv[2:])
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -4,7 +4,7 @@ from scipy.optimize import linprog as scipy_linprog
 
 from skacap import linprog
 from skacap.errors import LpInfeasibleError, LpUnboundedError
-from skacap.linprog import FEAS_TOL, LinearProgram, lp_solve
+from skacap.linprog import FEAS_TOL, BasisHint, LinearProgram, lp_solve
 
 
 def test_single_bound():
@@ -143,3 +143,31 @@ def test_degenerate_fallback_terminates_on_beale_cycle():
     assert ref.success
     assert -obj[-1] == pytest.approx(ref.fun, abs=1e-12)
     assert ref.fun == pytest.approx(-1.25, abs=1e-12)
+
+
+def test_basis_hint_reuses_only_certified_optimal_bases():
+    # max h.x over a fixed packing polytope  a.x <= 1, x >= 0, for many costs h:
+    # a solve's own basis is reused for its cost, and any reuse agrees with a
+    # full solve for that cost
+    rng = np.random.default_rng(90)
+    a = (rng.random((5, 12)) < 0.4).astype(float)
+    a[:, a.sum(axis=0) == 0] = 1.0
+    hint = BasisHint(a_ge=-a, b_ge=-np.ones(5))
+    reused = fallbacks = 0
+    h = rng.random(12)
+    for _ in range(200):
+        h = np.clip(h + rng.normal(0.0, 0.05, 12), 0.0, None)
+        full = lp_solve(LinearProgram(c=-h, a_ge=-a, b_ge=-np.ones(5)))
+        sol = hint.reuse(-h)
+        if sol is None:
+            fallbacks += 1
+            hint.adopt(full.basis)
+            sol = hint.reuse(-h)
+            assert sol is not None and sol.basis == full.basis
+        else:
+            reused += 1
+        assert sol.value == pytest.approx(full.value, abs=1e-12)
+        assert sol.iterations == 0
+        assert (a @ sol.x).max() <= 1 + FEAS_TOL and sol.x.min() >= -FEAS_TOL
+        assert (sol.dual_ge @ -a + h).max() <= FEAS_TOL  # rates cover h
+    assert reused > 50 and fallbacks > 5

@@ -10,6 +10,7 @@ from skacap.errors import ModelError
 from skacap.linprog import lp_solve
 from skacap.models import PartySpec, SourceModel, mask_of
 from skacap.omniscience import (
+    co_basis_hint,
     constraint_family,
     pk_capacity,
     rco,
@@ -357,3 +358,76 @@ def test_sk_capacity_ignores_independent_local_noise(source, data):
     noisy = SourceModel(JointPMF(vl, np.multiply.outer(flat, noise).ravel()), groups)
     before = sk_capacity(one_var_per_terminal(flat, (2,) * m), mask_of(a)).value
     assert sk_capacity(noisy, mask_of(a)).value == pytest.approx(before, abs=1e-9)
+
+
+def oracle_of(model):
+    return EntropyOracle(model.pmf, model.terminal_vars)
+
+
+def counted_solves(monkeypatch):
+    calls = []
+
+    def counting(lp):
+        calls.append(lp)
+        return lp_solve(lp)
+
+    monkeypatch.setattr(omniscience, "lp_solve", counting)
+    return calls
+
+
+def test_basis_hint_for_another_cost_reuses_only_with_its_certificate(monkeypatch):
+    # the basis left by one source is reused for the next only when it is
+    # still optimal; otherwise the CO LP is solved in full
+    rng = np.random.default_rng(80)
+    spec = PartySpec(3, 0b111, 0)
+    members = constraint_family(spec).members
+    solves = counted_solves(monkeypatch)
+    outcomes = set()
+    for _ in range(40):
+        first, second = (
+            one_var_per_terminal(rng.dirichlet(np.full(8, 0.3)), (2, 2, 2)) for _ in range(2)
+        )
+        want = sk_capacity(second, spec.a).value
+        hint = co_basis_hint(spec)
+        omniscience._pk(spec, oracle_of(first), hint)
+        h = omniscience._conditionals(oracle_of(second), 3, members)
+        reused = hint.reuse(-h) is not None
+        before = len(solves)
+        got = omniscience._pk(spec, oracle_of(second), hint)[0]
+        assert len(solves) - before == (0 if reused else 1)
+        assert got == pytest.approx(want, abs=1e-12)
+        outcomes.add(reused)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("basis", ["dependent", "repeated", "short"])
+def test_unusable_basis_hint_falls_back_to_a_full_solve(basis, monkeypatch):
+    spec = PartySpec(3, 0b111, 0)
+    members = constraint_family(spec).members
+    chosen = {
+        # the columns of {1}, {2} and {1,2} are linearly dependent
+        "dependent": (members.index(0b001), members.index(0b010), members.index(0b011)),
+        "repeated": (0, 0, 1),
+        "short": (0,),
+    }[basis]
+    model = one_var_per_terminal(np.random.default_rng(81).dirichlet(np.ones(8)), (2, 2, 2))
+    want = sk_capacity(model, spec.a).value
+    hint = co_basis_hint(spec)
+    hint.adopt(chosen)
+    assert hint.reuse(-omniscience._conditionals(oracle_of(model), 3, members)) is None
+    solves = counted_solves(monkeypatch)
+    assert omniscience._pk(spec, oracle_of(model), hint)[0] == pytest.approx(want, abs=1e-12)
+    assert len(solves) == 1
+
+
+def test_basis_hint_of_another_family_is_refused():
+    model = one_var_per_terminal(np.random.default_rng(82).dirichlet(np.ones(8)), (2, 2, 2))
+    pair = PartySpec(3, 0b011, 0)
+    hint = co_basis_hint(pair)
+    omniscience._pk(pair, oracle_of(model), hint)
+    # {1,3} has as many constraint sets as {1,2}, so only the spec tells them apart
+    for spec in (PartySpec(3, 0b101, 0), PartySpec(3, 0b111, 0), PartySpec(3, 0b011, 0b100)):
+        with pytest.raises(ModelError, match="another spec"):
+            omniscience._pk(spec, oracle_of(model), hint)
+    with pytest.raises(ModelError, match="another spec"):
+        omniscience._pk(PartySpec(2, 0b11, 0), oracle_of(bsc_pair_model(0.1)), hint)

@@ -12,7 +12,7 @@ from skacap.models import (
     polytree_to_transceiver,
 )
 from skacap.omniscience import sk_capacity
-from skacap.optimize import InputOptimizerConfig
+from skacap.optimize import InputOptimizerConfig, maximize_product_simplices
 from skacap.prob import (
     Alphabet,
     Dmc,
@@ -40,7 +40,10 @@ from skacap.transceiver import (
     sk_bounds,
     upper_bound_sk,
     wsk_upper_by_pk,
+    _emulated_oracles,
+    _input_dims,
     _min_lambda,
+    _ni_search,
     _product_input,
 )
 
@@ -368,3 +371,93 @@ def test_upper_bound_never_below_noninteractive_on_random_models():
             ni = noninteractive_sk_capacity(t, (1 << m) - 1, CFG)
             up = upper_bound_sk(t, (1 << m) - 1, CFG)
             assert ni.value <= up.value + 1e-7
+
+
+def random_ternary_pair(rng):
+    t3 = Alphabet(3)
+    return TransceiverModel(
+        m=2,
+        input_vars=((0,), (1,)),
+        output_vars=((2,), (3,)),
+        channel=Dmc(((0, t3), (1, t3)), ((2, t3), (3, t3)), rng.dirichlet(np.ones(9), size=9)),
+    )
+
+
+def random_bsc_pin(rng, m, wiretap=False):
+    edges = []
+    for j in range(1, m):
+        parent = int(rng.integers(j))
+        sender, receiver = (parent, j) if rng.random() < 0.5 else (j, parent)
+        wt = bsc_matrix(float(rng.uniform(0.2, 0.4))) if wiretap and j == 1 else None
+        edges.append(edge(sender, receiver, bsc_matrix(float(rng.uniform(0.05, 0.25))), wt))
+    return polytree_to_transceiver(Polytree(m, tuple(edges)))
+
+
+def eve_between_outputs(rng):
+    """Binary m = 2 channel whose eavesdropper output sits between Y_1 and Y_2."""
+    out_vars = ((2, B), (4, B), (3, B))
+    return TransceiverModel(
+        m=2,
+        input_vars=((0,), (1,)),
+        output_vars=((2,), (3,)),
+        channel=Dmc(((0, B), (1, B)), out_vars, rng.dirichlet(np.ones(8), size=4)),
+        eve_var=4,
+    )
+
+
+def search_models():
+    rng = np.random.default_rng(70)
+    return {
+        "t2-ternary": random_ternary_pair(rng),
+        "t3-binary": random_transceiver(rng, 3),
+        "pin3": random_bsc_pin(rng, 3),
+        "pin4": random_bsc_pin(rng, 4),
+        "pin3-wiretap": random_bsc_pin(rng, 3, wiretap=True),
+        "eve-between": eve_between_outputs(rng),
+    }
+
+
+SEARCH_MODELS = search_models()
+
+
+@pytest.mark.parametrize("name", SEARCH_MODELS)
+def test_ni_search_equals_the_plain_objective(name):
+    # the array objective with its reused CO basis walks the same search path
+    # as sk_capacity on the validated emulated source, evaluation for evaluation
+    t = SEARCH_MODELS[name]
+    cfg = InputOptimizerConfig(restarts=1, ascent=15, grid_resolution=0.25, seed=5)
+    pair = 0b101 if t.m > 2 else 0b11
+    for a_mask in {(1 << t.m) - 1, pair}:
+
+        def plain(point):
+            return sk_capacity(emulated_to_source(t, _product_input(t, point)), a_mask).value
+
+        want = maximize_product_simplices(_input_dims(t), plain, cfg)
+        got = _ni_search(t, a_mask, cfg)
+        assert got.evaluations == want.evaluations
+        assert got.value == pytest.approx(want.value, abs=1e-12)
+        for u, v in zip(got.point, want.point):
+            np.testing.assert_allclose(u, v, rtol=0, atol=1e-12)
+        assert [v for v, _ in got.finals] == pytest.approx([v for v, _ in want.finals], abs=1e-12)
+
+
+def test_emulated_oracle_matches_the_jointpmf_route():
+    rng = np.random.default_rng(71)
+    for t in SEARCH_MODELS.values():
+        oracle_at = _emulated_oracles(t)
+        dims = _input_dims(t)
+        points = [[rng.dirichlet(np.ones(k)) for k in dims] for _ in range(4)]
+        # zero entries: point masses and a vector with one symbol unused
+        points.append([np.eye(k)[0] for k in dims])
+        points.append([np.concatenate([[0.0], np.full(k - 1, 1.0 / (k - 1))])
+                       if k > 1 else np.ones(1) for k in dims])
+        for point in points:
+            src = emulated_to_source(t, _product_input(t, point))
+            want = EntropyOracle(src.pmf, src.terminal_vars).h_all()
+            assert np.array_equal(oracle_at(point).h_all(), want)
+
+
+def test_ni_search_refuses_extra_inputs_of_the_wrong_size():
+    t = single_bsc_transceiver(0.1)
+    with pytest.raises(ModelError, match="group sizes"):
+        noninteractive_sk_capacity(t, {0, 1}, CFG, extra_inputs=[[np.ones(3) / 3, np.ones(1)]])
