@@ -31,6 +31,9 @@ GRID_CAP = 128
 #: Scan points per line search (including both endpoints).
 SCAN_POINTS = 9
 
+#: A sweep gaining less than this ends an ascent.
+TOLERANCE = 1e-7
+
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -41,14 +44,12 @@ class InputOptimizerConfig:
     restarts: Dirichlet-random ascent starts (on top of uniform + grid).
     grid_resolution: per-simplex step of the coarse seeding grid.
     ascent: cap on coordinate-ascent sweeps per start.
-    tolerance: a sweep gaining less than this ends the ascent.
     seed: master RNG seed; identical configs give identical results.
     """
 
     restarts: int = 32
     grid_resolution: float = 0.125
     ascent: int = 50
-    tolerance: float = 1e-7
     seed: int = 0
 
     def __post_init__(self):
@@ -56,8 +57,6 @@ class InputOptimizerConfig:
             raise ModelError("restarts must be >= 1")
         if self.seed < 0:
             raise ModelError("seed must be >= 0")
-        if self.tolerance <= 0:
-            raise ModelError("tolerance must be > 0")
         if not 0 < self.grid_resolution <= 0.5:
             raise ModelError("grid_resolution must lie in (0, 0.5]")
         if self.ascent < 1:
@@ -112,7 +111,7 @@ def _grid_seeds(dims: Sequence[int], resolution: float) -> list[list[np.ndarray]
     return seeds
 
 
-def _line_search(point, s, a, b, value, objective, tolerance):
+def _line_search(point, s, a, b, value, objective):
     """Maximize along moving mass between symbols a and b of simplex s."""
     p = point[s]
     lo, hi = -float(p[b]), float(p[a])
@@ -142,7 +141,7 @@ def _line_search(point, s, a, b, value, objective, tolerance):
         center = int(values.argmax())
     best_v, best_trial = scanned[center]
 
-    if vmax <= value + tolerance / 16:
+    if vmax <= value + TOLERANCE / 16:
         # No real gain on this line.  If the scan shows a strict plateau,
         # recenter on it: min-of-concave objectives go flat one coordinate
         # at a time and a plateau-edge point would stall the whole ascent.
@@ -192,11 +191,9 @@ def _ascend(start, objective, cfg):
                 continue
             for a in range(k):
                 for b in range(a + 1, k):
-                    value, point, used = _line_search(
-                        point, s, a, b, value, objective, cfg.tolerance
-                    )
+                    value, point, used = _line_search(point, s, a, b, value, objective)
                     evals += used
-        if value - before < cfg.tolerance:
+        if value - before < TOLERANCE:
             converged = True
             break
     return value, point, converged, evals

@@ -393,35 +393,6 @@ def compose(input_pmf: JointPMF, channel: Dmc) -> JointPMF:
     return JointPMF(channel.in_vars + channel.out_vars, joint.ravel())
 
 
-def extend_with_channel(p: JointPMF, channel: Dmc) -> JointPMF:
-    """Apply a channel whose inputs are a subset of ``p``'s variables.
-
-    Returns the joint over ``p.vars + channel.out_vars`` under the
-    conditional-independence assumption P(out | all) = P(out | in_vars).
-    """
-    in_ids = channel.in_ids
-    for vid, alph in channel.in_vars:
-        if vid not in p.ids:
-            raise ModelError(f"channel input variable {vid} missing from joint")
-        if p.alphabet_of(vid).size != alph.size:
-            raise ModelError(f"alphabet mismatch on variable {vid}")
-    out_overlap = set(channel.out_ids) & set(p.ids)
-    if out_overlap:
-        raise ModelError(f"channel output ids already present: {sorted(out_overlap)}")
-    ndim = len(p.vars)
-    k = len(in_ids)
-    pos = [p.index_of(v) for v in in_ids]
-    tens = np.moveaxis(p.tensor(), pos, range(ndim - k, ndim))
-    lead_shape = tens.shape[: ndim - k]
-    flat = tens.reshape(-1, channel.rows.shape[0])
-    joint = flat[:, :, None] * channel.rows[None, :, :]
-    out_shape = tuple(a.size for _, a in channel.out_vars)
-    joint = joint.reshape(lead_shape + tuple(a.size for _, a in channel.in_vars) + out_shape)
-    # undo the input-axis move; output axes stay appended at the end
-    joint = np.moveaxis(joint, range(ndim - k, ndim), pos)
-    return JointPMF(p.vars + channel.out_vars, joint.ravel())
-
-
 def product_pmf(factors: list[JointPMF] | tuple[JointPMF, ...]) -> JointPMF:
     """Independent product of PMFs with pairwise-disjoint variable ids."""
     factors = list(factors)

@@ -430,13 +430,19 @@ class _Static:
     key_len: int
 
 
-def _prepare(g: Polytree, a, cfg: SimConfig) -> _Static:
+def _key_terminals(g: Polytree, a) -> set[int]:
+    """A as a set of terminal indices: at least two, all of them in ``g``."""
     a_nodes = set(bits(as_mask(a)))
     unknown = sorted(t + 1 for t in a_nodes - set(range(g.m)))
     if unknown:
         raise ModelError(f"A references unknown terminals: {unknown}")
     if len(a_nodes) < 2:
         raise ModelError("A must contain at least two terminals")
+    return a_nodes
+
+
+def _prepare(g: Polytree, a, cfg: SimConfig) -> _Static:
+    a_nodes = _key_terminals(g, a)
     crossovers = {i: _bsc_crossover(e) for i, e in enumerate(g.edges)}
     root, _, tree, sub_edges = _steiner_subtree(g, a_nodes)
     key_len = int(math.floor(cfg.n * cfg.rate))
@@ -445,9 +451,8 @@ def _prepare(g: Polytree, a, cfg: SimConfig) -> _Static:
             f"key_len = floor({cfg.n} * {cfg.rate}) < 1", max_feasible_rate=None
         )
     r = {eid: parity_count(cfg.n, crossovers[eid], cfg.recon_margin) for eid in sub_edges}
-    budget = cfg.n - max(r.values()) - cfg.pa_margin
-    if key_len > budget:
-        max_rate = max(budget, 0) / cfg.n
+    max_rate = max_feasible_rate(g, a, cfg)
+    if key_len / cfg.n > max_rate:
         raise RateInfeasibleError(
             f"key_len {key_len} exceeds an edge budget; "
             f"maximum feasible rate is {max_rate}",
@@ -610,12 +615,11 @@ def _uniformity_pvalue(bits: np.ndarray) -> Optional[float]:
 
 
 def max_feasible_rate(g: Polytree, a, cfg: SimConfig) -> float:
-    """Largest key rate the budget rule allows for this model and margins."""
-    a_nodes = set(bits(as_mask(a)))
+    """Largest key rate the budget rule allows for this model and margins:
+    n minus the most parities of an edge that joins A, minus the
+    privacy-amplification margin, per channel use."""
+    a_nodes = _key_terminals(g, a)
     crossovers = {i: _bsc_crossover(e) for i, e in enumerate(g.edges)}
     _, _, _, sub_edges = _steiner_subtree(g, a_nodes)
-    budgets = [
-        cfg.n - parity_count(cfg.n, crossovers[eid], cfg.recon_margin) - cfg.pa_margin
-        for eid in sub_edges
-    ]
-    return max(min(budgets), 0) / cfg.n if budgets else 0.0
+    r = max(parity_count(cfg.n, crossovers[eid], cfg.recon_margin) for eid in sub_edges)
+    return max(cfg.n - r - cfg.pa_margin, 0) / cfg.n

@@ -12,18 +12,22 @@ input T_j and observes output Y_j:
   message per terminal after all transmissions, the capacity equals
   max over product input distributions of the emulated source's SK
   capacity.  Realized by a multistart search over per-terminal simplices.
-  The search builds its objective once: each evaluation forms the
-  emulated joint as an outer product of the inputs times the channel
-  rows, takes its entropies off that array, and solves the CO LP from the
-  previous evaluation's optimal basis when that basis still carries a
-  duality certificate (its polytope depends on (m, A) alone), so the
-  values are those of ``sk_capacity`` on the validated emulated source.
+  Each evaluation takes its entropies off the emulated joint array and
+  solves the CO LP from the previous evaluation's optimal basis when that
+  basis still carries a duality certificate (its polytope depends on
+  (m, A) alone), so the values are those of ``sk_capacity`` on the
+  validated emulated source.
 * Auxiliary multiaccess upper bounds: split each transceiver into an input
   terminal (owning T_j, connected through a noiseless identity layer) and
   an output terminal (owning (T_j, Y_j)); the weighted-entropy converse
   expression of that 2m-terminal model, minimized over fractional covers
   by LP and maximized over a declared family of input distributions, gives
   an upper bound relative to that family.
+
+All three read the emulated source P(T_M) W(Y_M | T_M) at independent
+inputs off one array layout per model (``_Layout``): the outer product of
+the per-terminal inputs, permuted to the channel's input order, times the
+channel rows.
 
 A wiretap reduction is included: promoting Eve's variable to an extra
 compromised terminal turns any PK-capacity computation into an upper bound
@@ -46,27 +50,11 @@ from .models import (
     TransceiverModel,
     as_mask,
     bits,
-    emulated_to_source,  # noqa: F401  unused here; bench/spans.py probes this name
     popcount,
 )
-from .omniscience import (
-    _pk,
-    co_basis_hint,
-    constraint_family,
-    incidence,
-    pk_capacity,
-    sk_capacity,  # noqa: F401  unused here; bench/spans.py probes this name
-)
+from .omniscience import _pk, co_basis_hint, constraint_family, incidence, pk_capacity
 from .optimize import AscentResult, InputOptimizerConfig, maximize_product_simplices
-from .prob import (
-    Dmc,
-    EntropyOracle,
-    JointPMF,
-    VarId,
-    compose,
-    extend_with_channel,
-    product_pmf,
-)
+from .prob import Dmc, EntropyOracle, JointPMF, VarId, compose
 
 #: Tolerance for Lambda(A) membership checks.
 LAMBDA_TOL = 1e-8
@@ -131,6 +119,48 @@ def build_auxiliary(t: TransceiverModel, wiretapped: bool = False) -> AuxiliaryM
     return AuxiliaryMultiaccess(base=t, groups=tuple(groups), d_mask=d_mask)
 
 
+class _Layout:
+    """Array layout of the emulated source P(T_M) W(Y_M | T_M) of one model.
+
+    ``dims[j]`` is the size of terminal j's joint input alphabet; a point is
+    one probability vector per terminal, row-major over its T group.  The
+    input permutation, the joint shape and the group axes are fixed per
+    model and computed here once, so no ``JointPMF`` is validated per point.
+    """
+
+    def __init__(self, t: TransceiverModel):
+        ch = t.channel
+        sizes = dict((vid, a.size) for vid, a in ch.in_vars)
+        group_order = [v for g in t.input_vars for v in g]
+        ids = ch.in_ids + ch.out_ids
+        axis = {v: i for i, v in enumerate(v for v in ids if v != t.eve_var)}
+        self.rows = ch.rows
+        self.dims = [int(np.prod([sizes[v] for v in g])) for g in t.input_vars]
+        self.group_shape = [sizes[v] for v in group_order]
+        self.to_channel = [group_order.index(v) for v in ch.in_ids]
+        self.joint_shape = tuple(a.size for _, a in ch.in_vars + ch.out_vars)
+        self.eve_axes = tuple(i for i, v in enumerate(ids) if v == t.eve_var)
+        self.group_axes = [sum(1 << axis[v] for v in g) for g in t.terminal_vars()]
+
+    def inputs(self, vecs) -> np.ndarray:
+        """The product input of the per-terminal vectors, flat in channel input order."""
+        p_in = vecs[0]
+        for v in vecs[1:]:
+            p_in = np.multiply.outer(p_in, v)
+        return np.transpose(p_in.reshape(self.group_shape), self.to_channel).ravel()
+
+    def oracle(self, vecs) -> EntropyOracle:
+        """Entropy oracle of the emulated source, one group per terminal X_j.
+
+        Gives what ``EntropyOracle`` of ``emulated_to_source`` at the product
+        input gives, by the same floating-point operations.
+        """
+        joint = (self.inputs(vecs)[:, None] * self.rows).reshape(self.joint_shape)
+        if self.eve_axes:
+            joint = joint.sum(axis=self.eve_axes)
+        return EntropyOracle.from_tensor(joint, self.group_axes)
+
+
 def emulate(t: TransceiverModel, spec: EmulationSpec) -> SourceModel:
     """Source model over {0} + M realized by V-correlated source emulation.
 
@@ -139,23 +169,22 @@ def emulate(t: TransceiverModel, spec: EmulationSpec) -> SourceModel:
     """
     if len(spec.conditionals) != t.m:
         raise ModelError(f"need {t.m} conditionals, got {len(spec.conditionals)}")
-    claimed: list[VarId] = []
+    sizes = dict((vid, a.size) for vid, a in t.channel.in_vars)
     for j, ch in enumerate(spec.conditionals):
-        want = t.input_vars[j]
-        if ch.out_ids != tuple(want):
+        want = tuple((v, sizes[v]) for v in t.input_vars[j])
+        if tuple((v, a.size) for v, a in ch.out_vars) != want:
             raise ModelError(
-                f"conditional {j} outputs {ch.out_ids}, expected T group {tuple(want)}"
+                f"conditional {j} outputs {ch.out_ids}, expected T group {t.input_vars[j]}"
             )
-        claimed += list(ch.out_ids)
-    cur = spec.p_v
-    for ch in spec.conditionals:
-        cur = extend_with_channel(cur, ch)
-    # reorder T variables to the channel's input order before composing
-    order = [spec.v_id] + list(t.channel.in_ids)
-    perm = [cur.index_of(v) for v in order]
-    tens = np.transpose(cur.tensor(), perm)
-    cur = JointPMF(tuple(cur.vars[i] for i in perm), tens.ravel())
-    joint = extend_with_channel(cur, t.channel)
+    lay = _Layout(t)
+    p_t = np.stack([
+        p * lay.inputs([ch.rows[v] for ch in spec.conditionals])
+        for v, p in enumerate(spec.p_v.probs)
+    ])
+    joint = JointPMF(
+        spec.p_v.vars + t.channel.in_vars + t.channel.out_vars,
+        (p_t[:, :, None] * t.channel.rows).ravel(),
+    )
     groups = (frozenset({spec.v_id}),) + t.terminal_vars()
     return SourceModel(pmf=joint, terminal_vars=groups, eve_var=t.eve_var)
 
@@ -295,29 +324,6 @@ def _min_lambda(aux, p_in: JointPMF, a_mask: int) -> tuple[float, dict[int, floa
 # ---------------------------------------------------------------------------
 
 
-def _input_dims(t: TransceiverModel) -> list[int]:
-    sizes = dict((vid, a.size) for vid, a in t.channel.in_vars)
-    return [int(np.prod([sizes[v] for v in g])) for g in t.input_vars]
-
-
-def _product_input(t: TransceiverModel, vecs: Sequence[np.ndarray]) -> JointPMF:
-    """Assemble per-terminal group distributions into a joint over T_M.
-
-    Each group's vector is row-major over the group's variables in their
-    listed order; the result is declared in the channel's input order.
-    """
-    factors = []
-    for j, g in enumerate(t.input_vars):
-        vl = tuple(
-            (vid, t.channel.in_vars[t.channel.in_ids.index(vid)][1]) for vid in g
-        )
-        factors.append(JointPMF(vl, np.asarray(vecs[j], dtype=float)))
-    joint = product_pmf(factors)
-    order = [joint.index_of(v) for v in t.channel.in_ids]
-    tens = np.transpose(joint.tensor(), order)
-    return JointPMF(t.channel.in_vars, tens.ravel())
-
-
 def noninteractive_sk_capacity(
     t: TransceiverModel,
     a,
@@ -351,59 +357,19 @@ def _ni_report(res: AscentResult) -> CapacityReport:
 def _ni_search(
     t: TransceiverModel, a_mask: int, cfg, extra_inputs=()
 ) -> AscentResult:
-    dims = _input_dims(t)
+    lay = _Layout(t)
     for vecs in extra_inputs:
         got = [int(np.size(v)) for v in vecs]
-        if got != dims:
-            raise ModelError(f"extra input has group sizes {got}, expected {dims}")
-    return maximize_product_simplices(
-        dims, _ni_objective(t, a_mask), cfg, extra_seeds=extra_inputs
-    )
-
-
-def _emulated_oracles(t: TransceiverModel):
-    """The entropy oracle of the emulated source as a function of the
-    per-terminal inputs, built on plain arrays.
-
-    Gives what ``EntropyOracle`` of ``emulated_to_source(t, _product_input(t,
-    p))`` gives, by the same floating-point operations: the input
-    permutation, the joint shape and the group axes are fixed per model and
-    computed here once, and no ``JointPMF`` is validated per point.
-    """
-    ch = t.channel
-    sizes = dict((vid, a.size) for vid, a in ch.in_vars)
-    group_order = [v for g in t.input_vars for v in g]
-    group_shape = [sizes[v] for v in group_order]
-    to_channel = [group_order.index(v) for v in ch.in_ids]
-    ids = ch.in_ids + ch.out_ids
-    joint_shape = tuple(a.size for _, a in ch.in_vars + ch.out_vars)
-    eve_axes = tuple(i for i, v in enumerate(ids) if v == t.eve_var)
-    axis = {v: i for i, v in enumerate(v for v in ids if v != t.eve_var)}
-    group_axes = [sum(1 << axis[v] for v in g) for g in t.terminal_vars()]
-
-    def oracle(point) -> EntropyOracle:
-        p_in = point[0]
-        for v in point[1:]:
-            p_in = np.multiply.outer(p_in, v)
-        p_in = np.transpose(p_in.reshape(group_shape), to_channel).ravel()
-        joint = (p_in[:, None] * ch.rows).reshape(joint_shape)
-        if eve_axes:
-            joint = joint.sum(axis=eve_axes)
-        return EntropyOracle.from_tensor(joint, group_axes)
-
-    return oracle
-
-
-def _ni_objective(t: TransceiverModel, a_mask: int):
-    """C_SK of the emulated source as a function of the per-terminal inputs.
-
-    Each evaluation's CO LP starts from the optimal basis of the last one
-    (``co_basis_hint``), which is accepted only with its certificate.
-    """
+        if got != lay.dims:
+            raise ModelError(f"extra input has group sizes {got}, expected {lay.dims}")
+    # each evaluation's CO LP starts from the optimal basis of the last one,
+    # which is accepted only with its certificate
     spec = PartySpec(t.m, a_mask, 0)
-    oracle = _emulated_oracles(t)
     hint = co_basis_hint(spec)
-    return lambda point: _pk(spec, oracle(point), hint)[0]
+    return maximize_product_simplices(
+        lay.dims, lambda point: _pk(spec, lay.oracle(point), hint)[0], cfg,
+        extra_seeds=extra_inputs,
+    )
 
 
 def upper_bound_sk(
@@ -415,19 +381,20 @@ def upper_bound_sk(
 ) -> CapacityReport:
     """Auxiliary-multiaccess upper bound relative to a declared input family.
 
-    The family is the optimizer's converged endpoints plus the uniform
-    input plus any ``extra_inputs``; for each member the converse
-    expression is minimized over fractional covers by LP, and the maximum
-    over the family is reported.  The family is recorded in the witness:
-    the value upper-bounds the noninteractive capacity restricted to that
-    family, per the converse of the auxiliary construction.
+    The family is the uniform input, any ``extra_inputs`` and the
+    optimizer's endpoints, each evaluated once (exact repeats are
+    skipped); for each member the converse expression is minimized over
+    fractional covers by LP, and the maximum over the family is reported.
+    The family is recorded in the witness: the value upper-bounds the
+    noninteractive capacity restricted to that family, per the converse of
+    the auxiliary construction.
     """
     a_mask = as_mask(a)
     aux = build_auxiliary(t)
     if search is None:
         search = _ni_search(t, a_mask, cfg, extra_inputs)
-    dims = _input_dims(t)
-    family: list[list[np.ndarray]] = [[np.full(k, 1.0 / k) for k in dims]]
+    lay = _Layout(t)
+    family: list[list[np.ndarray]] = [[np.full(k, 1.0 / k) for k in lay.dims]]
     family += [[np.asarray(v, dtype=float) for v in vecs] for vecs in extra_inputs]
     family += [point for _, point in search.finals]
     family.append(search.point)
@@ -435,8 +402,13 @@ def upper_bound_sk(
     best_lam: dict[int, float] = {}
     best_point = None
     recorded = []
+    seen = set()
     for vecs in family:
-        p_in = _product_input(t, vecs)
+        key = tuple(v.tobytes() for v in vecs)
+        if key in seen:
+            continue
+        seen.add(key)
+        p_in = JointPMF(t.channel.in_vars, lay.inputs(vecs))
         val, lam = _min_lambda(aux, p_in, a_mask)
         recorded.append({"input": [[float(x) for x in v] for v in vecs], "value": val})
         if val > best_val:
@@ -489,8 +461,7 @@ def sk_bounds(
     Raises InternalConsistencyError if the computed numbers violate it.
     """
     a_mask = as_mask(a)
-    dims = _input_dims(t)
-    inputs = [[np.full(k, 1.0 / k) for k in dims]]
+    inputs = [[np.full(k, 1.0 / k) for k in _Layout(t).dims]]
     inputs += [[np.asarray(v, dtype=float) for v in vecs] for vecs in emulation_inputs]
     lowers = []
     for vecs in inputs:

@@ -11,7 +11,6 @@ from skacap.prob import (
     bsc_matrix,
     compose,
     entropy,
-    extend_with_channel,
     marginalize,
     mutual_information,
     product_pmf,
@@ -224,34 +223,6 @@ def test_chain_rule_random():
         assert mutual_information(p, s, t) == pytest.approx(
             mutual_information(p, t, s), abs=1e-10
         )
-
-
-def test_extend_with_channel_matches_compose():
-    rng = np.random.default_rng(9)
-    p = pmf([(0, B), (1, B)], rng.dirichlet(np.ones(4)))
-    rows = rng.dirichlet(np.ones(2), size=4)
-    w = Dmc([(0, B), (1, B)], [(2, B)], rows)
-    np.testing.assert_allclose(
-        extend_with_channel(p, w).probs, compose(p, w).probs, atol=1e-15
-    )
-
-
-def test_extend_with_channel_subset_inputs():
-    # channel acts on variable 1 only; brute-force the joint
-    rng = np.random.default_rng(13)
-    flat = rng.dirichlet(np.ones(6))
-    p = pmf([(0, Alphabet(3)), (1, B)], flat)
-    rows = rng.dirichlet(np.ones(2), size=2)
-    w = Dmc([(1, B)], [(2, B)], rows)
-    got = extend_with_channel(p, w)
-    assert got.ids == (0, 1, 2)
-    expect = np.zeros((3, 2, 2))
-    tab = flat.reshape(3, 2)
-    for x in range(3):
-        for y in range(2):
-            for z in range(2):
-                expect[x, y, z] = tab[x, y] * rows[y, z]
-    np.testing.assert_allclose(got.probs, expect.ravel(), atol=1e-15)
 
 
 def test_cell_guard():

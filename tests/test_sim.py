@@ -143,6 +143,21 @@ def test_run_sim_rate_infeasible_reports_max():
     )
 
 
+@pytest.mark.parametrize(
+    "a, message",
+    [({0, 9}, r"unknown terminals: \[10\]"), (set(), "at least two"), ({0}, "at least two")],
+    ids=["unknown", "empty", "single"],
+)
+def test_max_feasible_rate_refuses_a_bad_terminal_set(a, message):
+    # the rate bound and the run share one check of A
+    g = single_edge(0.05)
+    cfg = SimConfig(n=24, blocks=10, rate=0.25, recon_margin=0.5, pa_margin=2, seed=0)
+    with pytest.raises(ModelError, match=message):
+        max_feasible_rate(g, a, cfg)
+    with pytest.raises(ModelError, match=message):
+        run_sim(g, a, cfg)
+
+
 def test_run_sim_matches_pilot_registration():
     reg = load_registration()["single_bsc05"]
     p = reg["config"]

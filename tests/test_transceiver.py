@@ -24,6 +24,7 @@ from skacap.prob import (
     entropy,
     marginalize,
     mutual_information,
+    product_pmf,
     statistical_distance,
     uniform_pmf,
 )
@@ -40,15 +41,26 @@ from skacap.transceiver import (
     sk_bounds,
     upper_bound_sk,
     wsk_upper_by_pk,
-    _emulated_oracles,
-    _input_dims,
+    _Layout,
     _min_lambda,
     _ni_search,
-    _product_input,
 )
 
 B = Alphabet(2)
 CFG = InputOptimizerConfig(restarts=2, ascent=15, seed=3)
+
+
+def product_input(t, vecs):
+    """Reference product input: one JointPMF per T group, their independent
+    product, then the axes permuted to the channel's input order."""
+    alphabet = dict(t.channel.in_vars)
+    factors = [
+        JointPMF(tuple((vid, alphabet[vid]) for vid in g), np.asarray(v, dtype=float))
+        for g, v in zip(t.input_vars, vecs)
+    ]
+    joint = product_pmf(factors)
+    order = [joint.index_of(v) for v in t.channel.in_ids]
+    return JointPMF(t.channel.in_vars, np.transpose(joint.tensor(), order).ravel())
 
 
 def single_bsc_transceiver(p):
@@ -89,7 +101,7 @@ def test_emulate_constant_v_matches_product_emulation():
     spec = constant_emulation(t, vecs)
     src = emulate(t, spec)
     assert src.m == t.m + 1
-    direct = emulated_to_source(t, _product_input(t, vecs))
+    direct = emulated_to_source(t, product_input(t, vecs))
     # drop V and compare entry-wise
     core = marginalize(src.pmf, set(direct.pmf.ids))
     assert core.vars == direct.pmf.vars
@@ -199,7 +211,7 @@ def test_lambda_expression_independence_cancellation():
         t = random_transceiver(rng, m)
         aux = build_auxiliary(t)
         vecs = [rng.dirichlet(np.ones(2)) for _ in range(m)]
-        p_in = _product_input(t, vecs)
+        p_in = product_input(t, vecs)
         # lambda: all singletons of the 2m auxiliary terminals
         lam = {1 << j: 1.0 for j in range(2 * m)}
         val = lambda_upper_expression(aux, p_in, lam)
@@ -217,7 +229,7 @@ def test_lambda_expression_independence_cancellation():
 def test_lambda_expression_rejects_infeasible():
     t = random_transceiver(np.random.default_rng(2), 2)
     aux = build_auxiliary(t)
-    p_in = _product_input(t, [np.array([0.5, 0.5]), np.array([0.5, 0.5])])
+    p_in = product_input(t, [np.array([0.5, 0.5]), np.array([0.5, 0.5])])
     with pytest.raises(ModelError, match="infeasible lambda"):
         lambda_upper_expression(aux, p_in, {0b0001: 1.0})
     with pytest.raises(ModelError, match="outside the model"):
@@ -231,7 +243,7 @@ def test_min_lambda_equals_sk_capacity_on_product_inputs():
             t = random_transceiver(rng, m)
             aux = build_auxiliary(t)
             vecs = [rng.dirichlet(np.ones(2)) for _ in range(m)]
-            p_in = _product_input(t, vecs)
+            p_in = product_input(t, vecs)
             sk = sk_capacity(emulated_to_source(t, p_in), (1 << m) - 1).value
             val, lam = _min_lambda(aux, p_in, (1 << m) - 1)
             assert val == pytest.approx(sk, abs=1e-9)
@@ -430,9 +442,9 @@ def test_ni_search_equals_the_plain_objective(name):
     for a_mask in {(1 << t.m) - 1, pair}:
 
         def plain(point):
-            return sk_capacity(emulated_to_source(t, _product_input(t, point)), a_mask).value
+            return sk_capacity(emulated_to_source(t, product_input(t, point)), a_mask).value
 
-        want = maximize_product_simplices(_input_dims(t), plain, cfg)
+        want = maximize_product_simplices(_Layout(t).dims, plain, cfg)
         got = _ni_search(t, a_mask, cfg)
         assert got.evaluations == want.evaluations
         assert got.value == pytest.approx(want.value, abs=1e-12)
@@ -442,22 +454,72 @@ def test_ni_search_equals_the_plain_objective(name):
 
 
 def test_emulated_oracle_matches_the_jointpmf_route():
+    # the layout oracle and constant-V emulate give the very floats of the
+    # product_pmf/compose route
     rng = np.random.default_rng(71)
     for t in SEARCH_MODELS.values():
-        oracle_at = _emulated_oracles(t)
-        dims = _input_dims(t)
+        lay = _Layout(t)
+        dims = lay.dims
         points = [[rng.dirichlet(np.ones(k)) for k in dims] for _ in range(4)]
         # zero entries: point masses and a vector with one symbol unused
         points.append([np.eye(k)[0] for k in dims])
         points.append([np.concatenate([[0.0], np.full(k - 1, 1.0 / (k - 1))])
                        if k > 1 else np.ones(1) for k in dims])
         for point in points:
-            src = emulated_to_source(t, _product_input(t, point))
+            src = emulated_to_source(t, product_input(t, point))
             want = EntropyOracle(src.pmf, src.terminal_vars).h_all()
-            assert np.array_equal(oracle_at(point).h_all(), want)
+            assert np.array_equal(lay.oracle(point).h_all(), want)
+            emulated = emulate(t, constant_emulation(t, point))
+            assert np.array_equal(emulated.pmf.probs, src.pmf.probs)
 
 
 def test_ni_search_refuses_extra_inputs_of_the_wrong_size():
     t = single_bsc_transceiver(0.1)
     with pytest.raises(ModelError, match="group sizes"):
         noninteractive_sk_capacity(t, {0, 1}, CFG, extra_inputs=[[np.ones(3) / 3, np.ones(1)]])
+
+
+def test_emulate_v_correlated_matches_the_factorization():
+    # P(V) prod_j P(T_j | V) W(Y_M | T_M), one V symbol at a time
+    rng = np.random.default_rng(72)
+    for t in SEARCH_MODELS.values():
+        spec = v_correlated_spec(t, 3, rng)
+        src = emulate(t, spec)
+        want = [
+            p * product_input(t, [c.rows[v] for c in spec.conditionals]).probs[:, None]
+            * t.channel.rows
+            for v, p in enumerate(spec.p_v.probs)
+        ]
+        assert src.pmf.vars == spec.p_v.vars + t.channel.in_vars + t.channel.out_vars
+        np.testing.assert_allclose(src.pmf.probs, np.ravel(want), rtol=1e-14, atol=1e-17)
+
+
+@pytest.mark.parametrize("name", ["t3-binary", "pin4"])
+def test_upper_bound_evaluates_each_family_input_once(name):
+    # the loop before repeats were skipped: every member evaluated, first
+    # argmax kept; skipping exact repeats changes only the recorded family
+    t = SEARCH_MODELS[name]
+    a_mask = (1 << t.m) - 1
+    uniform = [np.full(k, 1.0 / k) for k in _Layout(t).dims]
+    search = _ni_search(t, a_mask, CFG, [uniform])
+    rep = upper_bound_sk(t, a_mask, CFG, extra_inputs=[uniform], search=search)
+    family = [uniform, uniform] + [point for _, point in search.finals] + [search.point]
+    aux = build_auxiliary(t)
+    best_val, best_point, best_lam = -np.inf, None, None
+    for vecs in family:
+        val, lam = _min_lambda(aux, product_input(t, vecs), a_mask)
+        if val > best_val:
+            best_val, best_point, best_lam = val, vecs, lam
+    distinct = []
+    for vecs in family:
+        if not any(all(np.array_equal(u, v) for u, v in zip(vecs, d)) for d in distinct):
+            distinct.append(vecs)
+    assert len(distinct) < len(family)
+
+    def as_lists(vecs):
+        return [[float(x) for x in v] for v in vecs]
+
+    assert [e["input"] for e in rep.witness["family"]] == [as_lists(d) for d in distinct]
+    assert rep.value == best_val
+    assert rep.witness["argmax_input"] == as_lists(best_point)
+    assert list(rep.witness["lambda"].values()) == [w for _, w in sorted(best_lam.items())]
