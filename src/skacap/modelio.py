@@ -61,9 +61,12 @@ def _get(obj: dict, key: str, typ, path: str):
 
 def _numbers(val, path: str) -> np.ndarray:
     try:
-        return np.asarray(val, dtype=float)
+        arr = np.asarray(val, dtype=float)
     except (TypeError, ValueError):
         _fail(path, "expected an array of numbers")
+    if not np.all(np.isfinite(arr)):
+        _fail(path, "expected finite numbers, got NaN or Infinity")
+    return arr
 
 
 def _var_entry(entry: Any, i: int, path: str, owner_key: str) -> tuple[int, int, Any]:

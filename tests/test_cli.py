@@ -142,6 +142,27 @@ def test_polytree_path_and_non_tree_exit_2(tmp_path):
     assert "not a tree" in proc.stderr
 
 
+@pytest.mark.parametrize("sample,spoil,argv", [
+    ("source_bsc_pair.json", lambda d: d["pmf"].__setitem__(1, float("nan")),
+     ("capacity", "--A", "1,2")),
+    ("transceiver_bsc.json", lambda d: d["rows"][0].__setitem__(0, float("nan")),
+     ("bounds", "--A", "1,2")),
+    ("polytree_path.json", lambda d: d["edges"][0]["channel"][0].__setitem__(0, float("nan")),
+     ("polytree",)),
+], ids=["source", "transceiver", "polytree"])
+def test_non_finite_model_numbers_exit_2(tmp_path, sample, spoil, argv):
+    # a NaN used to pass every check: a source ran to exit 4, a polytree to
+    # the Blahut-Arimoto cap (exit 6)
+    doc = json.loads((pathlib.Path(__file__).parents[1] / "sample_models" / sample).read_text())
+    spoil(doc)
+    path = tmp_path / sample
+    path.write_text(json.dumps(doc))
+    proc = run_cli(argv[0], str(path), *argv[1:])
+    assert proc.returncode == 2, proc.stderr
+    assert "expected finite numbers" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_polytree_wiretap_long_paths_exit_0(tmp_path):
     # the edge-cut bounds build no dense model, so path length is no limit
     want = binary_entropy(0.3) - binary_entropy(0.1)  # BSC(0.1) then BSC(0.25)

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from skacap.prob import (
     marginalize,
     uniform_pmf,
 )
+
+SAMPLES = pathlib.Path(__file__).parents[1] / "sample_models"
 
 
 def source_doc():
@@ -241,3 +244,48 @@ def test_point_mass_input_gives_zero_shared_randomness():
 
     t_var = t.input_vars[0][0]
     assert entropy(src.pmf, {t_var}) == pytest.approx(0.0, abs=1e-12)
+
+
+def transceiver_doc():
+    return json.loads((SAMPLES / "transceiver_bsc.json").read_text())
+
+
+def polytree_doc():
+    return json.loads((SAMPLES / "polytree_wiretapped.json").read_text())
+
+
+def _nan_source(doc, bad):
+    doc["pmf"][1] = bad
+    return r"\$\.pmf"
+
+
+def _nan_transceiver(doc, bad):
+    doc["rows"][0][0] = bad
+    return r"\$\.rows"
+
+
+def _nan_polytree_channel(doc, bad):
+    doc["edges"][0]["channel"][0][0] = bad
+    return r"\$\.edges\[0\]\.channel"
+
+
+def _nan_polytree_wiretap(doc, bad):
+    doc["edges"][-1]["wiretap"][1][0] = bad
+    return rf"\$\.edges\[{len(doc['edges']) - 1}\]\.wiretap"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("make,spoil", [
+    (source_doc, _nan_source),
+    (transceiver_doc, _nan_transceiver),
+    (polytree_doc, _nan_polytree_channel),
+    (polytree_doc, _nan_polytree_wiretap),
+], ids=["source", "transceiver", "polytree-channel", "polytree-wiretap"])
+def test_parse_rejects_non_finite_numbers(make, spoil, bad):
+    # json reads NaN and Infinity, and NaN passes every comparison-based check
+    doc = make()
+    where = spoil(doc, bad)
+    text = json.dumps(doc)
+    assert "NaN" in text or "Infinity" in text
+    with pytest.raises(ModelError, match=where + ": expected finite numbers"):
+        parse_model(text)

@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,7 @@ from skacap.polytree import (
     wiretapped_edge_lower,
     wiretapped_polytree_bounds,
 )
-from skacap.prob import JointPMF, bec_matrix, binary_entropy, bsc_matrix
+from skacap.prob import ZERO_CUTOFF, JointPMF, bec_matrix, binary_entropy, bsc_matrix
 from skacap.transceiver import wsk_upper_by_pk
 
 
@@ -59,20 +57,24 @@ def test_edge_capacity_rejects_bad_input():
         edge_capacity(bsc_matrix(0.1), tol=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_edge_capacity_rejects_non_finite_entries(bad):
+    # NaN passes every comparison-based check, so it must be refused by name
+    with pytest.raises(ModelError, match="non-finite"):
+        edge_capacity(np.array([[bad, 1.0], [0.5, 0.5]]))
+    with pytest.raises(ModelError, match="non-finite"):
+        wiretapped_edge_lower(bsc_matrix(0.1), np.array([[0.5, 0.5], [bad, 0.0]]))
+
+
 def test_ba_monotone_lower_bound_sequence():
     # the achieved mutual information never decreases across iterations
     rows = np.random.default_rng(5).dirichlet(np.ones(4), size=3)
-    from skacap.polytree import _divergences
-
-    r = np.full(3, 1 / 3)
     prev = -np.inf
-    for _ in range(50):
-        d = _divergences(rows, r @ rows)
-        i_low = float(r @ d)
+    for cap in range(1, 51):
+        (i_low, _, it, _, _), = polytree._edge_ascent(rows[None], None, 1e-300, cap)
+        assert it == cap
         assert i_low >= prev - 1e-12
         prev = i_low
-        r = r * np.exp2(d)
-        r /= r.sum()
 
 
 #: 3x3 channel whose third input is tangent at the optimum: its divergence
@@ -82,15 +84,40 @@ _A = 0.15639185363452918
 TANGENT = np.array([[0.8, 0.2, 0.0], [0.0, 0.2, 0.8], [_A, 1 - 2 * _A, _A]])
 
 
+def frozen_divergences(rows, p_y):
+    """D(W_x || p_y) per row, as the per-edge loop computed it: the bit-identity reference."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(
+            rows > ZERO_CUTOFF,
+            np.log2(np.maximum(rows, 1e-300) / np.maximum(p_y, 1e-300)),
+            0.0,
+        )
+    return (rows * logs).sum(axis=1)
+
+
+def frozen_ascent(w_y, w_z, tol, max_iter):
+    """The per-edge Arimoto loop of both objectives, frozen as the bit-identity reference."""
+    k = w_y.shape[0]
+    r = np.full(k, 1.0 / k)
+    for it in range(1, max_iter + 1):
+        g = frozen_divergences(w_y, r @ w_y)
+        if w_z is not None:
+            g = g - frozen_divergences(w_z, r @ w_z)
+        value = float(r @ g)
+        gap = float(g.max()) - value
+        if gap <= tol or it == max_iter:
+            return value, r, it, gap, gap <= tol
+        r = r * np.exp2(g)
+        r = r / r.sum()
+
+
 def reference_ba(rows, tol, max_iter):
     """The Blahut-Arimoto loop as it stood before the shared ascent routine."""
-    from skacap.polytree import _divergences
-
     k = rows.shape[0]
     r = np.full(k, 1.0 / k)
     gap = np.inf
     for it in range(1, max_iter + 1):
-        d = _divergences(rows, r @ rows)
+        d = frozen_divergences(rows, r @ rows)
         i_low = float(r @ d)
         i_up = float(d.max())
         gap = i_up - i_low
@@ -122,6 +149,118 @@ def test_edge_capacity_bit_identical_to_reference_ba():
         reference_ba(TANGENT, 1e-9, 50)
     assert str(new.value) == str(old.value)
     assert new.value.gap == old.value.gap
+
+
+def zero_column_channel(rng):
+    """3x4 channel whose second output symbol is never produced, with one
+    positive entry below ``ZERO_CUTOFF``, which counts as zero."""
+    w = np.insert(rng.dirichlet(np.ones(3), size=3), 1, 0.0, axis=1)
+    w[2, 2] += w[2, 3]
+    w[2, 3] = 1e-16
+    return w
+
+
+def mixed_shape_tree(rng, wiretapped):
+    """Seven edges of four channel shapes; edges of one shape stop on different steps."""
+    channels = [
+        rng.dirichlet(np.ones(2), size=2),
+        rng.dirichlet(np.ones(5), size=2),
+        TANGENT,
+        rng.dirichlet(np.ones(2), size=2),
+        zero_column_channel(rng),
+        rng.dirichlet(np.ones(5), size=2),
+        bsc_matrix(0.2),
+    ]
+    taps = [None] * len(channels)
+    if wiretapped:
+        taps = [
+            bsc_matrix(0.3),
+            rng.dirichlet(np.ones(2), size=5),
+            np.ones((3, 1)),
+            rng.dirichlet(np.ones(3), size=2),
+            rng.dirichlet(np.ones(3), size=4),
+            rng.dirichlet(np.ones(2), size=5),
+            None,
+        ]
+    edges = [edge(i, i + 1, w, wiretap_rows=z) for i, (w, z) in enumerate(zip(channels, taps))]
+    return Polytree(len(edges) + 1, tuple(edges)), channels, taps
+
+
+def test_polytree_capacity_bit_identical_to_frozen_loop():
+    g, channels, _ = mixed_shape_tree(np.random.default_rng(31), wiretapped=False)
+    tol = 1e-8
+    rep = polytree_capacity(g, tol=tol)
+    expect = []
+    for e, w in zip(g.edges, channels):
+        value, r, it, gap, converged = frozen_ascent(w, None, tol, polytree.BA_MAX_ITER)
+        assert converged
+        expect.append({"edge": [e.sender + 1, e.receiver + 1], "capacity": max(value, 0.0),
+                       "optimal_input": [float(x) for x in r], "iterations": it,
+                       "gap": max(gap, 0.0)})
+    assert rep.witness == {"edges": expect}
+    assert rep.value == min(x["capacity"] for x in expect)
+    # edges of one shape left the stack on different steps
+    steps = [x["iterations"] for x in expect]
+    assert steps[0] != steps[3] and steps[1] != steps[5]
+
+
+def test_wiretapped_bounds_bit_identical_to_frozen_loop():
+    g, channels, taps = mixed_shape_tree(np.random.default_rng(32), wiretapped=True)
+    tol = 1e-8
+    lower, upper = wiretapped_polytree_bounds(g, tol=tol)
+    low, up = [], []
+    for e, w, z in zip(g.edges, channels, taps):
+        value, r, _, gap, converged = frozen_ascent(
+            w, None if z is None else w @ z, tol, polytree.BA_MAX_ITER)
+        name = [e.sender + 1, e.receiver + 1]
+        low.append({"edge": name, "value": max(value, 0.0),
+                    "optimal_input": [float(x) for x in r], "converged": converged})
+        up.append({"edge": name, "value": max(value, 0.0) + max(gap, 0.0),
+                   "gap": max(gap, 0.0)})
+    assert lower.witness == {"edges": low, "all_converged": all(x["converged"] for x in low)}
+    assert upper.witness == {"edges": up}
+    assert lower.value == min(x["value"] for x in low)
+    assert upper.value == min(x["value"] for x in up)
+
+
+#: Five edges for the cap tests: at tol 1e-6 and a 50-step cap the 2nd
+#: (TANGENT) and the 4th (TANGENT with a useless fourth input) hit the cap
+#: with different gaps; the 4th shares its shape with the 1st, which
+#: converges on step 46, so its stack runs before the 2nd edge's.
+CAPPED_TREE = (
+    np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7], [0.4, 0.3, 0.3]]),
+    TANGENT,
+    np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]]),
+    np.vstack([TANGENT, [0.4, 0.2, 0.4]]),
+    np.array([[0.9, 0.1], [0.2, 0.8]]),
+)
+
+
+def test_polytree_capacity_cap_raises_for_the_first_capped_edge(monkeypatch):
+    monkeypatch.setattr(polytree, "BA_MAX_ITER", 50)
+    g = Polytree(6, tuple(edge(i, i + 1, w) for i, w in enumerate(CAPPED_TREE)))
+    runs = [frozen_ascent(w, None, 1e-6, 50) for w in CAPPED_TREE]
+    assert [run[4] for run in runs] == [True, False, True, False, True]
+    assert runs[1][3] != runs[3][3]
+    with pytest.raises(ConvergenceError) as new:
+        polytree_capacity(g, tol=1e-6)
+    with pytest.raises(ConvergenceError) as old:
+        reference_ba(TANGENT, 1e-6, 50)
+    assert str(new.value) == str(old.value)
+    assert new.value.gap == old.value.gap == runs[1][3]
+
+
+def test_wiretapped_bounds_cap_marks_exactly_the_capped_edges(monkeypatch):
+    monkeypatch.setattr(polytree, "BA_MAX_ITER", 50)
+    taps = (None, np.ones((3, 1)), None, np.ones((3, 1)), None)
+    g = Polytree(6, tuple(edge(i, i + 1, w, wiretap_rows=z)
+                          for i, (w, z) in enumerate(zip(CAPPED_TREE, taps))))
+    lower, upper = wiretapped_polytree_bounds(g, tol=1e-6)
+    assert [e["converged"] for e in lower.witness["edges"]] == [True, False, True, False, True]
+    assert lower.witness["all_converged"] is False
+    for got, w, z in zip(upper.witness["edges"], CAPPED_TREE, taps):
+        run = frozen_ascent(w, None if z is None else w @ z, 1e-6, 50)
+        assert got["gap"] == max(run[3], 0.0)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
@@ -355,8 +494,7 @@ def test_wiretap_ascent_matches_an_independent_search():
 def test_wiretapped_bounds_at_the_iteration_cap(monkeypatch):
     # the tangent channel needs thousands of steps; at a cap of 50 the pair
     # is still reported, and flagged as not converged
-    capped = functools.partial(wiretapped_edge_lower, max_iter=50)
-    monkeypatch.setattr(polytree, "wiretapped_edge_lower", capped)
+    monkeypatch.setattr(polytree, "BA_MAX_ITER", 50)
     g = Polytree(2, (edge(0, 1, TANGENT, wiretap_rows=np.ones((3, 1))),))
     lower, upper = wiretapped_polytree_bounds(g)
     assert lower.witness["all_converged"] is False
