@@ -31,10 +31,18 @@ the value and the rates off the last optimal basis, accepted only with
 the solver's own certificate (rates feasible, lam feasible, equal
 objectives within ``FEAS_TOL``); otherwise it solves in full and keeps
 the new basis.  Without a hint every call solves in full.
+
+The simplex stops once no reduced cost is below -``FEAS_TOL``, an
+absolute threshold, so conditional entropies far below one bit would all
+read as zero.  When the largest cost is below 0.5 bit, both programs
+therefore run on the costs scaled up by the power of two that puts it in
+[0.5, 1) (an exact scaling), and the value and the rates are scaled
+back; larger costs are solved as they are.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -114,6 +122,15 @@ def _conditionals(oracle: EntropyOracle, m: int, members) -> np.ndarray:
     return np.maximum(h[full] - h[full & ~np.asarray(members, dtype=np.int64)], 0.0)
 
 
+def _unit(h: np.ndarray) -> float:
+    """The power of two that scales ``max(h)`` up into [0.5, 1); 1 when
+    ``max(h)`` is at least 0.5 or h <= 0."""
+    top = float(np.max(h, initial=0.0))
+    if top <= 0.0:
+        return 1.0
+    return math.ldexp(1.0, -min(max(math.frexp(top)[1], -1000), 0))
+
+
 def _check_compatible(model: SourceModel, spec: PartySpec):
     if model.m != spec.m:
         raise ModelError(f"model has {model.m} terminals, spec has {spec.m}")
@@ -155,12 +172,13 @@ def _rco(
     h = _conditionals(oracle, spec.m, family.members)
     # Solve the packing dual  max h.lam  s.t.  incidence^T lam <= 1, lam >= 0
     # (slack-basis start, no phase 1); the optimal rates are its duals.
-    sol = hint.reuse(-h)
+    unit = _unit(h)
+    sol = hint.reuse(-h * unit)
     if sol is None:
-        sol = lp_solve(LinearProgram(c=-h, a_ge=hint.a_ge, b_ge=hint.b_ge))
+        sol = lp_solve(LinearProgram(c=-h * unit, a_ge=hint.a_ge, b_ge=hint.b_ge))
         hint.adopt(sol.basis)
-    value = -sol.value
-    rates = sol.dual_ge
+    value = -sol.value / unit
+    rates = sol.dual_ge / unit
     slack = -hint.a_ge.T @ rates - h  # incidence @ rates - h
     if slack.min() < -WITNESS_TOL:
         worst = family.members[int(np.argmin(slack))]
@@ -222,14 +240,15 @@ def sk_capacity_dual(model: SourceModel, a) -> CapacityReport:
     m = model.m
     h = _conditionals(oracle, m, gamma.members)
     cover = incidence(gamma.members, range(m)).T
-    sol = lp_solve(LinearProgram(c=-h, a_eq=cover, b_eq=np.ones(m)))
+    unit = _unit(h)
+    sol = lp_solve(LinearProgram(c=-h * unit, a_eq=cover, b_eq=np.ones(m)))
     lam = LambdaVector(
         {b: float(sol.x[i]) for i, b in enumerate(gamma.members) if sol.x[i] > 0}
     )
     coverage = cover @ sol.x
     if np.abs(coverage - 1.0).max() > WITNESS_TOL or sol.x.min() < -WITNESS_TOL:
         raise InternalConsistencyError("lambda witness violates Lambda(A) constraints")
-    value = oracle.h((1 << m) - 1) + sol.value  # sol.value = -max sum(lam h)
+    value = oracle.h((1 << m) - 1) + sol.value / unit  # sol.value = -max sum(lam h)
     witness = {
         "lambda": {
             "{" + ",".join(str(t + 1) for t in bits(b)) + "}": w

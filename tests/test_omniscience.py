@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skacap import omniscience
@@ -175,6 +175,24 @@ def test_dual_independent_terminals_zero():
     assert sk_capacity_dual(model, {0, 1}).value == pytest.approx(0.0, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "flat",
+    [
+        [1.0 - 3.2e-11, 1.6e-11, 1.6e-11, 0.0],
+        [1.0 - 3e-11, 1e-11, 1e-11, 1e-11],
+    ],
+)
+def test_sk_capacity_of_nearly_constant_pairs(flat):
+    # Every conditional entropy is far below the simplex's absolute
+    # tolerance; both programs must still find I(X_1; X_2).
+    model = one_var_per_terminal(flat, (2, 2))
+    want = mutual_information(model.pmf, {0}, {1})
+    assert sk_capacity(model, {0, 1}).value == pytest.approx(want, rel=1e-9, abs=1e-18)
+    assert sk_capacity_dual(model, {0, 1}).value == pytest.approx(want, rel=1e-9, abs=1e-18)
+    want_rco = entropy(model.pmf, {0}, {1}) + entropy(model.pmf, {1}, {0})
+    assert rco(model, PartySpec(2, 0b11, 0)).value == pytest.approx(want_rco, rel=1e-9)
+
+
 def test_primal_dual_agreement_random():
     rng = np.random.default_rng(99)
     for _ in range(40):
@@ -281,6 +299,7 @@ def binary_sources(draw, min_m=2, max_m=7):
 
 @settings(max_examples=60, deadline=None)
 @given(binary_sources())
+@example((2, np.array([1.0, 1.6e-11, 1.6e-11, 0.0]) / (1.0 + 3.2e-11)))
 def test_sk_capacity_matches_partition_formula(source):
     # Chan-Zheng: for A = M and D empty, C_SK is the minimum over partitions
     # P of M with |P| >= 2 of [sum_C H(X_C) - H(X_M)] / (|P| - 1).
