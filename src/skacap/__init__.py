@@ -50,7 +50,6 @@ from .prob import (  # noqa: E402,F401
 from .sim import SimConfig, SimResult, run_sim  # noqa: E402,F401
 from .transceiver import (  # noqa: E402,F401
     EmulationSpec,
-    build_auxiliary,
     emulate,
     lambda_upper_expression,
     lower_bound_pk,

@@ -1,7 +1,6 @@
 """Dense two-phase simplex solver: Dantzig pricing with a Bland fallback.
 
-Solves   minimize c.x   subject to   a_ge.x >= b_ge,  a_eq.x == b_eq,
-x >= lower (finite, componentwise).
+Solves   minimize c.x   subject to   a_ge.x >= b_ge,  a_eq.x == b_eq,  x >= 0.
 
 The constraint matrices in this package are small 0/1 incidence matrices
 with entropy right-hand sides, so a dense tableau is plenty.  The entering
@@ -47,14 +46,13 @@ DEGENERATE_RUN = 10
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min c.x  s.t.  a_ge.x >= b_ge,  a_eq.x == b_eq,  x >= lower."""
+    """min c.x  s.t.  a_ge.x >= b_ge,  a_eq.x == b_eq,  x >= 0."""
 
     c: np.ndarray
     a_ge: Optional[np.ndarray] = None
     b_ge: Optional[np.ndarray] = None
     a_eq: Optional[np.ndarray] = None
     b_eq: Optional[np.ndarray] = None
-    lower: Optional[np.ndarray] = None
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.c, dtype=float).ravel()
@@ -73,13 +71,6 @@ class LinearProgram:
 
         a_ge, b_ge = mat(self.a_ge, self.b_ge, "a_ge")
         a_eq, b_eq = mat(self.a_eq, self.b_eq, "a_eq")
-        lower = (
-            np.zeros(n)
-            if self.lower is None
-            else np.ascontiguousarray(self.lower, dtype=float).ravel()
-        )
-        if lower.size != n or not np.all(np.isfinite(lower)):
-            raise ModelError("lower bounds must be finite and match the variable count")
         for name, val in (
             ("c", c),
             ("a_ge", a_ge),
@@ -88,7 +79,6 @@ class LinearProgram:
             ("b_eq", b_eq),
         ):
             object.__setattr__(self, name, val)
-        object.__setattr__(self, "lower", lower)
 
     @property
     def n_vars(self) -> int:
@@ -167,16 +157,12 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     l = lp.a_eq.shape[0]
     m = k + l
 
-    # Shift to y = x - lower >= 0 and build the standard-form system
-    #   [a_ge  -I] [y; s] = b_ge - a_ge.lower
-    #   [a_eq   0] [y; s] = b_eq - a_eq.lower
-    b1 = lp.b_ge - lp.a_ge @ lp.lower
-    b2 = lp.b_eq - lp.a_eq @ lp.lower
+    # Standard-form system  [a_ge  -I] [x; s] = b_ge,  [a_eq  0] [x; s] = b_eq
     a_std = np.zeros((m, n + k))
     a_std[:k, :n] = lp.a_ge
     a_std[:k, n : n + k] = -np.eye(k)
     a_std[k:, :n] = lp.a_eq
-    b_std = np.concatenate([b1, b2])
+    b_std = np.concatenate([lp.b_ge, lp.b_eq])
     signs = np.ones(m)
     neg = b_std < 0
     signs[neg] = -1.0
@@ -184,10 +170,10 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     b_std[neg] *= -1.0
 
     if m == 0:
-        # No constraints: optimum at the lower bounds (c >= 0 required).
+        # No constraints: optimum at x = 0 (c >= 0 required).
         if np.any(lp.c < -FEAS_TOL):
             raise LpUnboundedError("LP is unbounded below")
-        x = lp.lower.copy()
+        x = np.zeros(n)
         return LpSolution(float(lp.c @ x), x, np.zeros(0), np.zeros(0), 0)
 
     n_tot = n + k
@@ -248,7 +234,7 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
 
     y = np.zeros(n_tot)
     y[basis] = tab[:, -1]
-    x = y[:n] + lp.lower
+    x = y[:n]
     value = float(lp.c @ x)
 
     # Dual extraction: rows kept after phase 1, mapped back through signs.
@@ -287,16 +273,16 @@ def _certify(lp: LinearProgram, x, value, dual_ge, dual_eq):
     res_eq = lp.a_eq @ x - lp.b_eq
     if res_eq.size and np.abs(res_eq).max() > tol:
         raise LpCertificationError(f"primal == violation {np.abs(res_eq).max():.3e}")
-    if (x - lp.lower).min() < -tol:
+    if x.min() < -tol:
         raise LpCertificationError("variable lower-bound violation")
     if dual_ge.size and dual_ge.min() < -tol:
         raise LpCertificationError(f"dual sign violation {dual_ge.min():.3e}")
     sigma = lp.c - lp.a_ge.T @ dual_ge - lp.a_eq.T @ dual_eq
     if sigma.min() < -tol:
         raise LpCertificationError(f"reduced-cost violation {sigma.min():.3e}")
-    dual_value = float(dual_ge @ lp.b_ge + dual_eq @ lp.b_eq + sigma @ lp.lower)
+    dual_value = float(dual_ge @ lp.b_ge + dual_eq @ lp.b_eq)
     gap = abs(value - dual_value)
-    comp = abs(float(dual_ge @ slack_ge)) + abs(float(sigma @ (x - lp.lower)))
+    comp = abs(float(dual_ge @ slack_ge)) + abs(float(sigma @ x))
     if gap > tol * max(1.0, abs(value)) or comp > 10 * tol * max(1.0, abs(value)):
         raise LpCertificationError(
             f"duality gap {gap:.3e} / complementary slackness {comp:.3e} too large"

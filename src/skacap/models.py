@@ -120,12 +120,6 @@ class SourceModel:
     def m(self) -> int:
         return len(self.terminal_vars)
 
-    def vars_of(self, mask: int) -> frozenset[VarId]:
-        out: set[VarId] = set()
-        for j in bits(mask):
-            out |= self.terminal_vars[j]
-        return frozenset(out)
-
 
 @dataclass(frozen=True)
 class TransceiverModel:
@@ -233,8 +227,8 @@ class Polytree:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(self.edges))
-        if self.m < 1:
-            raise ModelError("polytree needs at least one terminal")
+        if self.m < 2:
+            raise ModelError("polytree needs at least two terminals")
         pairs = set()
         parent = list(range(self.m))
 

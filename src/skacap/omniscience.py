@@ -20,7 +20,10 @@ over the family Gamma(A) of sets not containing A:
 where Lambda(A) are the fractional covers: lambda_B in [0, 1] with
 sum of lambda_B over B containing j equal to 1 for every terminal j.
 Both programs run on the package's own simplex solver and are checked
-against each other in the test suite.
+against each other in the test suite.  ``max_cover`` is the one solver of
+the cover LP, max over Lambda(A) of g.lambda for given costs g: the dual
+passes the conditional entropies, and the transceiver converse passes its
+own terms over the 2m auxiliary terminals.
 
 The CO LP is solved as its packing dual, max h.lam s.t. incidence^T lam
 <= 1, lam >= 0, whose feasible set depends on (m, A, D) alone: only the
@@ -34,7 +37,7 @@ the new basis.  Without a hint every call solves in full.
 
 The simplex stops once no reduced cost is below -``FEAS_TOL``, an
 absolute threshold, so conditional entropies far below one bit would all
-read as zero.  When the largest cost is below 0.5 bit, both programs
+read as zero.  When the largest cost is below 0.5 bit, all the programs
 therefore run on the costs scaled up by the power of two that puts it in
 [0.5, 1) (an exact scaling), and the value and the rates are scaled
 back; larger costs are solved as they are.
@@ -69,23 +72,6 @@ class SubsetFamily:
 
     d_complement: int
     members: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class RateVector:
-    """Per-terminal communication rates for the omniscience primal."""
-
-    rates: dict[int, float]
-
-    def total(self) -> float:
-        return float(sum(self.rates.values()))
-
-
-@dataclass(frozen=True)
-class LambdaVector:
-    """Fractional-cover weights lambda_B indexed by subset bitmask."""
-
-    weights: dict[int, float]
 
 
 @lru_cache(maxsize=256)
@@ -191,10 +177,10 @@ def _rco(
 
 
 def _rate_witness(spec: PartySpec, rates_vec: np.ndarray) -> dict:
-    rates = RateVector({j: float(r) for j, r in zip(bits(spec.d_complement), rates_vec)})
+    rates = {j: float(r) for j, r in zip(bits(spec.d_complement), rates_vec)}
     return {
-        "rates": {str(j + 1): v for j, v in sorted(rates.rates.items())},
-        "total": rates.total(),
+        "rates": {str(j + 1): v for j, v in sorted(rates.items())},
+        "total": float(sum(rates.values())),
     }
 
 
@@ -229,30 +215,39 @@ def sk_capacity(model: SourceModel, a) -> CapacityReport:
     return pk_capacity(model, PartySpec(model.m, as_mask(a), 0))
 
 
+def max_cover(spec: PartySpec, g: np.ndarray) -> tuple[float, dict[int, float]]:
+    """max g.lam over the fractional covers lam in Lambda(A) of ``spec``.
+
+    ``g`` has one cost per member of ``constraint_family(spec)``; the
+    maximizer is returned as its weights above 1e-12, keyed by member.
+    """
+    gamma = constraint_family(spec)
+    if len(gamma.members) > MAX_GAMMA:
+        raise ModelError(f"|Gamma(A)| = {len(gamma.members)} exceeds the guard {MAX_GAMMA}")
+    cover = incidence(gamma.members, bits(gamma.d_complement)).T
+    unit = _unit(g)
+    sol = lp_solve(LinearProgram(c=-g * unit, a_eq=cover, b_eq=np.ones(cover.shape[0])))
+    coverage = cover @ sol.x
+    if np.abs(coverage - 1.0).max() > WITNESS_TOL or sol.x.min() < -WITNESS_TOL:
+        raise InternalConsistencyError("lambda witness violates Lambda(A) constraints")
+    lam = {b: float(x) for b, x in zip(gamma.members, sol.x) if x > 1e-12}
+    return -sol.value / unit, lam
+
+
+def lambda_witness(lam: dict[int, float]) -> dict[str, float]:
+    """Cover weights keyed by their 1-based terminal sets, as ``"{1,3}"``."""
+    return {
+        "{" + ",".join(str(t + 1) for t in bits(b)) + "}": w for b, w in sorted(lam.items())
+    }
+
+
 def sk_capacity_dual(model: SourceModel, a) -> CapacityReport:
     """SK capacity by the fractional-cover dual; cross-checks the primal."""
     spec = PartySpec(model.m, as_mask(a), 0)
     _require_pair(spec)
-    gamma = constraint_family(spec)
-    if len(gamma.members) > MAX_GAMMA:
-        raise ModelError(f"|Gamma(A)| = {len(gamma.members)} exceeds the guard {MAX_GAMMA}")
     oracle = EntropyOracle(model.pmf, model.terminal_vars)
-    m = model.m
-    h = _conditionals(oracle, m, gamma.members)
-    cover = incidence(gamma.members, range(m)).T
-    unit = _unit(h)
-    sol = lp_solve(LinearProgram(c=-h * unit, a_eq=cover, b_eq=np.ones(m)))
-    lam = LambdaVector(
-        {b: float(sol.x[i]) for i, b in enumerate(gamma.members) if sol.x[i] > 0}
-    )
-    coverage = cover @ sol.x
-    if np.abs(coverage - 1.0).max() > WITNESS_TOL or sol.x.min() < -WITNESS_TOL:
-        raise InternalConsistencyError("lambda witness violates Lambda(A) constraints")
-    value = oracle.h((1 << m) - 1) + sol.value / unit  # sol.value = -max sum(lam h)
-    witness = {
-        "lambda": {
-            "{" + ",".join(str(t + 1) for t in bits(b)) + "}": w
-            for b, w in sorted(lam.weights.items())
-        }
-    }
+    h = _conditionals(oracle, model.m, constraint_family(spec).members)
+    packed, lam = max_cover(spec, h)
+    value = oracle.h((1 << model.m) - 1) - packed
+    witness = {"lambda": lambda_witness(lam)}
     return CapacityReport(max(value, 0.0), "exact", "omniscience-lp-dual", witness)

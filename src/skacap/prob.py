@@ -130,9 +130,6 @@ class JointPMF:
                 return i
         raise ModelError(f"unknown variable id {vid}")
 
-    def alphabet_of(self, vid: VarId) -> Alphabet:
-        return self.vars[self.index_of(vid)][1]
-
     def tensor(self) -> np.ndarray:
         """Probabilities reshaped to one axis per variable (read-only view)."""
         return self.probs.reshape(self.shape)
@@ -214,16 +211,17 @@ def _plain_entropy(flat: np.ndarray) -> float:
 class EntropyOracle:
     """Entropies of unions of variable groups of one joint PMF.
 
-    ``groups`` lists sets of variable ids, which may overlap.  ``h(mask)``
+    ``groups`` lists pairwise-disjoint sets of variable ids.  ``h(mask)``
     is the entropy of all variables of the groups whose bits are set in
     ``mask``.  Variables outside every group are summed out once, here, and
-    results are cached by the mask of the variable axes they cover, so two
-    group masks that name the same variables share one computation.
+    results are cached by the mask of the variable axes they cover.
     """
 
     def __init__(self, p: JointPMF, groups: Iterable[Iterable[VarId]]):
         groups = [frozenset(g) for g in groups]
         used = frozenset().union(*groups)
+        if len(used) != sum(len(g) for g in groups):
+            raise ModelError("entropy oracle groups must be pairwise disjoint")
         kept = [v for v in p.ids if v in used]
         drop = tuple(i for i, v in enumerate(p.ids) if v not in used)
         self._tensor = p.tensor().sum(axis=drop) if drop else p.tensor()
@@ -235,11 +233,11 @@ class EntropyOracle:
     def from_tensor(cls, tensor: np.ndarray, group_axes: Iterable[int]) -> "EntropyOracle":
         """Oracle of a joint already laid out with one axis per variable.
 
-        ``group_axes[j]`` is the bitmask of the axes of group j, and every
-        axis must lie in some group.  Nothing is validated: this is the
-        constructor for callers that build many joints of one known layout,
-        and it gives the same entropies as the ``JointPMF`` route with those
-        variables and groups.
+        ``group_axes[j]`` is the bitmask of the axes of group j; the groups
+        are pairwise disjoint and every axis lies in one.  Nothing is
+        validated: this is the constructor for callers that build many
+        joints of one known layout, and it gives the same entropies as the
+        ``JointPMF`` route with those variables and groups.
         """
         oracle = cls.__new__(cls)
         oracle._tensor = tensor
@@ -270,14 +268,9 @@ class EntropyOracle:
         Walks the marginal lattice depth first: each child sums one group's
         axes out of its parent (kept as size-1 axes), dropping groups in
         ascending order so every mask is visited once, and at most about
-        twice the tensor is alive at a time.  Needs pairwise-disjoint groups.
+        twice the tensor is alive at a time.
         """
         k = len(self._group_axes)
-        union = 0
-        for g in self._group_axes:
-            if union & g:
-                raise ModelError("h_all needs pairwise-disjoint groups")
-            union |= g
         drops = [
             tuple(i for i in range(self._tensor.ndim) if (g >> i) & 1)
             for g in self._group_axes
@@ -296,10 +289,6 @@ class EntropyOracle:
             out[mask] = _plain_entropy(arr.ravel())
             stack.extend((arr, i, mask) for i in range(j + 1, k))
         return out
-
-    def conditional(self, mask: int, given: int) -> float:
-        """H(groups in ``mask`` | groups in ``given``), clamped at 0."""
-        return max(self.h(mask | given) - self.h(given), 0.0)
 
 
 def _variable_oracle(p: JointPMF, *sets: frozenset) -> tuple:

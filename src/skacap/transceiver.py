@@ -22,12 +22,15 @@ input T_j and observes output Y_j:
   an output terminal (owning (T_j, Y_j)); the weighted-entropy converse
   expression of that 2m-terminal model, minimized over fractional covers
   by LP and maximized over a declared family of input distributions, gives
-  an upper bound relative to that family.
+  an upper bound relative to that family.  The 2m-terminal model is never
+  built: every term of its converse is a closed form in entropies of
+  (T_M, Y_M) (``_converse_terms``), and the cover LP is the one of
+  ``omniscience.max_cover``.
 
-All three read the emulated source P(T_M) W(Y_M | T_M) at independent
-inputs off one array layout per model (``_Layout``): the outer product of
-the per-terminal inputs, permuted to the channel's input order, times the
-channel rows.
+All three read the joint P(T_M) W(Y_M | T_M) off one array layout per
+model (``_Layout``): the input (at independent inputs, the outer product
+of the per-terminal inputs, permuted to the channel's input order) times
+the channel rows.
 
 A wiretap reduction is included: promoting Eve's variable to an extra
 compromised terminal turns any PK-capacity computation into an upper bound
@@ -42,19 +45,25 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InternalConsistencyError, ModelError
-from .linprog import LinearProgram, lp_solve
 from .models import (
     CapacityReport,
     PartySpec,
     SourceModel,
     TransceiverModel,
     as_mask,
-    bits,
     popcount,
 )
-from .omniscience import _pk, co_basis_hint, constraint_family, incidence, pk_capacity
+from .omniscience import (
+    _pk,
+    co_basis_hint,
+    constraint_family,
+    incidence,
+    lambda_witness,
+    max_cover,
+    pk_capacity,
+)
 from .optimize import AscentResult, InputOptimizerConfig, maximize_product_simplices
-from .prob import Dmc, EntropyOracle, JointPMF, VarId, compose
+from .prob import Dmc, EntropyOracle, JointPMF, VarId
 
 #: Tolerance for Lambda(A) membership checks.
 LAMBDA_TOL = 1e-8
@@ -86,46 +95,15 @@ class EmulationSpec:
         return self.p_v.vars[0][0]
 
 
-@dataclass(frozen=True)
-class AuxiliaryMultiaccess:
-    """Two-layer multiaccess view of a transceiver model.
-
-    Terminals 0..m-1 are the original transceivers owning X_j = (T_j, Y_j);
-    terminals m..2m-1 are new input terminals owning X_{j+m} = T_j through a
-    per-coordinate identity first layer (so their variable ids coincide with
-    the T groups); with ``wiretapped`` the extra terminal 2m owns Z and is
-    the compromised set.
-    """
-
-    base: TransceiverModel
-    groups: tuple[frozenset[VarId], ...]
-    d_mask: int
-
-    @property
-    def n_terminals(self) -> int:
-        return len(self.groups)
-
-
-def build_auxiliary(t: TransceiverModel, wiretapped: bool = False) -> AuxiliaryMultiaccess:
-    """Auxiliary multiaccess layout over 2m (or 2m+1 with Z) terminals."""
-    if wiretapped and t.eve_var is None:
-        raise ModelError("wiretapped auxiliary model needs an eavesdropper variable")
-    groups = list(t.terminal_vars())
-    groups += [frozenset(t.input_vars[j]) for j in range(t.m)]
-    d_mask = 0
-    if wiretapped:
-        groups.append(frozenset({t.eve_var}))
-        d_mask = 1 << (2 * t.m)
-    return AuxiliaryMultiaccess(base=t, groups=tuple(groups), d_mask=d_mask)
-
-
 class _Layout:
     """Array layout of the emulated source P(T_M) W(Y_M | T_M) of one model.
 
     ``dims[j]`` is the size of terminal j's joint input alphabet; a point is
     one probability vector per terminal, row-major over its T group.  The
-    input permutation, the joint shape and the group axes are fixed per
-    model and computed here once, so no ``JointPMF`` is validated per point.
+    input permutation, the joint shape and the axes of each terminal's T_j
+    (``t_axes[j]``), Y_j (``y_axes[j]``) and X_j (``group_axes[j]``) are
+    fixed per model and computed here once, so no ``JointPMF`` is validated
+    per point.
     """
 
     def __init__(self, t: TransceiverModel):
@@ -140,7 +118,9 @@ class _Layout:
         self.to_channel = [group_order.index(v) for v in ch.in_ids]
         self.joint_shape = tuple(a.size for _, a in ch.in_vars + ch.out_vars)
         self.eve_axes = tuple(i for i, v in enumerate(ids) if v == t.eve_var)
-        self.group_axes = [sum(1 << axis[v] for v in g) for g in t.terminal_vars()]
+        self.t_axes = [sum(1 << axis[v] for v in g) for g in t.input_vars]
+        self.y_axes = [sum(1 << axis[v] for v in g) for g in t.output_vars]
+        self.group_axes = [ta | ya for ta, ya in zip(self.t_axes, self.y_axes)]
 
     def inputs(self, vecs) -> np.ndarray:
         """The product input of the per-terminal vectors, flat in channel input order."""
@@ -149,16 +129,21 @@ class _Layout:
             p_in = np.multiply.outer(p_in, v)
         return np.transpose(p_in.reshape(self.group_shape), self.to_channel).ravel()
 
+    def joint(self, p_flat: np.ndarray) -> np.ndarray:
+        """P(T_M) W(Y_M | T_M) with Eve's output summed out, one axis per
+        variable; ``p_flat`` is the input, flat in channel input order."""
+        joint = (p_flat[:, None] * self.rows).reshape(self.joint_shape)
+        if self.eve_axes:
+            joint = joint.sum(axis=self.eve_axes)
+        return joint
+
     def oracle(self, vecs) -> EntropyOracle:
         """Entropy oracle of the emulated source, one group per terminal X_j.
 
         Gives what ``EntropyOracle`` of ``emulated_to_source`` at the product
         input gives, by the same floating-point operations.
         """
-        joint = (self.inputs(vecs)[:, None] * self.rows).reshape(self.joint_shape)
-        if self.eve_axes:
-            joint = joint.sum(axis=self.eve_axes)
-        return EntropyOracle.from_tensor(joint, self.group_axes)
+        return EntropyOracle.from_tensor(self.joint(self.inputs(vecs)), self.group_axes)
 
 
 def emulate(t: TransceiverModel, spec: EmulationSpec) -> SourceModel:
@@ -244,79 +229,85 @@ def lower_bound_sk(t: TransceiverModel, a, e: EmulationSpec) -> CapacityReport:
 
 
 # ---------------------------------------------------------------------------
-# Auxiliary multiaccess converse expression
+# Converse expression of the auxiliary multiaccess model
 # ---------------------------------------------------------------------------
 
 
-def _aux_oracle(aux: AuxiliaryMultiaccess, p_in: JointPMF) -> EntropyOracle:
-    """Entropies of the auxiliary joint, one group per auxiliary terminal."""
-    if p_in.vars != aux.base.channel.in_vars:
-        raise ModelError("p_in must be declared over the channel input variables")
-    return EntropyOracle(compose(p_in, aux.base.channel), aux.groups)
+def _converse_terms(lay: _Layout, p_flat: np.ndarray, members) -> tuple[float, np.ndarray]:
+    """The constant and the terms g_B of the converse, B over ``members``.
 
+    The auxiliary model has 2m terminals: output terminal j owns
+    X_j = (T_j, Y_j) and input terminal m + j owns X_{m+j} = T_j, so a set
+    B of them is B_o (bits 0..m-1) plus B_i (bits m..2m-1), and
+    X_{B^c} = (T_S, Y_{M - B_o}) with S = M - (B_o & B_i).  X_B and X_{B^c}
+    together are (T_M, Y_M), and the input terminals M' inside and outside
+    B own T_{B_i} and T_{M - B_i}, so each term is
 
-def _aux_term(aux: AuxiliaryMultiaccess, oracle: EntropyOracle, b: int) -> float:
-    """g_B = H(X_B | X_{B^c}) - H(X_{B & M'} | X_{B^c & M'}), M' the input terminals.
+        g_B = H(X_B | X_{B^c}) - H(X_{B & M'} | X_{B^c & M'})
+            = H(T_M Y_M) - H(T_S Y_{M - B_o}) - H(T_M) + H(T_{M - B_i}),
 
-    B^c is taken among all auxiliary terminals, compromised ones included,
-    in the first term and among the input terminals in the second.
+    and the constant H(X_M) - H(X_{M'}) is H(T_M Y_M) - H(T_M).  All are
+    entropies of the transceiver joint alone, read off one lattice pass
+    with bit j for T_j and bit m + j for Y_j.
     """
-    everyone = (1 << aux.n_terminals) - 1
-    inputs = ((1 << aux.base.m) - 1) << aux.base.m
-    return oracle.conditional(b, everyone & ~b) - oracle.conditional(
-        b & inputs, inputs & ~b
-    )
+    m = len(lay.dims)
+    full = (1 << m) - 1
+    h = EntropyOracle.from_tensor(lay.joint(p_flat), lay.t_axes + lay.y_axes).h_all()
+    b = np.asarray(members, dtype=np.int64)
+    b_o, b_i = b & full, b >> m
+    s = full & ~(b_o & b_i)
+    g = h[-1] - h[s | ((full & ~b_o) << m)] + h[full & ~b_i] - h[full]
+    return h[-1] - h[full], g
 
 
-def _aux_constant(aux: AuxiliaryMultiaccess, oracle: EntropyOracle) -> float:
-    """H(X_M) - H(X_{M'}): output terminals minus input terminals."""
-    outputs = (1 << aux.base.m) - 1
-    return oracle.h(outputs) - oracle.h(outputs << aux.base.m)
+def _input_probs(t: TransceiverModel, p_in: JointPMF) -> np.ndarray:
+    if p_in.vars != t.channel.in_vars:
+        raise ModelError("p_in must be declared over the channel input variables")
+    return p_in.probs
 
 
 def lambda_upper_expression(
-    aux: AuxiliaryMultiaccess, p_in: JointPMF, lam: dict[int, float]
+    t: TransceiverModel, p_in: JointPMF, lam: dict[int, float]
 ) -> float:
     """Single-letter converse value E for a given fractional cover lambda.
 
     E = [H(X_M) - sum_B lam_B H(X_B | X_{B^c})]
         - [H(X_{M'}) - sum_B lam_B H(X_{B & M'} | X_{B^c & M'})],
 
-    with B over the auxiliary-terminal family Gamma(A) and M' the input
-    terminals.  ``lam`` must lie in Lambda(A): weights in [0, 1] whose sum
-    over sets containing j is 1 for every uncompromised terminal j.
+    with B over the 2m auxiliary terminals (see ``_converse_terms``) and M'
+    the input terminals.  ``lam`` must lie in Lambda(A): weights in [0, 1]
+    whose sum over sets containing j is 1 for every auxiliary terminal j.
     """
-    oracle = _aux_oracle(aux, p_in)
+    p_flat = _input_probs(t, p_in)
+    n = 2 * t.m
     for b, w in lam.items():
         if w < -LAMBDA_TOL or w > 1 + LAMBDA_TOL:
             raise ModelError(f"lambda weight {w!r} outside [0, 1]")
-        if b >> aux.n_terminals:
+        if b >> n:
             raise ModelError(f"lambda set {b:#b} names terminals outside the model")
-    participants = bits(((1 << aux.n_terminals) - 1) & ~aux.d_mask)
-    coverage = np.array(list(lam.values())) @ incidence(list(lam), participants)
-    for j, c in zip(participants, coverage):
+    weights = np.array(list(lam.values()))
+    coverage = weights @ incidence(list(lam), range(n))
+    for j, c in enumerate(coverage):
         if abs(c - 1.0) > LAMBDA_TOL:
             raise ModelError(f"infeasible lambda: coverage of terminal {j + 1} is {c!r}")
-    return _aux_constant(aux, oracle) - sum(
-        w * _aux_term(aux, oracle, b) for b, w in lam.items()
-    )
+    constant, g = _converse_terms(_Layout(t), p_flat, list(lam))
+    return constant - float(weights @ g)
 
 
 def min_lambda_upper_expression(
-    aux: AuxiliaryMultiaccess, p_in: JointPMF
+    t: TransceiverModel, p_in: JointPMF
 ) -> tuple[float, dict[int, float]]:
     """Minimize the converse expression over Lambda(A = all outputs) by LP."""
-    return _min_lambda(aux, p_in, (1 << aux.base.m) - 1)
+    return _min_lambda(_Layout(t), _input_probs(t, p_in), (1 << t.m) - 1)
 
 
-def _min_lambda(aux, p_in: JointPMF, a_mask: int) -> tuple[float, dict[int, float]]:
-    oracle = _aux_oracle(aux, p_in)
-    gamma = constraint_family(PartySpec(aux.n_terminals, a_mask, aux.d_mask))
-    g = np.array([_aux_term(aux, oracle, b) for b in gamma.members])
-    cover = incidence(gamma.members, bits(gamma.d_complement)).T
-    sol = lp_solve(LinearProgram(c=-g, a_eq=cover, b_eq=np.ones(cover.shape[0])))
-    lam = {b: float(sol.x[i]) for i, b in enumerate(gamma.members) if sol.x[i] > 1e-12}
-    return _aux_constant(aux, oracle) + float(sol.value), lam
+def _min_lambda(
+    lay: _Layout, p_flat: np.ndarray, a_mask: int
+) -> tuple[float, dict[int, float]]:
+    spec = PartySpec(2 * len(lay.dims), a_mask, 0)
+    constant, g = _converse_terms(lay, p_flat, constraint_family(spec).members)
+    value, lam = max_cover(spec, g)
+    return constant - value, lam
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +381,13 @@ def upper_bound_sk(
     the auxiliary construction.
     """
     a_mask = as_mask(a)
-    aux = build_auxiliary(t)
     if search is None:
         search = _ni_search(t, a_mask, cfg, extra_inputs)
     lay = _Layout(t)
     family: list[list[np.ndarray]] = [[np.full(k, 1.0 / k) for k in lay.dims]]
     family += [[np.asarray(v, dtype=float) for v in vecs] for vecs in extra_inputs]
+    for vecs in family[1:]:  # the caller's inputs must be distributions
+        JointPMF(t.channel.in_vars, lay.inputs(vecs))
     family += [point for _, point in search.finals]
     family.append(search.point)
     best_val = -np.inf
@@ -408,18 +400,14 @@ def upper_bound_sk(
         if key in seen:
             continue
         seen.add(key)
-        p_in = JointPMF(t.channel.in_vars, lay.inputs(vecs))
-        val, lam = _min_lambda(aux, p_in, a_mask)
+        val, lam = _min_lambda(lay, lay.inputs(vecs), a_mask)
         recorded.append({"input": [[float(x) for x in v] for v in vecs], "value": val})
         if val > best_val:
             best_val, best_lam, best_point = val, lam, vecs
     witness = {
         "family": recorded,
         "argmax_input": [[float(x) for x in v] for v in best_point],
-        "lambda": {
-            "{" + ",".join(str(j + 1) for j in bits(b)) + "}": w
-            for b, w in sorted(best_lam.items())
-        },
+        "lambda": lambda_witness(best_lam),
         "scope": "upper bound relative to the declared input family",
     }
     return CapacityReport(best_val, "upper_bound", "aux-multiaccess-lambda", witness)

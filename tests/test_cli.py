@@ -142,6 +142,21 @@ def test_polytree_path_and_non_tree_exit_2(tmp_path):
     assert "not a tree" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate",),
+    ("polytree",),
+    ("polytree", "--wiretap"),
+    ("simulate", "--n", "8", "--blocks", "2", "--rate", "0.1"),
+], ids=["validate", "polytree", "polytree-wiretap", "simulate"])
+def test_one_terminal_polytree_exit_2(tmp_path, argv):
+    # it used to pass validate and then end in a traceback (exit 1) in the solvers
+    path = tmp_path / "one.json"
+    path.write_text('{"kind": "polytree", "terminals": 1, "edges": []}')
+    proc = run_cli(argv[0], str(path), *argv[1:])
+    assert proc.returncode == 2
+    assert "at least two terminals" in proc.stderr
+
+
 @pytest.mark.parametrize("sample,spoil,argv", [
     ("source_bsc_pair.json", lambda d: d["pmf"].__setitem__(1, float("nan")),
      ("capacity", "--A", "1,2")),

@@ -41,17 +41,6 @@ def test_equality_constraints():
     np.testing.assert_allclose(sol.x, [0.0, 1.0], atol=1e-12)
 
 
-def test_lower_bounds():
-    lp = LinearProgram(
-        c=[1.0, 1.0],
-        a_ge=[[1.0, 1.0]],
-        b_ge=[1.0],
-        lower=[0.6, 0.6],
-    )
-    sol = lp_solve(lp)
-    assert sol.value == pytest.approx(1.2, abs=1e-12)
-
-
 def test_infeasible():
     lp = LinearProgram(
         c=[1.0],

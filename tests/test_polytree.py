@@ -271,6 +271,11 @@ def test_edge_tolerance_must_be_positive_and_finite(tol):
         wiretapped_edge_lower(bsc_matrix(0.1), bsc_matrix(0.3), tol=tol)
 
 
+def test_polytree_refuses_fewer_than_two_terminals():
+    with pytest.raises(ModelError, match="at least two terminals"):
+        Polytree(1, ())
+
+
 def test_polytree_capacity_single_edge():
     g = Polytree(2, (edge(0, 1, bsc_matrix(0.11)),))
     rep = polytree_capacity(g)

@@ -243,23 +243,6 @@ def test_cell_guard_precedes_allocation():
         product_pmf(factors)
 
 
-def test_entropy_oracle_overlapping_groups():
-    rng = np.random.default_rng(41)
-    p = pmf(((0, B), (1, Alphabet(3)), (2, B), (3, B)), rng.dirichlet(np.ones(24)))
-    # groups share variable 1; variable 3 belongs to no group
-    oracle = EntropyOracle(p, [{0, 1}, {1, 2}, {1}])
-    assert oracle.h(0) == 0.0
-    assert oracle.h(0b001) == pytest.approx(entropy(p, {0, 1}), abs=1e-12)
-    assert oracle.h(0b011) == pytest.approx(entropy(p, {0, 1, 2}), abs=1e-12)
-    assert oracle.h(0b110) == pytest.approx(entropy(p, {1, 2}), abs=1e-12)
-    # group masks naming the same variables give the same cached value
-    assert oracle.h(0b111) == oracle.h(0b011)
-    assert oracle.h(0b100) == pytest.approx(entropy(p, {1}), abs=1e-12)
-    assert oracle.conditional(0b001, 0b100) == pytest.approx(
-        entropy(p, {0}, {1}), abs=1e-12
-    )
-
-
 def test_entropy_oracle_h_all_matches_lazy_h():
     rng = np.random.default_rng(43)
     sizes = (2, 3, 2, 4, 3, 2)
@@ -276,11 +259,13 @@ def test_entropy_oracle_h_all_matches_lazy_h():
             assert every[mask] == pytest.approx(lazy.h(mask), abs=1e-12)
 
 
-def test_entropy_oracle_h_all_rejects_overlapping_groups():
+def test_entropy_oracle_refuses_overlapping_groups():
     rng = np.random.default_rng(44)
     p = pmf(((0, B), (1, Alphabet(3)), (2, B)), rng.dirichlet(np.ones(12)))
-    with pytest.raises(ModelError, match="disjoint"):
-        EntropyOracle(p, [{0, 1}, {1, 2}]).h_all()
+    with pytest.raises(ModelError, match="pairwise disjoint"):
+        EntropyOracle(p, [{0, 1}, {1, 2}])
+    with pytest.raises(ModelError, match="pairwise disjoint"):
+        EntropyOracle(p, [{0, 1}, {1}])
 
 
 def test_dmc_row_error_reports_index_and_sum():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from skacap.errors import ModelError
 from skacap.models import (
@@ -11,7 +12,7 @@ from skacap.models import (
     emulated_to_source,
     polytree_to_transceiver,
 )
-from skacap.omniscience import sk_capacity
+from skacap.omniscience import constraint_family, incidence, sk_capacity
 from skacap.optimize import InputOptimizerConfig, maximize_product_simplices
 from skacap.prob import (
     Alphabet,
@@ -30,7 +31,6 @@ from skacap.prob import (
 )
 from skacap.transceiver import (
     EmulationSpec,
-    build_auxiliary,
     constant_emulation,
     emulate,
     lambda_upper_expression,
@@ -42,6 +42,7 @@ from skacap.transceiver import (
     upper_bound_sk,
     wsk_upper_by_pk,
     _Layout,
+    _converse_terms,
     _min_lambda,
     _ni_search,
 )
@@ -182,26 +183,102 @@ def test_lower_bound_identity_channel():
     assert rep.value == pytest.approx(1.0, abs=1e-10)
 
 
-def test_build_auxiliary_layout():
-    t = random_transceiver(np.random.default_rng(1), 2)
-    aux = build_auxiliary(t)
-    assert aux.n_terminals == 4
-    # input terminals own exactly the T groups (identity first layer)
-    assert aux.groups[2] == frozenset(t.input_vars[0])
-    assert aux.groups[3] == frozenset(t.input_vars[1])
-    # output terminals reproduce (T_j, Y_j)
-    assert aux.groups[0] == frozenset(t.input_vars[0]) | frozenset(t.output_vars[0])
-    with pytest.raises(ModelError):
-        build_auxiliary(t, wiretapped=True)
+def aux_vars(t, mask):
+    """Variable ids of the auxiliary terminals in ``mask``: output terminal j
+    owns (T_j, Y_j), input terminal m + j owns T_j."""
+    out = set()
+    for j in range(t.m):
+        if (mask >> j) & 1:
+            out |= set(t.input_vars[j]) | set(t.output_vars[j])
+        if (mask >> (t.m + j)) & 1:
+            out |= set(t.input_vars[j])
+    return out
 
 
-def test_build_auxiliary_wiretapped():
-    g = Polytree(2, (edge(0, 1, bsc_matrix(0.1), wiretap_rows=bsc_matrix(0.25)),))
-    t = polytree_to_transceiver(g)
-    aux = build_auxiliary(t, wiretapped=True)
-    assert aux.n_terminals == 2 * t.m + 1
-    assert aux.groups[-1] == frozenset({t.eve_var})
-    assert aux.d_mask == 1 << (2 * t.m)
+def aux_conditional(joint, t, b, given):
+    """H(X_b | X_given) of the auxiliary terminals, by prob.entropy."""
+    target = aux_vars(t, b) - aux_vars(t, given)
+    return entropy(joint, target, aux_vars(t, given)) if target else 0.0
+
+
+def reference_converse(t, p_in, members):
+    """The constant and the terms g_B of the 2m-terminal converse, each
+    entropy taken by prob.entropy on the composed joint."""
+    joint = compose(p_in, t.channel)
+    outputs = (1 << t.m) - 1
+    inputs = outputs << t.m
+    everyone = outputs | inputs
+    constant = entropy(joint, aux_vars(t, outputs)) - entropy(joint, aux_vars(t, inputs))
+    g = [
+        aux_conditional(joint, t, b, everyone & ~b)
+        - aux_conditional(joint, t, b & inputs, inputs & ~b)
+        for b in members
+    ]
+    return constant, np.array(g)
+
+
+def random_joint_input(rng, t):
+    """A random correlated (not product) input over all channel inputs."""
+    cells = t.channel.rows.shape[0]
+    return JointPMF(t.channel.in_vars, rng.dirichlet(np.full(cells, 0.7)))
+
+
+def random_eve_transceiver(rng, m):
+    """Binary transceiver whose eavesdropper output sits between Y_1 and Y_2."""
+    out_vars = ((m, B), (2 * m, B)) + tuple((m + j, B) for j in range(1, m))
+    return TransceiverModel(
+        m=m,
+        input_vars=tuple((j,) for j in range(m)),
+        output_vars=tuple((m + j,) for j in range(m)),
+        channel=Dmc(tuple((j, B) for j in range(m)), out_vars,
+                    rng.dirichlet(np.ones(2 ** (m + 1)), size=2**m)),
+        eve_var=2 * m,
+    )
+
+
+def converse_cases():
+    rng = np.random.default_rng(80)
+    cases = []
+    for m in (2, 3):
+        for eve in (False, True):
+            for a_mask in ((1 << m) - 1, 0b101 if m == 3 else 0b11):
+                for _ in range(3):
+                    t = random_eve_transceiver(rng, m) if eve else random_transceiver(rng, m)
+                    cases.append((t, random_joint_input(rng, t), a_mask))
+    return cases
+
+
+CONVERSE_CASES = converse_cases()
+
+
+def test_converse_terms_match_the_auxiliary_entropies():
+    # the closed form against the entropies of X_B and X_{B^c} of the
+    # 2m-terminal model, at correlated inputs, with and without Eve
+    for t, p_in, a_mask in CONVERSE_CASES:
+        members = constraint_family(PartySpec(2 * t.m, a_mask, 0)).members
+        constant, g = _converse_terms(_Layout(t), p_in.probs, members)
+        want_constant, want_g = reference_converse(t, p_in, members)
+        assert abs(constant - want_constant) <= 1e-12
+        assert np.abs(g - want_g).max() <= 1e-12
+
+
+def test_min_lambda_is_the_cover_minimum_of_the_auxiliary_expression():
+    # the value is the reference expression at the returned cover, which
+    # lies in Lambda(A), and no cover does better (scipy's LP on the
+    # reference terms)
+    for t, p_in, a_mask in CONVERSE_CASES:
+        members = constraint_family(PartySpec(2 * t.m, a_mask, 0)).members
+        val, lam = _min_lambda(_Layout(t), p_in.probs, a_mask)
+        constant, g = reference_converse(t, p_in, members)
+        weights = np.array([lam.get(b, 0.0) for b in members])
+        cover = incidence(members, range(2 * t.m)).T
+        np.testing.assert_allclose(cover @ weights, 1.0, rtol=0, atol=1e-12)
+        assert abs(val - (constant - weights @ g)) <= 1e-12
+        best = linprog(-g, A_eq=cover, b_eq=np.ones(2 * t.m), bounds=(0, None))
+        assert val == pytest.approx(constant + best.fun, abs=1e-9)
+        if a_mask == (1 << t.m) - 1:
+            assert min_lambda_upper_expression(t, p_in) == (val, lam)
+        assert lambda_upper_expression(t, p_in, lam) == pytest.approx(val, abs=1e-12)
 
 
 def test_lambda_expression_independence_cancellation():
@@ -209,31 +286,35 @@ def test_lambda_expression_independence_cancellation():
     rng = np.random.default_rng(5)
     for m in (2, 3):
         t = random_transceiver(rng, m)
-        aux = build_auxiliary(t)
         vecs = [rng.dirichlet(np.ones(2)) for _ in range(m)]
         p_in = product_input(t, vecs)
         # lambda: all singletons of the 2m auxiliary terminals
         lam = {1 << j: 1.0 for j in range(2 * m)}
-        val = lambda_upper_expression(aux, p_in, lam)
-        oracle = EntropyOracle(compose(p_in, t.channel), aux.groups)
-        # evaluate the two brackets separately through the public expression:
+        val = lambda_upper_expression(t, p_in, lam)
         # with lam covering inputs exactly once, bracket2 = 0, so
         # E = H(X_M) - sum_B lam_B H(X_B | X_{B^c})
-        first = oracle.h((1 << m) - 1)
+        joint = compose(p_in, t.channel)
+        first = entropy(joint, aux_vars(t, (1 << m) - 1))
         full = (1 << (2 * m)) - 1
         for b, w in lam.items():
-            first -= w * oracle.conditional(b, full & ~b)
+            first -= w * aux_conditional(joint, t, b, full & ~b)
         assert val == pytest.approx(first, abs=1e-10)
 
 
 def test_lambda_expression_rejects_infeasible():
     t = random_transceiver(np.random.default_rng(2), 2)
-    aux = build_auxiliary(t)
     p_in = product_input(t, [np.array([0.5, 0.5]), np.array([0.5, 0.5])])
     with pytest.raises(ModelError, match="infeasible lambda"):
-        lambda_upper_expression(aux, p_in, {0b0001: 1.0})
+        lambda_upper_expression(t, p_in, {0b0001: 1.0})
     with pytest.raises(ModelError, match="outside the model"):
-        lambda_upper_expression(aux, p_in, {0b1111: 1.0, 0b10000: 1.0})
+        lambda_upper_expression(t, p_in, {0b1111: 1.0, 0b10000: 1.0})
+    with pytest.raises(ModelError, match=r"outside \[0, 1\]"):
+        lambda_upper_expression(t, p_in, {0b1111: 1.5})
+    wrong = JointPMF(((0, B), (5, B)), np.full(4, 0.25))
+    with pytest.raises(ModelError, match="channel input variables"):
+        lambda_upper_expression(t, wrong, {0b1111: 1.0})
+    with pytest.raises(ModelError, match="channel input variables"):
+        min_lambda_upper_expression(t, wrong)
 
 
 def test_min_lambda_equals_sk_capacity_on_product_inputs():
@@ -241,15 +322,14 @@ def test_min_lambda_equals_sk_capacity_on_product_inputs():
     for m in (2, 3):
         for _ in range(5):
             t = random_transceiver(rng, m)
-            aux = build_auxiliary(t)
             vecs = [rng.dirichlet(np.ones(2)) for _ in range(m)]
             p_in = product_input(t, vecs)
             sk = sk_capacity(emulated_to_source(t, p_in), (1 << m) - 1).value
-            val, lam = _min_lambda(aux, p_in, (1 << m) - 1)
+            val, lam = min_lambda_upper_expression(t, p_in)
             assert val == pytest.approx(sk, abs=1e-9)
             # the witness lies in Lambda(A): re-evaluating through the
             # public expression reproduces the minimum
-            assert lambda_upper_expression(aux, p_in, lam) == pytest.approx(
+            assert lambda_upper_expression(t, p_in, lam) == pytest.approx(
                 val, abs=1e-9
             )
 
@@ -504,10 +584,9 @@ def test_upper_bound_evaluates_each_family_input_once(name):
     search = _ni_search(t, a_mask, CFG, [uniform])
     rep = upper_bound_sk(t, a_mask, CFG, extra_inputs=[uniform], search=search)
     family = [uniform, uniform] + [point for _, point in search.finals] + [search.point]
-    aux = build_auxiliary(t)
     best_val, best_point, best_lam = -np.inf, None, None
     for vecs in family:
-        val, lam = _min_lambda(aux, product_input(t, vecs), a_mask)
+        val, lam = _min_lambda(_Layout(t), product_input(t, vecs).probs, a_mask)
         if val > best_val:
             best_val, best_point, best_lam = val, vecs, lam
     distinct = []
