@@ -53,7 +53,6 @@ from .transceiver import (  # noqa: E402,F401
     emulate,
     lambda_upper_expression,
     lower_bound_pk,
-    lower_bound_sk,
     noninteractive_sk_capacity,
     sk_bounds,
     upper_bound_sk,

@@ -54,13 +54,10 @@ import numpy as np
 from .errors import InternalConsistencyError, ModelError
 from .linprog import BasisHint, LinearProgram, lp_solve
 from .models import CapacityReport, PartySpec, SourceModel, as_mask, bits, popcount
-from .prob import EntropyOracle
+from .prob import marginalize, subset_entropies
 
 #: Never enumerate families over more than this many participating terminals.
 MAX_FAMILY_TERMINALS = 20
-
-#: Guard on the dual family size.
-MAX_GAMMA = 1 << 20
 
 #: Tolerance for witness feasibility checks.
 WITNESS_TOL = 1e-8
@@ -101,10 +98,17 @@ def incidence(members, terminals) -> np.ndarray:
     return ((members >> np.asarray(terminals, dtype=np.int64)) & 1).astype(float)
 
 
-def _conditionals(oracle: EntropyOracle, m: int, members) -> np.ndarray:
-    """H(X_B | X_{B^c}) for every B in ``members``, complements inside [m]."""
+def _entropies(model: SourceModel) -> np.ndarray:
+    """H(X_S) for every terminal mask S of ``model``, Eve summed out."""
+    p = marginalize(model.pmf, frozenset().union(*model.terminal_vars))
+    axis = {v: i for i, v in enumerate(p.ids)}
+    groups = [sum(1 << axis[v] for v in g) for g in model.terminal_vars]
+    return subset_entropies(p.tensor(), groups)
+
+
+def _conditionals(h: np.ndarray, m: int, members) -> np.ndarray:
+    """H(X_B | X_{B^c}) off the subset entropies ``h``, B over ``members`` in [m]."""
     full = (1 << m) - 1
-    h = oracle.h_all()
     return np.maximum(h[full] - h[full & ~np.asarray(members, dtype=np.int64)], 0.0)
 
 
@@ -133,7 +137,7 @@ def _require_pair(spec: PartySpec):
 def rco(model: SourceModel, spec: PartySpec) -> CapacityReport:
     """Minimum total communication-for-omniscience rate for D^c."""
     _check_compatible(model, spec)
-    value, rates = _rco(spec, EntropyOracle(model.pmf, model.terminal_vars))
+    value, rates = _rco(spec, _entropies(model))
     return CapacityReport(value, "exact", "omniscience-lp-primal", _rate_witness(spec, rates))
 
 
@@ -145,7 +149,7 @@ def co_basis_hint(spec: PartySpec) -> BasisHint:
 
 
 def _rco(
-    spec: PartySpec, oracle: EntropyOracle, hint: BasisHint | None = None
+    spec: PartySpec, h_all: np.ndarray, hint: BasisHint | None = None
 ) -> tuple[float, np.ndarray]:
     """R_CO and its optimal rates, one per terminal of D^c in ascending order."""
     family = constraint_family(spec)
@@ -155,7 +159,7 @@ def _rco(
         hint = co_basis_hint(spec)
     elif hint.key != spec:
         raise ModelError("basis hint was built for the CO LP of another spec")
-    h = _conditionals(oracle, spec.m, family.members)
+    h = _conditionals(h_all, spec.m, family.members)
     # Solve the packing dual  max h.lam  s.t.  incidence^T lam <= 1, lam >= 0
     # (slack-basis start, no phase 1); the optimal rates are its duals.
     unit = _unit(h)
@@ -188,7 +192,7 @@ def pk_capacity(model: SourceModel, spec: PartySpec) -> CapacityReport:
     """Private-key capacity H(X_M | X_D) - R_CO (exact)."""
     _check_compatible(model, spec)
     _require_pair(spec)
-    value, h_given_d, co, rates = _pk(spec, EntropyOracle(model.pmf, model.terminal_vars))
+    value, h_given_d, co, rates = _pk(spec, _entropies(model))
     witness = _rate_witness(spec, rates)
     witness["rco"] = co
     witness["h_given_d"] = h_given_d
@@ -196,12 +200,12 @@ def pk_capacity(model: SourceModel, spec: PartySpec) -> CapacityReport:
 
 
 def _pk(
-    spec: PartySpec, oracle: EntropyOracle, hint: BasisHint | None = None
+    spec: PartySpec, h: np.ndarray, hint: BasisHint | None = None
 ) -> tuple[float, float, float, np.ndarray]:
-    """C_PK, H(X_M | X_D), R_CO and the CO rates, off an oracle with one
-    group per terminal of ``spec``."""
-    h_given_d = oracle.h((1 << spec.m) - 1) - oracle.h(spec.d)
-    co, rates = _rco(spec, oracle, hint)
+    """C_PK, H(X_M | X_D), R_CO and the CO rates, off the subset entropies
+    ``h`` of a source with one group per terminal of ``spec``."""
+    h_given_d = float(h[(1 << spec.m) - 1] - h[spec.d])
+    co, rates = _rco(spec, h, hint)
     value = h_given_d - co
     if value < -1e-9:
         raise InternalConsistencyError(
@@ -222,8 +226,6 @@ def max_cover(spec: PartySpec, g: np.ndarray) -> tuple[float, dict[int, float]]:
     maximizer is returned as its weights above 1e-12, keyed by member.
     """
     gamma = constraint_family(spec)
-    if len(gamma.members) > MAX_GAMMA:
-        raise ModelError(f"|Gamma(A)| = {len(gamma.members)} exceeds the guard {MAX_GAMMA}")
     cover = incidence(gamma.members, bits(gamma.d_complement)).T
     unit = _unit(g)
     sol = lp_solve(LinearProgram(c=-g * unit, a_eq=cover, b_eq=np.ones(cover.shape[0])))
@@ -245,9 +247,8 @@ def sk_capacity_dual(model: SourceModel, a) -> CapacityReport:
     """SK capacity by the fractional-cover dual; cross-checks the primal."""
     spec = PartySpec(model.m, as_mask(a), 0)
     _require_pair(spec)
-    oracle = EntropyOracle(model.pmf, model.terminal_vars)
-    h = _conditionals(oracle, model.m, constraint_family(spec).members)
-    packed, lam = max_cover(spec, h)
-    value = oracle.h((1 << model.m) - 1) - packed
+    h = _entropies(model)
+    packed, lam = max_cover(spec, _conditionals(h, model.m, constraint_family(spec).members))
+    value = float(h[-1]) - packed
     witness = {"lambda": lambda_witness(lam)}
     return CapacityReport(max(value, 0.0), "exact", "omniscience-lp-dual", witness)

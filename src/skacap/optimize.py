@@ -17,6 +17,7 @@ stall the ascent one coordinate at a time.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -85,10 +86,11 @@ def _composition(total: int, parts: int, rank: int) -> list[int]:
     ``total``, in lexicographic order (combinatorial number system)."""
     out = []
     for rest in range(parts - 1, 0, -1):
-        head = 0
-        while rank >= (count := math.comb(total - head + rest - 1, rest - 1)):
-            rank -= count
-            head += 1
+        # vectors with a head below h, by the hockey-stick identity
+        every = math.comb(total + rest, rest)
+        below = lambda h: every - math.comb(total - h + rest, rest)  # noqa: E731
+        head = bisect.bisect_right(range(total + 1), rank, key=below) - 1
+        rank -= below(head)
         out.append(head)
         total -= head
     return out + [total]

@@ -5,6 +5,11 @@ finite variables, discrete memoryless channels as row-stochastic matrices,
 marginalization, conditional entropy, mutual information, statistical
 distance, channel composition, and independent products.
 
+Every capacity in the package is a function of one array:
+``subset_entropies`` gives H of every union of variable groups of one
+joint (one group per terminal), indexed by group mask.  ``entropy`` and
+``mutual_information`` take their few entropies from ``marginalize``.
+
 Conventions
 -----------
 * All logarithms are base 2; every rate in this package is in bits.
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -208,93 +213,38 @@ def _plain_entropy(flat: np.ndarray) -> float:
     return float(-(vals * np.log2(vals)).sum())
 
 
-class EntropyOracle:
-    """Entropies of unions of variable groups of one joint PMF.
+def subset_entropies(tensor: np.ndarray, group_axes: Sequence[int]) -> np.ndarray:
+    """H of every union of variable groups of one joint, as one array of
+    length 2^groups indexed by group mask (0 for the empty mask).
 
-    ``groups`` lists pairwise-disjoint sets of variable ids.  ``h(mask)``
-    is the entropy of all variables of the groups whose bits are set in
-    ``mask``.  Variables outside every group are summed out once, here, and
-    results are cached by the mask of the variable axes they cover.
+    ``tensor`` has one axis per variable; ``group_axes[j]`` is the bitmask
+    of the axes of group j, and the groups partition the axes.  Walks the
+    marginal lattice depth first: each child sums one group's axes out of
+    its parent (kept as size-1 axes), dropping groups in ascending order so
+    every mask is visited once, and at most about twice the tensor is alive
+    at a time.
     """
-
-    def __init__(self, p: JointPMF, groups: Iterable[Iterable[VarId]]):
-        groups = [frozenset(g) for g in groups]
-        used = frozenset().union(*groups)
-        if len(used) != sum(len(g) for g in groups):
-            raise ModelError("entropy oracle groups must be pairwise disjoint")
-        kept = [v for v in p.ids if v in used]
-        drop = tuple(i for i, v in enumerate(p.ids) if v not in used)
-        self._tensor = p.tensor().sum(axis=drop) if drop else p.tensor()
-        axis = {v: i for i, v in enumerate(kept)}
-        self._group_axes = [sum(1 << axis[v] for v in g) for g in groups]
-        self._cache: dict[int, float] = {}
-
-    @classmethod
-    def from_tensor(cls, tensor: np.ndarray, group_axes: Iterable[int]) -> "EntropyOracle":
-        """Oracle of a joint already laid out with one axis per variable.
-
-        ``group_axes[j]`` is the bitmask of the axes of group j; the groups
-        are pairwise disjoint and every axis lies in one.  Nothing is
-        validated: this is the constructor for callers that build many
-        joints of one known layout, and it gives the same entropies as the
-        ``JointPMF`` route with those variables and groups.
-        """
-        oracle = cls.__new__(cls)
-        oracle._tensor = tensor
-        oracle._group_axes = list(group_axes)
-        oracle._cache = {}
-        return oracle
-
-    def h(self, mask: int) -> float:
-        """H of the variables of the groups in ``mask`` (0 for the empty mask)."""
-        axes = 0
-        for j, group_axes in enumerate(self._group_axes):
-            if (mask >> j) & 1:
-                axes |= group_axes
-        if axes == 0:
-            return 0.0
-        hit = self._cache.get(axes)
-        if hit is not None:
-            return hit
-        drop = tuple(i for i in range(self._tensor.ndim) if not (axes >> i) & 1)
-        arr = self._tensor.sum(axis=drop) if drop else self._tensor
-        h = _plain_entropy(np.asarray(arr).ravel())
-        self._cache[axes] = h
-        return h
-
-    def h_all(self) -> np.ndarray:
-        """``h(mask)`` for every group mask, as one array of length 2^groups.
-
-        Walks the marginal lattice depth first: each child sums one group's
-        axes out of its parent (kept as size-1 axes), dropping groups in
-        ascending order so every mask is visited once, and at most about
-        twice the tensor is alive at a time.
-        """
-        k = len(self._group_axes)
-        drops = [
-            tuple(i for i in range(self._tensor.ndim) if (g >> i) & 1)
-            for g in self._group_axes
-        ]
-        full = (1 << k) - 1
-        out = np.zeros(1 << k)
-        out[full] = self.h(full)
-        # (parent marginal, group to drop from it, parent's mask)
-        stack = [(self._tensor, j, full) for j in range(k)]
-        while stack:
-            parent, j, parent_mask = stack.pop()
-            mask = parent_mask & ~(1 << j)
-            if not mask:
-                continue  # the empty mask keeps entropy 0
-            arr = parent.sum(axis=drops[j], keepdims=True)
-            out[mask] = _plain_entropy(arr.ravel())
-            stack.extend((arr, i, mask) for i in range(j + 1, k))
-        return out
+    k = len(group_axes)
+    drops = [tuple(i for i in range(tensor.ndim) if (g >> i) & 1) for g in group_axes]
+    full = (1 << k) - 1
+    out = np.zeros(1 << k)
+    out[full] = _plain_entropy(tensor.ravel())
+    # (parent marginal, group to drop from it, parent's mask)
+    stack = [(tensor, j, full) for j in range(k)]
+    while stack:
+        parent, j, parent_mask = stack.pop()
+        mask = parent_mask & ~(1 << j)
+        if not mask:
+            continue  # the empty mask keeps entropy 0
+        arr = parent.sum(axis=drops[j], keepdims=True)
+        out[mask] = _plain_entropy(arr.ravel())
+        stack.extend((arr, i, mask) for i in range(j + 1, k))
+    return out
 
 
-def _variable_oracle(p: JointPMF, *sets: frozenset) -> tuple:
-    """A one-group-per-variable oracle of ``p`` and the group masks of ``sets``."""
-    masks = (sum(1 << p.index_of(v) for v in s) for s in sets)
-    return (EntropyOracle(p, ([v] for v in p.ids)), *masks)
+def _h(p: JointPMF, vars_: frozenset) -> float:
+    """H of the ``vars_`` marginal of ``p`` (0 for no variables)."""
+    return _plain_entropy(marginalize(p, vars_).probs) if vars_ else 0.0
 
 
 def _clamp_nonneg(value: float, what: str) -> float:
@@ -321,8 +271,7 @@ def entropy(p: JointPMF, s: Iterable[VarId], given: Iterable[VarId] = ()) -> flo
     unknown = (s_set | g_set) - known
     if unknown:
         raise ModelError(f"unknown variable ids {sorted(unknown)}")
-    oracle, s_mask, g_mask = _variable_oracle(p, s_set, g_set)
-    h = oracle.h(s_mask | g_mask) - oracle.h(g_mask)
+    h = _h(p, s_set | g_set) - _h(p, g_set)
     return _clamp_nonneg(h, "conditional entropy")
 
 
@@ -350,12 +299,8 @@ def mutual_information(
     unknown = (s_set | t_set | g_set) - known
     if unknown:
         raise ModelError(f"unknown variable ids {sorted(unknown)}")
-    oracle, s_mask, t_mask, g_mask = _variable_oracle(p, s_set, t_set, g_set)
     value = (
-        oracle.h(s_mask | g_mask)
-        - oracle.h(g_mask)
-        - oracle.h(s_mask | t_mask | g_mask)
-        + oracle.h(t_mask | g_mask)
+        _h(p, s_set | g_set) - _h(p, g_set) - _h(p, s_set | t_set | g_set) + _h(p, t_set | g_set)
     )
     return _clamp_nonneg(value, "mutual information")
 

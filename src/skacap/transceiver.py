@@ -7,14 +7,15 @@ input T_j and observes output Y_j:
   with conditionally independent inputs, run the channel n times with no
   interleaved discussion, and run a source-model protocol on the realized
   IID source.  The emulated model gains terminal 0 (owning V), which is
-  treated as compromised.
+  treated as compromised.  With V constant it is the noninteractive
+  objective below at the product input, and ``sk_bounds`` reads it there.
 * The noninteractive SK capacity: with independent inputs and one public
   message per terminal after all transmissions, the capacity equals
   max over product input distributions of the emulated source's SK
   capacity.  Realized by a multistart search over per-terminal simplices.
-  Each evaluation takes its entropies off the emulated joint array and
-  solves the CO LP from the previous evaluation's optimal basis when that
-  basis still carries a duality certificate (its polytope depends on
+  Each evaluation takes its subset entropies off the emulated joint array
+  and solves the CO LP from the previous evaluation's optimal basis when
+  that basis still carries a duality certificate (its polytope depends on
   (m, A) alone), so the values are those of ``sk_capacity`` on the
   validated emulated source.
 * Auxiliary multiaccess upper bounds: split each transceiver into an input
@@ -63,7 +64,7 @@ from .omniscience import (
     pk_capacity,
 )
 from .optimize import AscentResult, InputOptimizerConfig, maximize_product_simplices
-from .prob import Dmc, EntropyOracle, JointPMF, VarId
+from .prob import Dmc, JointPMF, VarId, subset_entropies
 
 #: Tolerance for Lambda(A) membership checks.
 LAMBDA_TOL = 1e-8
@@ -137,13 +138,13 @@ class _Layout:
             joint = joint.sum(axis=self.eve_axes)
         return joint
 
-    def oracle(self, vecs) -> EntropyOracle:
-        """Entropy oracle of the emulated source, one group per terminal X_j.
+    def entropies(self, vecs) -> np.ndarray:
+        """Subset entropies of the emulated source, one group per terminal X_j.
 
-        Gives what ``EntropyOracle`` of ``emulated_to_source`` at the product
-        input gives, by the same floating-point operations.
+        Gives what ``emulated_to_source`` at the product input gives, by the
+        same floating-point operations.
         """
-        return EntropyOracle.from_tensor(self.joint(self.inputs(vecs)), self.group_axes)
+        return subset_entropies(self.joint(self.inputs(vecs)), self.group_axes)
 
 
 def emulate(t: TransceiverModel, spec: EmulationSpec) -> SourceModel:
@@ -208,24 +209,21 @@ def lower_bound_pk(
     """
     if spec.m != t.m:
         raise ModelError(f"spec has {spec.m} terminals, model has {t.m}")
-    src = emulate(t, e)
-    inner = pk_capacity(src, _shift_spec(spec))
+    value = pk_capacity(emulate(t, e), _shift_spec(spec)).value
+    return _emulation_report(e.p_v.probs, [ch.rows for ch in e.conditionals], value)
+
+
+def _emulation_report(p_v, conditionals, value: float) -> CapacityReport:
+    """Lower-bound report of an emulation with P(V) and P(T_j | V) matrices."""
     witness = {
         "emulation": {
-            "v_alphabet": e.p_v.vars[0][1].size,
-            "p_v": [float(x) for x in e.p_v.probs],
-            "conditionals": [
-                [[float(x) for x in row] for row in ch.rows] for ch in e.conditionals
-            ],
+            "v_alphabet": len(p_v),
+            "p_v": [float(x) for x in p_v],
+            "conditionals": [[[float(x) for x in row] for row in c] for c in conditionals],
         },
-        "emulated_pk": inner.value,
+        "emulated_pk": value,
     }
-    return CapacityReport(inner.value, "lower_bound", "source-emulation", witness)
-
-
-def lower_bound_sk(t: TransceiverModel, a, e: EmulationSpec) -> CapacityReport:
-    """Theorem-2 style lower bound on the SK capacity (D = empty)."""
-    return lower_bound_pk(t, PartySpec(t.m, as_mask(a), 0), e)
+    return CapacityReport(value, "lower_bound", "source-emulation", witness)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +250,7 @@ def _converse_terms(lay: _Layout, p_flat: np.ndarray, members) -> tuple[float, n
     """
     m = len(lay.dims)
     full = (1 << m) - 1
-    h = EntropyOracle.from_tensor(lay.joint(p_flat), lay.t_axes + lay.y_axes).h_all()
+    h = subset_entropies(lay.joint(p_flat), lay.t_axes + lay.y_axes)
     b = np.asarray(members, dtype=np.int64)
     b_o, b_i = b & full, b >> m
     s = full & ~(b_o & b_i)
@@ -358,7 +356,7 @@ def _ni_search(
     spec = PartySpec(t.m, a_mask, 0)
     hint = co_basis_hint(spec)
     return maximize_product_simplices(
-        lay.dims, lambda point: _pk(spec, lay.oracle(point), hint)[0], cfg,
+        lay.dims, lambda point: _pk(spec, lay.entropies(point), hint)[0], cfg,
         extra_seeds=extra_inputs,
     )
 
@@ -443,21 +441,24 @@ def sk_bounds(
     """Lower bounds, noninteractive value, and surrogate upper bound.
 
     ``emulation_inputs`` are per-terminal product inputs used for
-    V = constant emulation lower bounds; they are folded into both the
+    V = constant emulation lower bounds, each the noninteractive objective
+    at its input; they and the uniform input are folded into both the
     optimizer seeds and the upper bound's declared family so the reported
     ordering lower <= noninteractive <= upper holds by construction.
     Raises InternalConsistencyError if the computed numbers violate it.
     """
     a_mask = as_mask(a)
-    inputs = [[np.full(k, 1.0 / k) for k in _Layout(t).dims]]
+    lay = _Layout(t)
+    inputs = [[np.full(k, 1.0 / k) for k in lay.dims]]
     inputs += [[np.asarray(v, dtype=float) for v in vecs] for vecs in emulation_inputs]
-    lowers = []
-    for vecs in inputs:
-        spec = constant_emulation(t, vecs)
-        lowers.append(lower_bound_sk(t, a_mask, spec))
     search = _ni_search(t, a_mask, cfg, extra_inputs=inputs)
     ni = _ni_report(search)
     upper = upper_bound_sk(t, a_mask, cfg, extra_inputs=inputs, search=search)
+    spec = PartySpec(t.m, a_mask, 0)
+    lowers = [
+        _emulation_report(np.ones(1), [[v] for v in vecs], _pk(spec, lay.entropies(vecs))[0])
+        for vecs in inputs
+    ]
     best_lower = max(l.value for l in lowers)
     if best_lower > ni.value + 1e-7 or ni.value > upper.value + 1e-7:
         raise InternalConsistencyError(

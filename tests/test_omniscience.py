@@ -19,7 +19,6 @@ from skacap.omniscience import (
 )
 from skacap.prob import (
     Alphabet,
-    EntropyOracle,
     JointPMF,
     binary_entropy,
     entropy,
@@ -227,8 +226,8 @@ def test_pk_upper_bounded_by_conditional_entropy():
         model = one_var_per_terminal(flat, (2,) * m)
         spec = PartySpec(m, 0b011, 0b100)
         val = pk_capacity(model, spec).value
-        oracle = EntropyOracle(model.pmf, model.terminal_vars)
-        h_md = oracle.h(0b111) - oracle.h(0b100)
+        h = omniscience._entropies(model)
+        h_md = h[0b111] - h[0b100]
         assert 0.0 <= val <= h_md + 1e-9
 
 
@@ -240,12 +239,11 @@ def test_rate_witness_feasible():
     spec = PartySpec(m, 0b0011, 0b1000)
     rep = rco(model, spec)
     rates = {int(k) - 1: v for k, v in rep.witness["rates"].items()}
-    oracle = EntropyOracle(model.pmf, model.terminal_vars)
+    h = omniscience._entropies(model)
     full = (1 << m) - 1
     for b in constraint_family(spec).members:
         got = sum(rates[j] for j in range(m) if (b >> j) & 1)
-        h = oracle.h(full) - oracle.h(full & ~b)
-        assert got >= h - 1e-8
+        assert got >= h[full] - h[full & ~b] - 1e-8
 
 
 def test_family_size_guard():
@@ -257,12 +255,29 @@ def test_entropy_oracle_matches_prob_entropy():
     rng = np.random.default_rng(31)
     flat = rng.dirichlet(np.ones(16))
     model = one_var_per_terminal(flat, (2, 2, 2, 2))
-    oracle = EntropyOracle(model.pmf, model.terminal_vars)
+    h = omniscience._entropies(model)
+    assert h[0] == 0.0
     for mask in range(1, 16):
         keep = {j for j in range(4) if (mask >> j) & 1}
-        assert oracle.h(mask) == pytest.approx(
+        assert h[mask] == pytest.approx(
             entropy(model.pmf, keep), abs=1e-12
         )
+    # a terminal of two variables, listed out of axis order, and Eve summed out
+    pmf = JointPMF(((0, B), (1, Alphabet(3)), (2, B), (3, B)), rng.dirichlet(np.ones(24)))
+    groups = (frozenset({2, 0}), frozenset({3}))
+    h = omniscience._entropies(SourceModel(pmf, groups, eve_var=1))
+    for mask in range(1, 4):
+        keep = set().union(*(g for j, g in enumerate(groups) if (mask >> j) & 1))
+        assert h[mask] == pytest.approx(entropy(pmf, keep), abs=1e-12)
+
+
+def test_source_model_refuses_terminals_that_share_variables():
+    # the subset entropies of a source need disjoint terminal groups
+    flat = np.random.default_rng(44).dirichlet(np.ones(12))
+    pmf = JointPMF(((0, B), (1, Alphabet(3)), (2, B)), flat)
+    for groups in ([{0, 1}, {1, 2}], [{0, 1}, {1}]):
+        with pytest.raises(ModelError, match="shares variables"):
+            SourceModel(pmf, tuple(frozenset(g) for g in groups))
 
 
 def set_partitions(items):
@@ -379,8 +394,8 @@ def test_sk_capacity_ignores_independent_local_noise(source, data):
     assert sk_capacity(noisy, mask_of(a)).value == pytest.approx(before, abs=1e-9)
 
 
-def oracle_of(model):
-    return EntropyOracle(model.pmf, model.terminal_vars)
+def entropies_of(model):
+    return omniscience._entropies(model)
 
 
 def counted_solves(monkeypatch):
@@ -408,11 +423,11 @@ def test_basis_hint_for_another_cost_reuses_only_with_its_certificate(monkeypatc
         )
         want = sk_capacity(second, spec.a).value
         hint = co_basis_hint(spec)
-        omniscience._pk(spec, oracle_of(first), hint)
-        h = omniscience._conditionals(oracle_of(second), 3, members)
+        omniscience._pk(spec, entropies_of(first), hint)
+        h = omniscience._conditionals(entropies_of(second), 3, members)
         reused = hint.reuse(-h) is not None
         before = len(solves)
-        got = omniscience._pk(spec, oracle_of(second), hint)[0]
+        got = omniscience._pk(spec, entropies_of(second), hint)[0]
         assert len(solves) - before == (0 if reused else 1)
         assert got == pytest.approx(want, abs=1e-12)
         outcomes.add(reused)
@@ -433,9 +448,9 @@ def test_unusable_basis_hint_falls_back_to_a_full_solve(basis, monkeypatch):
     want = sk_capacity(model, spec.a).value
     hint = co_basis_hint(spec)
     hint.adopt(chosen)
-    assert hint.reuse(-omniscience._conditionals(oracle_of(model), 3, members)) is None
+    assert hint.reuse(-omniscience._conditionals(entropies_of(model), 3, members)) is None
     solves = counted_solves(monkeypatch)
-    assert omniscience._pk(spec, oracle_of(model), hint)[0] == pytest.approx(want, abs=1e-12)
+    assert omniscience._pk(spec, entropies_of(model), hint)[0] == pytest.approx(want, abs=1e-12)
     assert len(solves) == 1
 
 
@@ -443,10 +458,10 @@ def test_basis_hint_of_another_family_is_refused():
     model = one_var_per_terminal(np.random.default_rng(82).dirichlet(np.ones(8)), (2, 2, 2))
     pair = PartySpec(3, 0b011, 0)
     hint = co_basis_hint(pair)
-    omniscience._pk(pair, oracle_of(model), hint)
+    omniscience._pk(pair, entropies_of(model), hint)
     # {1,3} has as many constraint sets as {1,2}, so only the spec tells them apart
     for spec in (PartySpec(3, 0b101, 0), PartySpec(3, 0b111, 0), PartySpec(3, 0b011, 0b100)):
         with pytest.raises(ModelError, match="another spec"):
-            omniscience._pk(spec, oracle_of(model), hint)
+            omniscience._pk(spec, entropies_of(model), hint)
     with pytest.raises(ModelError, match="another spec"):
-        omniscience._pk(PartySpec(2, 0b11, 0), oracle_of(bsc_pair_model(0.1)), hint)
+        omniscience._pk(PartySpec(2, 0b11, 0), entropies_of(bsc_pair_model(0.1)), hint)

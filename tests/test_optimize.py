@@ -58,3 +58,16 @@ def test_fine_grid_builds_only_the_kept_seeds():
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(p * 64, np.round(p * 64))
     assert np.array_equal(seeds[0][0], np.eye(8)[7])
+
+
+def test_grid_seed_heads_are_found_by_bisection():
+    # a grid of 10^9 steps: walking each head up one unit at a time would
+    # take minutes
+    start = time.perf_counter()
+    seeds = _grid_seeds([2, 3], 1e-9)
+    assert time.perf_counter() - start < 1.0
+    assert len(seeds) < 2 * GRID_CAP
+    for p, q in seeds:
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        assert q.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(seeds[0][0], [0.0, 1.0])

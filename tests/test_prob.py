@@ -5,7 +5,6 @@ from skacap.errors import ModelError
 from skacap.prob import (
     Alphabet,
     Dmc,
-    EntropyOracle,
     JointPMF,
     binary_entropy,
     bsc_matrix,
@@ -15,6 +14,7 @@ from skacap.prob import (
     mutual_information,
     product_pmf,
     statistical_distance,
+    subset_entropies,
     uniform_pmf,
 )
 
@@ -243,29 +243,20 @@ def test_cell_guard_precedes_allocation():
         product_pmf(factors)
 
 
-def test_entropy_oracle_h_all_matches_lazy_h():
+def test_subset_entropies_match_prob_entropy():
     rng = np.random.default_rng(43)
     sizes = (2, 3, 2, 4, 3, 2)
-    # groups of one and two variables, listed out of axis order;
-    # variable 4 belongs to no group
-    groups = [{3, 0}, {2}, {5, 1}]
+    # groups of one and two variables, listed out of axis order
+    groups = [{3, 0}, {2}, {5, 1}, {4}]
     for _ in range(5):
         flat = rng.dirichlet(np.full(int(np.prod(sizes)), 0.3))
         p = pmf(tuple((i, Alphabet(s)) for i, s in enumerate(sizes)), flat)
-        every = EntropyOracle(p, groups).h_all()
-        lazy = EntropyOracle(p, groups)
+        every = subset_entropies(p.tensor(), [sum(1 << v for v in g) for g in groups])
         assert every.shape == (1 << len(groups),)
-        for mask in range(1 << len(groups)):
-            assert every[mask] == pytest.approx(lazy.h(mask), abs=1e-12)
-
-
-def test_entropy_oracle_refuses_overlapping_groups():
-    rng = np.random.default_rng(44)
-    p = pmf(((0, B), (1, Alphabet(3)), (2, B)), rng.dirichlet(np.ones(12)))
-    with pytest.raises(ModelError, match="pairwise disjoint"):
-        EntropyOracle(p, [{0, 1}, {1, 2}])
-    with pytest.raises(ModelError, match="pairwise disjoint"):
-        EntropyOracle(p, [{0, 1}, {1}])
+        assert every[0] == 0.0
+        for mask in range(1, 1 << len(groups)):
+            union = set().union(*(g for j, g in enumerate(groups) if (mask >> j) & 1))
+            assert every[mask] == pytest.approx(entropy(p, union), abs=1e-12)
 
 
 def test_dmc_row_error_reports_index_and_sum():

@@ -12,12 +12,11 @@ from skacap.models import (
     emulated_to_source,
     polytree_to_transceiver,
 )
-from skacap.omniscience import constraint_family, incidence, sk_capacity
+from skacap.omniscience import _entropies, constraint_family, incidence, sk_capacity
 from skacap.optimize import InputOptimizerConfig, maximize_product_simplices
 from skacap.prob import (
     Alphabet,
     Dmc,
-    EntropyOracle,
     JointPMF,
     binary_entropy,
     bsc_matrix,
@@ -35,7 +34,6 @@ from skacap.transceiver import (
     emulate,
     lambda_upper_expression,
     lower_bound_pk,
-    lower_bound_sk,
     min_lambda_upper_expression,
     noninteractive_sk_capacity,
     sk_bounds,
@@ -158,7 +156,7 @@ def test_lower_bound_single_bsc_edge():
     for g in t.input_vars:
         k = int(np.prod([dict(t.channel.in_vars)[v].size for v in g]))
         vecs.append(np.full(k, 1.0 / k))
-    rep = lower_bound_sk(t, {0, 1}, constant_emulation(t, vecs))
+    rep = lower_bound_pk(t, PartySpec(2, 0b11, 0), constant_emulation(t, vecs))
     assert rep.kind == "lower_bound"
     assert rep.value == pytest.approx(1 - binary_entropy(0.11), abs=1e-9)
 
@@ -171,7 +169,7 @@ def test_lower_bound_point_mass_is_zero():
         v = np.zeros(k)
         v[0] = 1.0
         vecs.append(v)
-    rep = lower_bound_sk(t, {0, 1}, constant_emulation(t, vecs))
+    rep = lower_bound_pk(t, PartySpec(2, 0b11, 0), constant_emulation(t, vecs))
     assert rep.value == pytest.approx(0.0, abs=1e-10)
 
 
@@ -179,7 +177,7 @@ def test_lower_bound_identity_channel():
     g = Polytree(2, (edge(0, 1, np.eye(2)),))
     t = polytree_to_transceiver(g)
     vecs = [np.array([0.5, 0.5]), np.array([1.0])]
-    rep = lower_bound_sk(t, {0, 1}, constant_emulation(t, vecs))
+    rep = lower_bound_pk(t, PartySpec(2, 0b11, 0), constant_emulation(t, vecs))
     assert rep.value == pytest.approx(1.0, abs=1e-10)
 
 
@@ -431,6 +429,15 @@ def test_sk_bounds_sandwich_and_witnesses():
     assert ni.value <= upper.value + 1e-7
     assert upper.witness["family"]
     assert out["lower_bounds"][0].witness["emulation"]["v_alphabet"] == 1
+    # each lower bound is the search objective at its input; the independent
+    # route builds the (m+1)-terminal emulated source with a constant V
+    inputs = [[np.full(2, 0.5), np.full(2, 0.5)]] + grid_aligned
+    assert len(out["lower_bounds"]) == len(inputs)
+    for rep, vecs in zip(out["lower_bounds"], inputs):
+        want = lower_bound_pk(t, PartySpec(2, 0b11, 0), constant_emulation(t, vecs))
+        assert rep.value == pytest.approx(want.value, abs=1e-12)
+        assert rep.witness["emulation"] == want.witness["emulation"]
+        assert rep.witness["emulated_pk"] == rep.value
 
 
 def test_sk_bounds_noninteractive_report_equals_direct_search():
@@ -547,8 +554,7 @@ def test_emulated_oracle_matches_the_jointpmf_route():
                        if k > 1 else np.ones(1) for k in dims])
         for point in points:
             src = emulated_to_source(t, product_input(t, point))
-            want = EntropyOracle(src.pmf, src.terminal_vars).h_all()
-            assert np.array_equal(lay.oracle(point).h_all(), want)
+            assert np.array_equal(lay.entropies(point), _entropies(src))
             emulated = emulate(t, constant_emulation(t, point))
             assert np.array_equal(emulated.pmf.probs, src.pmf.probs)
 
