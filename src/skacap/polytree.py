@@ -20,8 +20,9 @@ until its Frank-Wolfe gap, a bound over all inputs, is at most ``tol``.
 The tree solvers step all edges of one (channel, wiretap) shape as one
 stack, with the channel-only constants computed once; each edge leaves
 the stack on its own stopping step, and every operation acts on each edge
-alone, so an edge's iterates are those of its own loop.  No dense model
-of the tree is built.
+alone, so an edge's iterates are those of its own loop.  For the capacity,
+an edge whose value reaches the least value + gap of any edge cannot be
+the minimum, and stops early.  No dense model of the tree is built.
 """
 
 from __future__ import annotations
@@ -112,49 +113,70 @@ def _gradient(chans, r: np.ndarray) -> np.ndarray:
     return g if len(chans) == 1 else g - _divergences(chans[1], r)
 
 
-def _ascend_one(chans, r: np.ndarray, it: int, tol: float, max_iter: int):
-    """The Arimoto loop of one edge from input ``r`` at step ``it``."""
+def _lower(ceil, bound: float) -> float:
+    # the running ceiling, a one-item list, lowered to ``bound``; infinite without one
+    if ceil is None:
+        return np.inf
+    ceil[0] = min(ceil[0], bound)
+    return ceil[0]
+
+
+def _stop(value, gap, tol: float, top: float) -> Optional[str]:
+    # why an edge leaves its loop: its gap certifies it, or its value reached the ceiling
+    return "gap" if gap <= tol else "bound" if value >= top else None
+
+
+def _ascend_one(chans, r: np.ndarray, it: int, tol: float, max_iter: int, ceil):
+    """The Arimoto loop of one edge from input ``r`` at step ``it``; yields after each step."""
     while True:
         g = _gradient(chans, r)
         value = float(r @ g)
         gap = float(g.max()) - value
-        if gap <= tol or it == max_iter:
-            return value, r, it, gap, gap <= tol
+        stop = _stop(value, gap, tol, _lower(ceil, value + gap))
+        if stop or it == max_iter:
+            return value, r, it, gap, stop
         r = r * np.exp2(g)
         r = r / r.sum()
         it += 1
+        yield
 
 
-def _edge_ascent(w_y: np.ndarray, w_z: Optional[np.ndarray], tol: float, max_iter: int):
+def _edge_ascent(ws: list, tol: float, max_iter: int, ceil, out: list, idx):
     """Arimoto ascent of I(T;Y) - I(T;Z) from the uniform input, for a stack of edges.
 
-    ``w_y`` is an (E, k, n) stack of channels and ``w_z`` an (E, k, n_z)
-    stack or None (no Z term).  Each edge steps r <- r 2^g / sum with
-    g_x = D(W_x||rW) - D(V_x||rV), V = its ``w_z``, until its Frank-Wolfe
-    gap max_x g_x - r.g is at most ``tol``; then it leaves the stack.  Every
-    operation acts on each edge alone, so its iterates are those of its own
-    loop.  Returns one (value, r, iterations, gap, converged) per edge, at
-    the last evaluated r.
+    ``ws`` holds an (E, k, n) stack of channels W and, for a Z term, an
+    (E, k, n_z) stack V.  Each edge steps r <- r 2^g / sum with
+    g_x = D(W_x||rW) - D(V_x||rV); its value r.g plus its Frank-Wolfe gap
+    max_x g_x - r.g bounds its maximum over all inputs.  It leaves the stack
+    on "gap", a gap at most ``tol``, or on "bound", a value at least the
+    ceiling U in ``ceil`` (a one-item list, lowered in place to the least
+    such bound over every edge and step so far): then its maximum is at
+    least the least one, so it cannot lower the minimum.  Every operation
+    acts on each edge alone, so its iterates are those of its own loop.  A
+    generator, one step per ``next``: edge e's (value, r, iterations, gap,
+    stopped) at its last evaluated r goes to ``out[idx[e]]``, stopped None
+    at ``max_iter``.  Only the capacity minimum prunes: a wiretapped tree
+    reports each edge's gap, and its upper bound, the least value + gap,
+    could rise if an edge stopped early.
     """
     if not 0 < tol < np.inf:
         raise ModelError(f"tolerance must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise ModelError("iteration cap must be >= 1")
-    ws = [w_y] if w_z is None else [w_y, w_z]
-    n_edges, k = w_y.shape[:2]
-    live = np.arange(n_edges)  # edge index of each stacked row
-    r = np.full((n_edges, k), 1.0 / k)
-    out = [None] * n_edges
+    live = np.asarray(idx)  # index into ``out`` of each stacked row
+    r = np.full((live.size, ws[0].shape[1]), 1.0 / ws[0].shape[1])
     it = 1
     chans = [_hoist(w) for w in ws]
     while live.size > 1:
         g = _gradient(chans, r)
         value = (r[:, None, :] @ g[:, :, None])[:, 0, 0]
         gap = g.max(axis=1) - value
-        done = (gap <= tol) | (it == max_iter)
+        top = np.inf if ceil is None else _lower(ceil, float((value + gap).min()))
+        done = (gap <= tol) | (value >= top) | (it == max_iter)
         if done.any():
             for i in np.flatnonzero(done):
-                out[live[i]] = (float(value[i]), r[i], it, float(gap[i]), bool(gap[i] <= tol))
+                out[live[i]] = (float(value[i]), r[i], it, float(gap[i]),
+                                _stop(value[i], gap[i], tol, top))
             keep = ~done
             live, r, g = live[keep], r[keep], g[keep]
             ws = [w[keep] for w in ws]
@@ -163,32 +185,37 @@ def _edge_ascent(w_y: np.ndarray, w_z: Optional[np.ndarray], tol: float, max_ite
             r = r * np.exp2(g)
             r = r / r.sum(axis=1, keepdims=True)
             it += 1
+        yield
     if live.size:
-        out[live[0]] = _ascend_one([_hoist(w[0]) for w in ws], r[0], it, tol, max_iter)
-    return out
+        chans = [_hoist(w[0]) for w in ws]
+        out[live[0]] = yield from _ascend_one(chans, r[0], it, tol, max_iter, ceil)
 
 
-def _ascend_edges(pairs, tol: float, max_iter: int) -> list:
-    """``_edge_ascent`` of each (w_y, w_z) pair, in order: one stacked call per shape."""
+def _ascend_edges(edges: list, tol: float, max_iter: int, ceil=None) -> list:
+    """``_edge_ascent`` runs of the edges' channels ([W] or [W, V]), in order, a stack per shape.
+
+    The stacks step in turn, so every edge meets the ceiling of all edges'
+    bounds so far, whatever the order of the shapes.
+    """
     groups: dict = {}
-    for i, (w_y, w_z) in enumerate(pairs):
-        groups.setdefault((w_y.shape, None if w_z is None else w_z.shape), []).append(i)
-    out = [None] * len(pairs)
-    for idx in groups.values():
-        w_z = None if pairs[idx[0]][1] is None else np.stack([pairs[i][1] for i in idx])
-        runs = _edge_ascent(np.stack([pairs[i][0] for i in idx]), w_z, tol, max_iter)
-        for i, run in zip(idx, runs):
-            out[i] = run
+    for i, ws in enumerate(edges):
+        groups.setdefault(tuple(w.shape for w in ws), []).append(i)
+    out = [None] * len(edges)
+    stacks = [_edge_ascent([np.stack(w) for w in zip(*(edges[i] for i in idx))],
+                           tol, max_iter, ceil, out, idx) for idx in groups.values()]
+    while stacks:
+        stacks = [s for s in stacks if next(s, "done") is None]  # one step each
     return out
 
 
-def _capacity_result(edge, run, max_iter: int) -> EdgeCapacityResult:
-    value, r, it, gap, converged = run
-    if not converged:
+def _uncapped(run, max_iter: int):
+    """``run`` with value and gap clamped at 0; ConvergenceError if it hit the cap."""
+    value, r, it, gap, stop = run
+    if stop is None:
         raise ConvergenceError(
             f"Blahut-Arimoto hit the {max_iter}-iteration cap (gap {gap:.3e})", gap=gap
         )
-    return EdgeCapacityResult(edge, max(value, 0.0), r, it, max(gap, 0.0))
+    return max(value, 0.0), r, it, max(gap, 0.0), stop
 
 
 def edge_capacity(channel, tol: float = 1e-9, max_iter: int = BA_MAX_ITER,
@@ -199,53 +226,46 @@ def edge_capacity(channel, tol: float = 1e-9, max_iter: int = BA_MAX_ITER,
     information I(r) lower-bounds capacity and max_x D(W(.|x)||p_y)
     upper-bounds it; iteration stops when their gap is at most ``tol``.
     """
-    run = _ascend_edges([(_rows_of(channel), None)], tol, max_iter)[0]
-    return _capacity_result(edge, run, max_iter)
+    run = _ascend_edges([[_rows_of(channel)]], tol, max_iter)[0]
+    return EdgeCapacityResult(edge, *_uncapped(run, max_iter)[:4])
 
 
 def polytree_capacity(g: Polytree, tol: float = 1e-9) -> CapacityReport:
-    """Noninteractive SK capacity of a polytree-PIN: min over edge capacities.
+    """Noninteractive SK capacity of a polytree-PIN: the least edge capacity C*.
 
-    The edges run as ``edge_capacity`` at ``BA_MAX_ITER``; at the cap the
-    first capped edge in edge order raises.  The witness records each
-    edge's certified capacity and optimal input; their product is a
-    maximizing input distribution.
+    The edges run ``_edge_ascent`` at ``BA_MAX_ITER`` under one ceiling U >= C*.
+    The value, the least edge value, lies in [C* - tol, C*]: a minimizing
+    edge's value is at most C*, a gap-stopped edge is within ``tol`` of its
+    capacity and a bound-stopped one is at least U.  The product of the
+    witness inputs achieves the value.  The witness records each edge's
+    value, input, steps, gap and stop, and ``upper``, the final U.  An edge
+    at the cap with neither stop raises, the first in edge order.
     """
-    runs = _ascend_edges([(_rows_of(e.channel), None) for e in g.edges], tol, BA_MAX_ITER)
-    results = [
-        _capacity_result((e.sender, e.receiver), run, BA_MAX_ITER)
-        for e, run in zip(g.edges, runs)
+    ceil = [np.inf]
+    runs = _ascend_edges([[_rows_of(e.channel)] for e in g.edges], tol, BA_MAX_ITER, ceil)
+    edges = [
+        {"edge": [e.sender + 1, e.receiver + 1], "value": value,
+         "optimal_input": [float(x) for x in r], "iterations": it, "gap": gap, "stopped": stop}
+        for e, (value, r, it, gap, stop) in zip(g.edges, [_uncapped(x, BA_MAX_ITER) for x in runs])
     ]
-    value = min(r.capacity for r in results)
-    witness = {
-        "edges": [
-            {
-                "edge": [r.edge[0] + 1, r.edge[1] + 1],
-                "capacity": r.capacity,
-                "optimal_input": [float(x) for x in r.optimal_input],
-                "iterations": r.iterations,
-                "gap": r.gap,
-            }
-            for r in results
-        ]
-    }
-    return CapacityReport(value, "exact", "polytree-min-edge-ba", witness)
+    return CapacityReport(min(x["value"] for x in edges), "exact", "polytree-min-edge-ba",
+                          {"edges": edges, "upper": max(ceil[0], 0.0)})
 
 
-def _wiretap_pair(channel, wiretap) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """(W(y|t), W(z|t)) of one edge; no Z term without a wiretap."""
+def _edge_channels(channel, wiretap) -> list:
+    """[W(y|t), W(z|t)] of one edge; [W(y|t)], no Z term, without a wiretap."""
     w_y = _rows_of(channel)
     if wiretap is None:
-        return w_y, None
+        return [w_y]
     w_tap = _rows_of(wiretap)
     if w_tap.shape[0] != w_y.shape[1]:
         raise ModelError("wiretap input alphabet must match the edge output")
-    return w_y, w_y @ w_tap
+    return [w_y, w_y @ w_tap]
 
 
 def _wiretap_result(edge, run) -> WiretapEdgeResult:
-    value, p, _, gap, converged = run
-    return WiretapEdgeResult(edge, max(value, 0.0), p, converged, max(gap, 0.0))
+    value, p, _, gap, stop = run
+    return WiretapEdgeResult(edge, max(value, 0.0), p, stop == "gap", max(gap, 0.0))
 
 
 def wiretapped_edge_lower(
@@ -261,7 +281,7 @@ def wiretapped_edge_lower(
     ``max_iter`` is not an error: both bounds stay valid, and the result
     says ``converged=False``.
     """
-    run = _ascend_edges([_wiretap_pair(channel, wiretap)], tol, max_iter)[0]
+    run = _ascend_edges([_edge_channels(channel, wiretap)], tol, max_iter)[0]
     return _wiretap_result(edge, run)
 
 
@@ -274,7 +294,7 @@ def wiretapped_polytree_bounds(
     Lower: min over edges of the certified I(T;Y|Z).  Upper: min over
     edges of that value plus its Frank-Wolfe gap, a bound over all inputs.
     """
-    runs = _ascend_edges([_wiretap_pair(e.channel, e.wiretap) for e in g.edges],
+    runs = _ascend_edges([_edge_channels(e.channel, e.wiretap) for e in g.edges],
                          tol, BA_MAX_ITER)
     per_edge = [_wiretap_result((e.sender, e.receiver), run) for e, run in zip(g.edges, runs)]
     lower = CapacityReport(

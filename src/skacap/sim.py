@@ -214,14 +214,24 @@ def _decode_table(cols: np.ndarray, n: int, w_max: int, full: int):
     weight w - 1 by appending a position past each parent's last, parent by
     parent, which is the order of ``itertools.combinations``.  The build
     stops after weight ``w_max`` or once all ``full`` keys have a pattern.
+    Up to ``MAX_TABLE_PATTERNS`` keys, a dense array keeps the least
+    (weight, lex) ordinal of each key as the patterns come; past it the
+    table cannot fill, and one stable sort of every pattern's key picks
+    the first.
     """
     bit = np.int32(1) << np.arange(n, dtype=np.int32)
-    keys = patterns = np.zeros(1, dtype=np.int32)
-    level = (keys, patterns)  # keys and patterns of weight w - 1, in lex order
+    level = (np.zeros(1, dtype=np.int32),) * 2  # keys and patterns of weight w - 1, in lex order
+    dense = full <= MAX_TABLE_PATTERNS
+    unseen = np.iinfo(np.int32).max
+    first = np.full(full if dense else 1, unseen, dtype=np.int32)  # least ordinal of each key
+    best = np.zeros_like(first)  # the pattern at that ordinal
+    first[0] = 0
+    every = [level]  # all patterns in order, for the sort
+    ordinal = seen = 1  # of the next pattern in (weight, lex) order
     for w in range(1, w_max + 1):
-        if keys.size == full:
+        if seen == full:
             break
-        found, grown = [(keys, patterns)], []
+        grown = []
         for lo in range(0, level[0].size, _GROW_CHUNK):
             key, patt = (a[lo : lo + _GROW_CHUNK] for a in level)
             last = np.frexp(patt)[1] - 1  # highest error position, -1 for none
@@ -231,15 +241,23 @@ def _decode_table(cols: np.ndarray, n: int, w_max: int, full: int):
             child = (key[parent] ^ cols[pos], patt[parent] | bit[pos])
             if w < w_max:
                 grown.append(child)
-            new, first = np.unique(child[0], return_index=True)
-            fresh = ~_lookup(keys, new)[1]
-            found.append((new[fresh], child[1][first[fresh]]))
-        all_keys, all_patterns = map(np.concatenate, zip(*found))
-        keys, first = np.unique(all_keys, return_index=True)
-        patterns = all_patterns[first]
+            if dense:
+                at = np.arange(ordinal, ordinal + child[0].size, dtype=np.int32)
+                np.minimum.at(first, child[0], at)
+                won = first[child[0]] == at
+                best[child[0][won]] = child[1][won]
+                seen += int(np.count_nonzero(won))
+            else:
+                every.append(child)
+            ordinal += child[0].size
         if grown:
             level = tuple(map(np.concatenate, zip(*grown)))
-    return keys, patterns
+    if dense:
+        keys = np.flatnonzero(first != unseen).astype(np.int32)
+        return keys, best[keys]
+    all_keys, all_patterns = map(np.concatenate, zip(*every))
+    keys, at = np.unique(all_keys, return_index=True)
+    return keys, all_patterns[at]
 
 
 def _build_code(n: int, p: float, delta: float, rng: np.random.Generator) -> _Code:

@@ -350,6 +350,28 @@ def test_polytree_ba_iteration_cap_exit_6(tmp_path):
     assert run_cli("polytree", str(path), "--tol", "1e-6").returncode == 0
 
 
+def test_polytree_tangent_edge_beside_a_weaker_edge_exit_0(tmp_path):
+    # the tangent channel above, alone, exits 6 at --tol 1e-12; beside a
+    # BSC(0.11) edge (0.5 bit) its value passes a bound on the minimum, so it
+    # stops early, whichever edge comes first
+    a = 0.15639185363452918
+    tangent = [[0.8, 0.2, 0.0], [0.0, 0.2, 0.8], [a, 1 - 2 * a, a]]
+    bsc = [[0.89, 0.11], [0.11, 0.89]]
+    for first, second in ((tangent, bsc), (bsc, tangent)):
+        doc = {"kind": "polytree", "terminals": 3,
+               "edges": [{"from": 1, "to": 2, "channel": first},
+                         {"from": 2, "to": 3, "channel": second}]}
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("polytree", str(path), "--tol", "1e-12")
+        assert proc.returncode == 0, proc.stderr
+        cap = validate_schema(proc.stdout)["result"]["capacity"]
+        assert cap["kind"] == "exact"
+        assert cap["value"] == pytest.approx(1 - binary_entropy(0.11), abs=1e-12)
+        stops = [e["stopped"] for e in cap["witness"]["edges"]]
+        assert stops == (["bound", "gap"] if first is tangent else ["gap", "bound"])
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
 @pytest.mark.parametrize("wiretap", [False, True], ids=["ba", "wiretap"])
 def test_polytree_tol_must_be_positive_and_finite(tmp_path, tol, wiretap):

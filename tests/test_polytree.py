@@ -71,7 +71,7 @@ def test_ba_monotone_lower_bound_sequence():
     rows = np.random.default_rng(5).dirichlet(np.ones(4), size=3)
     prev = -np.inf
     for cap in range(1, 51):
-        (i_low, _, it, _, _), = polytree._edge_ascent(rows[None], None, 1e-300, cap)
+        (i_low, _, it, _, _), = polytree._ascend_edges([[rows]], 1e-300, cap)
         assert it == cap
         assert i_low >= prev - 1e-12
         prev = i_low
@@ -186,22 +186,78 @@ def mixed_shape_tree(rng, wiretapped):
     return Polytree(len(edges) + 1, tuple(edges)), channels, taps
 
 
+def near_tie_tree():
+    """Six edges within 0.04 bit of each other, so the ceiling stops edges only
+    after tens of steps; the three 3x3 edges leave their stack on different steps."""
+    def near(s):
+        return (1 - s) * TANGENT + s * np.eye(3)
+
+    channels = [near(3e-3), bsc_matrix(0.03), TANGENT,
+                np.vstack([near(3e-3), [0.3, 0.4, 0.3]]), bsc_matrix(0.025), near(6e-3)]
+    return Polytree(7, tuple(edge(i, i + 1, w) for i, w in enumerate(channels))), channels
+
+
 def test_polytree_capacity_bit_identical_to_frozen_loop():
-    g, channels, _ = mixed_shape_tree(np.random.default_rng(31), wiretapped=False)
+    # an edge stopped by its gap ran its whole frozen loop; one stopped by the
+    # ceiling ran a prefix of it, up to its reported step
+    mixed, mixed_channels, _ = mixed_shape_tree(np.random.default_rng(31), wiretapped=False)
     tol = 1e-8
-    rep = polytree_capacity(g, tol=tol)
-    expect = []
-    for e, w in zip(g.edges, channels):
-        value, r, it, gap, converged = frozen_ascent(w, None, tol, polytree.BA_MAX_ITER)
-        assert converged
-        expect.append({"edge": [e.sender + 1, e.receiver + 1], "capacity": max(value, 0.0),
-                       "optimal_input": [float(x) for x in r], "iterations": it,
-                       "gap": max(gap, 0.0)})
-    assert rep.witness == {"edges": expect}
-    assert rep.value == min(x["capacity"] for x in expect)
-    # edges of one shape left the stack on different steps
+    for g, channels in ((mixed, mixed_channels), near_tie_tree()):
+        rep = polytree_capacity(g, tol=tol)
+        full, expect = [], []
+        for e, w, got in zip(g.edges, channels, rep.witness["edges"]):
+            full.append(frozen_ascent(w, None, tol, polytree.BA_MAX_ITER))
+            assert full[-1][4]
+            gap_stop = got["stopped"] == "gap"
+            value, r, it, gap, converged = frozen_ascent(
+                w, None, tol, polytree.BA_MAX_ITER if gap_stop else got["iterations"])
+            assert converged == gap_stop
+            expect.append({"edge": [e.sender + 1, e.receiver + 1], "value": max(value, 0.0),
+                           "optimal_input": [float(x) for x in r], "iterations": it,
+                           "gap": max(gap, 0.0), "stopped": got["stopped"]})
+        assert rep.witness["edges"] == expect
+        assert rep.value == min(max(run[0], 0.0) for run in full)
+        assert {x["stopped"] for x in expect} == {"gap", "bound"}
     steps = [x["iterations"] for x in expect]
-    assert steps[0] != steps[3] and steps[1] != steps[5]
+    assert min(n for n, x in zip(steps, expect) if x["stopped"] == "bound") > 1
+    assert len({steps[0], steps[2], steps[5]}) == 3
+
+
+def random_mixed_tree(rng):
+    """4 to 8 edges of random shapes up to 4x4, each attached to an earlier node
+    in a random direction."""
+    channels = [rng.dirichlet(np.ones(rng.integers(2, 5)), size=rng.integers(2, 5))
+                for _ in range(rng.integers(4, 9))]
+    edges = []
+    for i, w in enumerate(channels, start=1):
+        a, b = int(rng.integers(i)), i
+        if rng.random() < 0.5:
+            a, b = b, a
+        edges.append(edge(a, b, w))
+    return Polytree(len(channels) + 1, tuple(edges)), channels
+
+
+def test_polytree_capacity_prunes_only_edges_above_the_minimum():
+    rng = np.random.default_rng(41)
+    pruned = 0
+    for _ in range(6):
+        g, channels = random_mixed_tree(rng)
+        for tol in (1e-6, 1e-9, 1e-12):
+            rep = polytree_capacity(g, tol=tol)
+            edges, upper = rep.witness["edges"], rep.witness["upper"]
+            # the same loop with no ceiling: every edge runs to its gap
+            full = polytree._ascend_edges([[w] for w in channels], tol, polytree.BA_MAX_ITER)
+            values = [max(run[0], 0.0) for run in full]
+            assert all(run[4] == "gap" for run in full)
+            assert rep.value == min(values)
+            low = edges[int(np.argmin(values))]
+            assert low["stopped"] == "gap" and low["gap"] <= tol
+            assert upper <= min(x["value"] + x["gap"] for x in edges)
+            for x in edges:
+                if x["stopped"] == "bound":
+                    pruned += 1
+                    assert x["value"] >= upper
+    assert pruned > 0
 
 
 def test_wiretapped_bounds_bit_identical_to_frozen_loop():
@@ -225,14 +281,15 @@ def test_wiretapped_bounds_bit_identical_to_frozen_loop():
 
 #: Five edges for the cap tests: at tol 1e-6 and a 50-step cap the 2nd
 #: (TANGENT) and the 4th (TANGENT with a useless fourth input) hit the cap
-#: with different gaps; the 4th shares its shape with the 1st, which
-#: converges on step 46, so its stack runs before the 2nd edge's.
+#: with different gaps; the 4th shares its stack with the 1st, which
+#: converges on step 16.  The other edges carry 0.92 to 1.3 bit, above
+#: TANGENT's 0.8, so the capped edges are the minimum and no ceiling stops them.
 CAPPED_TREE = (
-    np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7], [0.4, 0.3, 0.3]]),
+    np.array([[0.96, 0.02, 0.02], [0.02, 0.96, 0.02], [0.02, 0.02, 0.96], [0.4, 0.3, 0.3]]),
     TANGENT,
-    np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]]),
+    np.array([[0.96, 0.02, 0.02], [0.02, 0.96, 0.02], [0.02, 0.02, 0.96]]),
     np.vstack([TANGENT, [0.4, 0.2, 0.4]]),
-    np.array([[0.9, 0.1], [0.2, 0.8]]),
+    bsc_matrix(0.01),
 )
 
 
@@ -287,8 +344,8 @@ def test_polytree_capacity_path_min_of_edges():
     g = Polytree(3, (edge(0, 1, bsc_matrix(0.11)), edge(1, 2, bsc_matrix(0.2))))
     rep = polytree_capacity(g)
     assert rep.value == pytest.approx(1 - binary_entropy(0.2), abs=1e-8)
-    caps = [e["capacity"] for e in rep.witness["edges"]]
-    assert min(caps) == rep.value
+    values = [e["value"] for e in rep.witness["edges"]]
+    assert min(values) == rep.value
 
 
 def test_polytree_capacity_zero_capacity_edge_dominates():

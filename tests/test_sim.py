@@ -416,6 +416,54 @@ def test_decode_table_matches_combinations_loop(n, p, delta, seed):
         assert len(ref) == 2**rank and max(map(len, ref.values())) < w_max
 
 
+def frozen_decode_table(cols, n, w_max, full):
+    """The decode-table build with a stable sort per chunk and per weight,
+    frozen as the bit-identity reference."""
+    bit = np.int32(1) << np.arange(n, dtype=np.int32)
+    keys = patterns = np.zeros(1, dtype=np.int32)
+    level = (keys, patterns)
+    for w in range(1, w_max + 1):
+        if keys.size == full:
+            break
+        found, grown = [(keys, patterns)], []
+        for lo in range(0, level[0].size, sim._GROW_CHUNK):
+            key, patt = (a[lo : lo + sim._GROW_CHUNK] for a in level)
+            last = np.frexp(patt)[1] - 1
+            count = n - 1 - last
+            parent = np.repeat(np.arange(key.size), count)
+            pos = np.arange(parent.size) - np.repeat(np.cumsum(count) - n, count)
+            child = (key[parent] ^ cols[pos], patt[parent] | bit[pos])
+            if w < w_max:
+                grown.append(child)
+            new, first = np.unique(child[0], return_index=True)
+            fresh = ~sim._lookup(keys, new)[1]
+            found.append((new[fresh], child[1][first[fresh]]))
+        all_keys, all_patterns = map(np.concatenate, zip(*found))
+        keys, first = np.unique(all_keys, return_index=True)
+        patterns = all_patterns[first]
+        if grown:
+            level = tuple(map(np.concatenate, zip(*grown)))
+    return keys, patterns
+
+
+@pytest.mark.parametrize("n, p, delta", [
+    (16, 0.08, 0.25), (20, 0.08, 0.25), (24, 0.1, 0.25), (24, 0.07, 0.25),
+    (26, 0.04, 3.0),  # rank 26: 2^26 keys, past the dense array's reach
+])
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sort"])
+def test_decode_table_bit_identical_to_frozen_build(n, p, delta, dense, monkeypatch):
+    if not dense:  # take the sorting route at every size
+        monkeypatch.setattr(sim, "MAX_TABLE_PATTERNS", 1)
+    rng = np.random.default_rng(n)
+    h = rng.integers(0, 2, size=(sim.parity_count(n, p, delta), n), dtype=np.uint8)
+    rows = h[sim._spanning_rows(h)]
+    args = (sim._pack(rows.T), n, min(weight_cap(n, p), n), 1 << rows.shape[0])
+    keys, patterns = sim._decode_table(*args)
+    ref_keys, ref_patterns = frozen_decode_table(*args)
+    assert (keys.dtype, patterns.dtype) == (ref_keys.dtype, ref_patterns.dtype)
+    assert np.array_equal(keys, ref_keys) and np.array_equal(patterns, ref_patterns)
+
+
 KERNEL_TOPOLOGIES = {
     "single_edge": (Polytree(2, (edge(0, 1, bsc_matrix(0.05)),)), {0, 1}),
     "two_edge_path": (
