@@ -18,10 +18,6 @@ class LpError(SkacapError):
     """Base class for linear-program solver failures."""
 
 
-class LpInfeasibleError(LpError):
-    """The LP has no feasible point."""
-
-
 class LpUnboundedError(LpError):
     """The LP objective is unbounded below."""
 

@@ -1,16 +1,29 @@
-"""Dense two-phase simplex solver: Dantzig pricing with a Bland fallback.
+"""Dense simplex solver from the surplus basis: Dantzig pricing with a Bland fallback.
 
-Solves   minimize c.x   subject to   a_ge.x >= b_ge,  a_eq.x == b_eq,  x >= 0.
+Solves   minimize c.x   subject to   a_ge.x >= b_ge,  x >= 0,   with b_ge <= 0.
+
+That is the one form every LP of this package takes, and the point x = 0
+with surplus s = a_ge.x - b_ge = -b_ge >= 0 is feasible in it, so the
+simplex starts from the surplus basis: one phase, no artificial columns.
+The CO LP is solved as its packing dual, max h.lam s.t. incidence^T lam
+<= 1, lam >= 0, which is this form with a_ge = -incidence^T and b_ge = -1.
+The fractional-cover LP, max g.lam over lam >= 0 with every terminal j
+covered exactly once, becomes the same packing LP by the singleton
+completion of ``omniscience.max_cover``: it equals sum_j g_{j} plus the
+packing LP with costs g'_B = g_B - sum(g_{j}, j in B), since any packing
+completes to a cover by adding 1 - cover_j to each singleton {j}.  Every
+singleton is a member of the family Gamma(A) exactly when |A| >= 2, which
+key agreement needs anyway.
 
 The constraint matrices in this package are small 0/1 incidence matrices
-with entropy right-hand sides, so a dense tableau is plenty.  The entering
-column is the most negative reduced cost (Dantzig); after
-``DEGENERATE_RUN`` degenerate pivots in a row the solver switches to
-Bland's smallest-index rule until the next nondegenerate pivot, which
-rules out cycling (Bland 1977).  Every solve is certified after the fact:
-primal feasibility, dual feasibility, and the complementary-slackness /
-duality-gap residual must all be within ``FEAS_TOL`` or the solver raises
-instead of returning a wrong answer.
+with entropy costs, so a dense tableau is plenty.  The entering column is
+the most negative reduced cost (Dantzig); after ``DEGENERATE_RUN``
+degenerate pivots in a row the solver switches to Bland's smallest-index
+rule until the next nondegenerate pivot, which rules out cycling (Bland
+1977).  Every solve is certified after the fact: primal feasibility, dual
+feasibility, and the complementary-slackness / duality-gap residual must
+all be within ``FEAS_TOL`` or the solver raises instead of returning a
+wrong answer.
 
 A search that solves many LPs over one fixed polytope, changing only the
 cost, can keep the optimal basis of its last full solve in a
@@ -31,7 +44,6 @@ import numpy as np
 
 from .errors import (
     LpCertificationError,
-    LpInfeasibleError,
     LpIterationLimitError,
     LpUnboundedError,
     ModelError,
@@ -46,57 +58,39 @@ DEGENERATE_RUN = 10
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min c.x  s.t.  a_ge.x >= b_ge,  a_eq.x == b_eq,  x >= 0."""
+    """min c.x  s.t.  a_ge.x >= b_ge,  x >= 0."""
 
     c: np.ndarray
-    a_ge: Optional[np.ndarray] = None
-    b_ge: Optional[np.ndarray] = None
-    a_eq: Optional[np.ndarray] = None
-    b_eq: Optional[np.ndarray] = None
+    a_ge: np.ndarray
+    b_ge: np.ndarray
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.c, dtype=float).ravel()
-        n = c.size
-        if n == 0:
+        if c.size == 0:
             raise ModelError("LP needs at least one variable")
-
-        def mat(a, b, name):
-            if a is None or np.size(a) == 0:
-                return np.zeros((0, n)), np.zeros(0)
-            a = np.ascontiguousarray(a, dtype=float).reshape(-1, n)
-            b = np.ascontiguousarray(b, dtype=float).ravel()
-            if a.shape[0] != b.size:
-                raise ModelError(f"{name}: {a.shape[0]} rows but {b.size} bounds")
-            return a, b
-
-        a_ge, b_ge = mat(self.a_ge, self.b_ge, "a_ge")
-        a_eq, b_eq = mat(self.a_eq, self.b_eq, "a_eq")
-        for name, val in (
-            ("c", c),
-            ("a_ge", a_ge),
-            ("b_ge", b_ge),
-            ("a_eq", a_eq),
-            ("b_eq", b_eq),
-        ):
+        a_ge = np.ascontiguousarray(self.a_ge, dtype=float).reshape(-1, c.size)
+        b_ge = np.ascontiguousarray(self.b_ge, dtype=float).ravel()
+        if a_ge.shape[0] != b_ge.size:
+            raise ModelError(f"a_ge: {a_ge.shape[0]} rows but {b_ge.size} bounds")
+        for name, val in (("c", c), ("a_ge", a_ge), ("b_ge", b_ge)):
             object.__setattr__(self, name, val)
 
     @property
-    def n_vars(self) -> int:
-        return self.c.size
+    def a_eq(self) -> np.ndarray:
+        # no equality rows; the traced bench counts them until ROADMAP item 2 drops WRAPS
+        return np.zeros((0, self.c.size))
 
 
 @dataclass(frozen=True)
 class LpSolution:
     """Optimum, duals and pivot count; ``basis`` lists the final basic columns.
 
-    Columns are numbered over [x | surplus of each >= row], one per row the
-    solve kept (phase 1 drops redundant rows).
+    Columns are numbered over [x | surplus of each >= row].
     """
 
     value: float
     x: np.ndarray
     dual_ge: np.ndarray
-    dual_eq: np.ndarray
     iterations: int
     basis: tuple[int, ...] = ()
 
@@ -151,136 +145,54 @@ def _simplex(tab, obj, basis, cap, tol=FEAS_TOL):
 
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
-    """Solve the LP; raises on infeasible / unbounded / uncertified results."""
-    n = lp.n_vars
-    k = lp.a_ge.shape[0]
-    l = lp.a_eq.shape[0]
-    m = k + l
+    """Solve the LP from its surplus basis; raises on unbounded / uncertified results.
 
-    # Standard-form system  [a_ge  -I] [x; s] = b_ge,  [a_eq  0] [x; s] = b_eq
-    a_std = np.zeros((m, n + k))
-    a_std[:k, :n] = lp.a_ge
-    a_std[:k, n : n + k] = -np.eye(k)
-    a_std[k:, :n] = lp.a_eq
-    b_std = np.concatenate([lp.b_ge, lp.b_eq])
-    signs = np.ones(m)
-    neg = b_std < 0
-    signs[neg] = -1.0
-    a_std[neg] *= -1.0
-    b_std[neg] *= -1.0
-
-    if m == 0:
-        # No constraints: optimum at x = 0 (c >= 0 required).
-        if np.any(lp.c < -FEAS_TOL):
-            raise LpUnboundedError("LP is unbounded below")
-        x = np.zeros(n)
-        return LpSolution(float(lp.c @ x), x, np.zeros(0), np.zeros(0), 0)
-
-    n_tot = n + k
-    cap = 10 * (m + n_tot + m) + 10
-
-    # Crash basis: a ge-row whose rhs came out nonpositive was negated above,
-    # so its surplus column now has coefficient +1 and can start in the basis.
-    # Only the remaining rows need artificial variables.
-    basis = [-1] * m
-    art_rows = []
-    for i in range(m):
-        if i < k and a_std[i, n + i] == 1.0:
-            basis[i] = n + i
-        else:
-            art_rows.append(i)
-    n_art = len(art_rows)
-
-    if n_art:
-        art_cols = np.zeros((m, n_art))
-        for col, i in enumerate(art_rows):
-            art_cols[i, col] = 1.0
-            basis[i] = n_tot + col
-        tab = np.hstack([a_std, art_cols, b_std[:, None]])
-        obj = np.zeros(n_tot + n_art + 1)
-        obj[n_tot : n_tot + n_art] = 1.0
-        for i in art_rows:
-            obj -= tab[i]
-        it1 = _simplex(tab, obj, basis, cap)
-        if -obj[-1] > FEAS_TOL * max(1.0, float(np.abs(b_std).max(initial=0.0))):
-            raise LpInfeasibleError(f"LP infeasible (phase-1 residual {-obj[-1]:.3e})")
-        # Drive remaining artificials out of the basis or drop redundant rows.
-        keep_rows = []
-        for i in range(m):
-            if basis[i] >= n_tot:
-                nonzero = np.flatnonzero(np.abs(tab[i, :n_tot]) > FEAS_TOL)
-                if nonzero.size:
-                    piv = int(nonzero[0])
-                    _pivot(tab, obj, i, piv)
-                    basis[i] = piv
-                    keep_rows.append(i)
-                # else: redundant zero row, dropped below
-            else:
-                keep_rows.append(i)
-        tab = tab[keep_rows][:, list(range(n_tot)) + [n_tot + n_art]]
-        basis = [basis[i] for i in keep_rows]
-    else:
-        tab = np.hstack([a_std, b_std[:, None]])
-        keep_rows = list(range(m))
-        it1 = 0
-
-    # Phase 2
+    Refuses b_ge > 0, where the surplus basis is infeasible.
+    """
+    k, n = lp.a_ge.shape
+    if np.any(lp.b_ge > 0):
+        raise ModelError("lp_solve needs b_ge <= 0 (a feasible surplus basis)")
+    # Standard form [a_ge  -I] [x; s] = b_ge.  Negated, its surplus columns
+    # are the identity and its rhs -b_ge >= 0: the surplus basis is feasible.
+    a_std = np.hstack([lp.a_ge, -np.eye(k)])
+    tab = np.hstack([-a_std, -lp.b_ge[:, None]])
     c_std = np.concatenate([lp.c, np.zeros(k)])
-    obj = np.zeros(n_tot + 1)
-    obj[:n_tot] = c_std
-    for i, bi in enumerate(basis):
-        obj -= obj[bi] * tab[i]
-    it2 = _simplex(tab, obj, basis, cap)
+    obj = np.append(c_std, 0.0)
+    basis = list(range(n, n + k))
+    it = _simplex(tab, obj, basis, cap=10 * (n + 2 * k) + 10)
 
-    y = np.zeros(n_tot)
+    y = np.zeros(n + k)
     y[basis] = tab[:, -1]
     x = y[:n]
     value = float(lp.c @ x)
-
-    # Dual extraction: rows kept after phase 1, mapped back through signs.
-    a_full = np.zeros((m, n_tot))
-    a_full[:k, :n] = lp.a_ge
-    a_full[:k, n:] = -np.eye(k)
-    a_full[k:, :n] = lp.a_eq
-    a_signed = signs[:, None] * a_full
-    bmat = a_signed[keep_rows][:, basis]
     try:
-        ydual = np.linalg.solve(bmat.T, c_std[basis])
+        dual_ge = np.linalg.solve(a_std[:, basis].T, c_std[basis])
     except np.linalg.LinAlgError as exc:
         raise LpCertificationError(f"singular basis at optimum: {exc}") from exc
-    nu = np.zeros(m)
-    nu[keep_rows] = ydual
-    nu *= signs
-    dual_ge = nu[:k]
-    dual_eq = nu[k:]
 
-    _certify(lp, x, value, dual_ge, dual_eq)
-    return LpSolution(value, x, dual_ge, dual_eq, it1 + it2, tuple(basis))
+    _certify(lp, x, value, dual_ge)
+    return LpSolution(value, x, dual_ge, it, tuple(basis))
 
 
-def _certify(lp: LinearProgram, x, value, dual_ge, dual_eq):
+def _certify(lp: LinearProgram, x, value, dual_ge):
     scale = max(
         1.0,
         float(np.abs(lp.c).max(initial=0.0)),
         float(np.abs(lp.b_ge).max(initial=0.0)),
-        float(np.abs(lp.b_eq).max(initial=0.0)),
     )
     tol = FEAS_TOL * scale
 
     slack_ge = lp.a_ge @ x - lp.b_ge
     if slack_ge.size and slack_ge.min() < -tol:
         raise LpCertificationError(f"primal >= violation {slack_ge.min():.3e}")
-    res_eq = lp.a_eq @ x - lp.b_eq
-    if res_eq.size and np.abs(res_eq).max() > tol:
-        raise LpCertificationError(f"primal == violation {np.abs(res_eq).max():.3e}")
     if x.min() < -tol:
         raise LpCertificationError("variable lower-bound violation")
     if dual_ge.size and dual_ge.min() < -tol:
         raise LpCertificationError(f"dual sign violation {dual_ge.min():.3e}")
-    sigma = lp.c - lp.a_ge.T @ dual_ge - lp.a_eq.T @ dual_eq
+    sigma = lp.c - lp.a_ge.T @ dual_ge
     if sigma.min() < -tol:
         raise LpCertificationError(f"reduced-cost violation {sigma.min():.3e}")
-    dual_value = float(dual_ge @ lp.b_ge + dual_eq @ lp.b_eq)
+    dual_value = float(dual_ge @ lp.b_ge)
     gap = abs(value - dual_value)
     comp = abs(float(dual_ge @ slack_ge)) + abs(float(sigma @ x))
     if gap > tol * max(1.0, abs(value)) or comp > 10 * tol * max(1.0, abs(value)):
@@ -363,4 +275,4 @@ class BasisHint:
             return None
         if abs(float(dual @ self._slack)) + abs(float(sigma @ x)) > 10 * scale:
             return None
-        return LpSolution(value, x, dual, np.zeros(0), 0, self._basis)
+        return LpSolution(value, x, dual, 0, self._basis)

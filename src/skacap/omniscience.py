@@ -25,20 +25,35 @@ the cover LP, max over Lambda(A) of g.lambda for given costs g: the dual
 passes the conditional entropies, and the transceiver converse passes its
 own terms over the 2m auxiliary terminals.
 
-The CO LP is solved as its packing dual, max h.lam s.t. incidence^T lam
-<= 1, lam >= 0, whose feasible set depends on (m, A, D) alone: only the
-cost h, the conditional entropies, depends on the source.  A search over
-many sources with one spec (the noninteractive input search) passes one
-``co_basis_hint(spec)`` to every ``_rco`` call.  Each call first reads
-the value and the rates off the last optimal basis, accepted only with
-the solver's own certificate (rates feasible, lam feasible, equal
-objectives within ``FEAS_TOL``); otherwise it solves in full and keeps
-the new basis.  Without a hint every call solves in full.
+Both LPs run on one polytope, the packing polytope of the CO LP's dual:
+lam >= 0 with sum of lam_B over B containing j at most 1 for every j in
+D^c.  Its feasible set depends on (m, A, D) alone.  The CO LP is max h.lam
+over it, with h the conditional entropies, and its optimal rates are the
+duals.  The cover LP becomes a packing LP by the singleton completion:
+when every singleton {j}, j in D^c, lies in Gamma(A),
+
+    max {g.lam : lam in Lambda(A)}
+        = sum_j g_{j} + max {g'.mu : mu packing},
+    g'_B = g_B - sum(g_{j}, j in B),
+
+since g.lam = sum_j g_{j} + g'.lam on every cover (g'_{j} = 0), and any
+packing mu completes to the cover lam = mu + sum_j (1 - cover_j(mu)) e_{j}
+of the same g'-value.  This holds for costs of either sign.  {j} is a
+nonempty proper subset of D^c, and it contains A only when A = {j}, so
+every singleton lies in Gamma(A) exactly when |A| >= 2, which
+``max_cover`` requires, as key agreement does.
+
+A search over many sources with one spec (the noninteractive input
+search) passes one ``co_basis_hint(spec)`` to every ``_rco`` call.  Each
+call first reads the value and the rates off the last optimal basis,
+accepted only with the solver's own certificate (rates feasible, lam
+feasible, equal objectives within ``FEAS_TOL``); otherwise it solves in
+full and keeps the new basis.  Without a hint every call solves in full.
 
 The simplex stops once no reduced cost is below -``FEAS_TOL``, an
 absolute threshold, so conditional entropies far below one bit would all
-read as zero.  When the largest cost is below 0.5 bit, all the programs
-therefore run on the costs scaled up by the power of two that puts it in
+read as zero.  When the largest cost is below 0.5 bit, every packing LP
+therefore runs on the costs scaled up by the power of two that puts it in
 [0.5, 1) (an exact scaling), and the value and the rates are scaled
 back; larger costs are solved as they are.
 """
@@ -160,15 +175,7 @@ def _rco(
     elif hint.key != spec:
         raise ModelError("basis hint was built for the CO LP of another spec")
     h = _conditionals(h_all, spec.m, family.members)
-    # Solve the packing dual  max h.lam  s.t.  incidence^T lam <= 1, lam >= 0
-    # (slack-basis start, no phase 1); the optimal rates are its duals.
-    unit = _unit(h)
-    sol = hint.reuse(-h * unit)
-    if sol is None:
-        sol = lp_solve(LinearProgram(c=-h * unit, a_ge=hint.a_ge, b_ge=hint.b_ge))
-        hint.adopt(sol.basis)
-    value = -sol.value / unit
-    rates = sol.dual_ge / unit
+    value, _, rates = _pack(hint, h)
     slack = -hint.a_ge.T @ rates - h  # incidence @ rates - h
     if slack.min() < -WITNESS_TOL:
         worst = family.members[int(np.argmin(slack))]
@@ -178,6 +185,22 @@ def _rco(
     if value < -1e-9:
         raise InternalConsistencyError(f"R_CO {value!r} below zero beyond tolerance")
     return max(value, 0.0), rates
+
+
+def _pack(hint: BasisHint, h: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """max h.lam over the packing polytope of ``hint``: the value, lam and
+    the row duals (for the CO LP, the rates).
+
+    The solution is read off the hint's basis when that passes the
+    certificate; otherwise the LP is solved in full from the surplus basis
+    and the hint keeps the new basis.
+    """
+    unit = _unit(h)
+    sol = hint.reuse(-h * unit)
+    if sol is None:
+        sol = lp_solve(LinearProgram(c=-h * unit, a_ge=hint.a_ge, b_ge=hint.b_ge))
+        hint.adopt(sol.basis)
+    return -sol.value / unit, sol.x, sol.dual_ge / unit
 
 
 def _rate_witness(spec: PartySpec, rates_vec: np.ndarray) -> dict:
@@ -224,16 +247,24 @@ def max_cover(spec: PartySpec, g: np.ndarray) -> tuple[float, dict[int, float]]:
 
     ``g`` has one cost per member of ``constraint_family(spec)``; the
     maximizer is returned as its weights above 1e-12, keyed by member.
+    Solved as the CO packing LP by the singleton completion (see the
+    module docstring), which needs |A| >= 2.
     """
-    gamma = constraint_family(spec)
-    cover = incidence(gamma.members, bits(gamma.d_complement)).T
-    unit = _unit(g)
-    sol = lp_solve(LinearProgram(c=-g * unit, a_eq=cover, b_eq=np.ones(cover.shape[0])))
-    coverage = cover @ sol.x
-    if np.abs(coverage - 1.0).max() > WITNESS_TOL or sol.x.min() < -WITNESS_TOL:
+    _require_pair(spec)
+    members = constraint_family(spec).members
+    terminals = bits(spec.d_complement)
+    cover = incidence(members, terminals).T  # [j, i] = 1 when terminal j lies in member i
+    hint = BasisHint(a_ge=-cover, b_ge=-np.ones(len(terminals)), key=spec)
+    singles = np.searchsorted(members, [1 << j for j in terminals])
+    g = np.asarray(g, dtype=float)
+    g_single = g[singles]
+    packed, lam, _ = _pack(hint, g - g_single @ cover)
+    lam = lam.copy()
+    lam[singles] += 1.0 - cover @ lam
+    if np.abs(cover @ lam - 1.0).max() > WITNESS_TOL or lam.min() < -WITNESS_TOL:
         raise InternalConsistencyError("lambda witness violates Lambda(A) constraints")
-    lam = {b: float(x) for b, x in zip(gamma.members, sol.x) if x > 1e-12}
-    return -sol.value / unit, lam
+    value = float(g_single.sum()) + packed
+    return value, {b: float(x) for b, x in zip(members, lam) if x > 1e-12}
 
 
 def lambda_witness(lam: dict[int, float]) -> dict[str, float]:
@@ -246,7 +277,6 @@ def lambda_witness(lam: dict[int, float]) -> dict[str, float]:
 def sk_capacity_dual(model: SourceModel, a) -> CapacityReport:
     """SK capacity by the fractional-cover dual; cross-checks the primal."""
     spec = PartySpec(model.m, as_mask(a), 0)
-    _require_pair(spec)
     h = _entropies(model)
     packed, lam = max_cover(spec, _conditionals(h, model.m, constraint_family(spec).members))
     value = float(h[-1]) - packed

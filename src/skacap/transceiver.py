@@ -52,10 +52,10 @@ from .models import (
     SourceModel,
     TransceiverModel,
     as_mask,
-    popcount,
 )
 from .omniscience import (
     _pk,
+    _require_pair,
     co_basis_hint,
     constraint_family,
     incidence,
@@ -327,8 +327,7 @@ def noninteractive_sk_capacity(
     bound instead of exact.
     """
     a_mask = as_mask(a)
-    if popcount(a_mask) < 2:
-        raise ModelError("A must contain at least two terminals")
+    _require_pair(PartySpec(t.m, a_mask, 0))
     return _ni_report(_ni_search(t, a_mask, cfg, extra_inputs))
 
 
@@ -379,6 +378,7 @@ def upper_bound_sk(
     the auxiliary construction.
     """
     a_mask = as_mask(a)
+    _require_pair(PartySpec(t.m, a_mask, 0))
     if search is None:
         search = _ni_search(t, a_mask, cfg, extra_inputs)
     lay = _Layout(t)
@@ -448,13 +448,14 @@ def sk_bounds(
     Raises InternalConsistencyError if the computed numbers violate it.
     """
     a_mask = as_mask(a)
+    spec = PartySpec(t.m, a_mask, 0)
+    _require_pair(spec)
     lay = _Layout(t)
     inputs = [[np.full(k, 1.0 / k) for k in lay.dims]]
     inputs += [[np.asarray(v, dtype=float) for v in vecs] for vecs in emulation_inputs]
     search = _ni_search(t, a_mask, cfg, extra_inputs=inputs)
     ni = _ni_report(search)
     upper = upper_bound_sk(t, a_mask, cfg, extra_inputs=inputs, search=search)
-    spec = PartySpec(t.m, a_mask, 0)
     lowers = [
         _emulation_report(np.ones(1), [[v] for v in vecs], _pk(spec, lay.entropies(vecs))[0])
         for vecs in inputs

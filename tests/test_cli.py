@@ -157,6 +157,18 @@ def test_one_terminal_polytree_exit_2(tmp_path, argv):
     assert "at least two terminals" in proc.stderr
 
 
+def test_bounds_with_a_lone_key_terminal_exit_2():
+    # it used to run the whole noninteractive search and then exit 3 on an
+    # infeasible cover LP; now it is refused up front, in capacity's words
+    samples = pathlib.Path(__file__).parents[1] / "sample_models"
+    bounds = run_cli("bounds", str(samples / "transceiver_bsc.json"), "--A", "2")
+    capacity = run_cli("capacity", str(samples / "source_bsc_pair.json"), "--A", "2")
+    assert bounds.returncode == capacity.returncode == 2
+    assert bounds.stdout == ""
+    assert bounds.stderr == capacity.stderr
+    assert "at least two terminals" in bounds.stderr
+
+
 @pytest.mark.parametrize("sample,spoil,argv", [
     ("source_bsc_pair.json", lambda d: d["pmf"].__setitem__(1, float("nan")),
      ("capacity", "--A", "1,2")),

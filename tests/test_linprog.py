@@ -3,63 +3,65 @@ import pytest
 from scipy.optimize import linprog as scipy_linprog
 
 from skacap import linprog
-from skacap.errors import LpInfeasibleError, LpUnboundedError
+from skacap.errors import LpUnboundedError, ModelError
 from skacap.linprog import FEAS_TOL, BasisHint, LinearProgram, lp_solve
 
 
+def packing(h, a, c=None):
+    """max h.u  s.t.  a.u <= c (default 1), u >= 0, in lp_solve's one form."""
+    a = np.asarray(a, dtype=float)
+    c = np.ones(a.shape[0]) if c is None else np.asarray(c, dtype=float)
+    return LinearProgram(c=-np.asarray(h, dtype=float), a_ge=-a, b_ge=-c)
+
+
 def test_single_bound():
-    # min x s.t. x >= 3
-    sol = lp_solve(LinearProgram(c=[1.0], a_ge=[[1.0]], b_ge=[3.0]))
-    assert sol.value == pytest.approx(3.0, abs=1e-12)
-    assert sol.x[0] == pytest.approx(3.0, abs=1e-12)
+    # max 3u s.t. u <= 1: the dual of min x s.t. x >= 3
+    sol = lp_solve(packing([3.0], [[1.0]]))
+    assert sol.value == pytest.approx(-3.0, abs=1e-12)
+    assert sol.x[0] == pytest.approx(1.0, abs=1e-12)
+    assert sol.dual_ge[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_binding_joint_constraint():
-    # min x+y s.t. x >= 1, y >= 2, x+y >= 4
-    lp = LinearProgram(
-        c=[1.0, 1.0],
-        a_ge=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
-        b_ge=[1.0, 2.0, 4.0],
-    )
-    sol = lp_solve(lp)
-    assert sol.value == pytest.approx(4.0, abs=1e-12)
+    # max u1 + 2 u2 + 4 u3 s.t. u1 + u3 <= 1, u2 + u3 <= 1: the dual of
+    # min x + y s.t. x >= 1, y >= 2, x + y >= 4, whose joint row binds
+    a = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+    sol = lp_solve(packing([1.0, 2.0, 4.0], a))
+    ref = scipy_linprog([-1.0, -2.0, -4.0], A_ub=a, b_ub=[1.0, 1.0], bounds=(0, None))
+    assert ref.success
+    assert sol.value == pytest.approx(ref.fun, abs=1e-12)
+    assert sol.value == pytest.approx(-4.0, abs=1e-12)
+    np.testing.assert_allclose(sol.x, [0.0, 0.0, 1.0], atol=1e-12)
+    assert sol.dual_ge.sum() == pytest.approx(4.0, abs=1e-12)
+    assert np.all(sol.dual_ge >= [1.0 - 1e-12, 2.0 - 1e-12])
 
 
 def test_two_terminal_omniscience_shape():
-    # min R1+R2 s.t. R1 >= h1, R2 >= h2 has value h1+h2
+    # max h1 u1 + h2 u2 s.t. u1, u2 <= 1 has value h1 + h2, and its duals
+    # are the rates R1 = h1, R2 = h2 of min R1 + R2 s.t. R1 >= h1, R2 >= h2
     h1, h2 = 0.4999, 0.1234
-    lp = LinearProgram(c=[1.0, 1.0], a_ge=np.eye(2), b_ge=[h1, h2])
-    sol = lp_solve(lp)
-    assert sol.value == pytest.approx(h1 + h2, abs=1e-12)
-
-
-def test_equality_constraints():
-    # min -x-2y s.t. x+y == 1, x,y >= 0  ->  y=1
-    lp = LinearProgram(c=[-1.0, -2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
-    sol = lp_solve(lp)
-    assert sol.value == pytest.approx(-2.0, abs=1e-12)
-    np.testing.assert_allclose(sol.x, [0.0, 1.0], atol=1e-12)
-
-
-def test_infeasible():
-    lp = LinearProgram(
-        c=[1.0],
-        a_ge=[[1.0]],
-        b_ge=[2.0],
-        a_eq=[[1.0]],
-        b_eq=[1.0],
-    )
-    with pytest.raises(LpInfeasibleError):
-        lp_solve(lp)
+    sol = lp_solve(packing([h1, h2], np.eye(2)))
+    ref = scipy_linprog([-h1, -h2], A_ub=np.eye(2), b_ub=[1.0, 1.0], bounds=(0, None))
+    assert ref.success
+    assert sol.value == pytest.approx(ref.fun, abs=1e-12)
+    assert sol.value == pytest.approx(-(h1 + h2), abs=1e-12)
+    np.testing.assert_allclose(sol.dual_ge, [h1, h2], atol=1e-12)
 
 
 def test_unbounded():
     with pytest.raises(LpUnboundedError):
-        lp_solve(LinearProgram(c=[-1.0], a_ge=[[1.0]], b_ge=[1.0]))
+        lp_solve(LinearProgram(c=[-1.0], a_ge=[[1.0]], b_ge=[-1.0]))
+
+
+def test_positive_b_ge_is_refused():
+    # the surplus basis would start infeasible, and there is no phase 1
+    with pytest.raises(ModelError, match="b_ge <= 0"):
+        lp_solve(LinearProgram(c=[1.0], a_ge=[[1.0], [1.0]], b_ge=[-1.0, 3.0]))
 
 
 def test_random_covering_lps_match_scipy():
-    # Random 0/1 covering LPs shaped like the omniscience program.
+    # Random 0/1 covering LPs shaped like the omniscience program, solved as
+    # their packing duals: max b.u s.t. a^T u <= 1; the duals are the rates
     rng = np.random.default_rng(42)
     for _ in range(60):
         n = int(rng.integers(2, 6))
@@ -67,37 +69,16 @@ def test_random_covering_lps_match_scipy():
         a = (rng.random((k, n)) < 0.5).astype(float)
         a[a.sum(axis=1) == 0, 0] = 1.0
         b = rng.random(k) * 2
-        lp = LinearProgram(c=np.ones(n), a_ge=a, b_ge=b)
-        sol = lp_solve(lp)
+        sol = lp_solve(packing(b, a.T))
         ref = scipy_linprog(np.ones(n), A_ub=-a, b_ub=-b, bounds=(0, None))
         assert ref.success
-        assert sol.value == pytest.approx(ref.fun, abs=1e-8)
-        assert np.all(a @ sol.x >= b - 1e-9)
-
-
-def test_random_equality_lps_match_scipy():
-    # Random fractional-cover style LPs: max h.lam s.t. M.lam == 1, lam >= 0
-    rng = np.random.default_rng(7)
-    solved = 0
-    for _ in range(60):
-        m = int(rng.integers(2, 5))
-        nb = int(rng.integers(m, 2**m))
-        cols = rng.permutation(2**m - 1)[:nb] + 1
-        inc = np.array([[(b >> j) & 1 for b in cols] for j in range(m)], dtype=float)
-        # ensure feasibility by including all singletons
-        singles = np.eye(m)
-        inc = np.hstack([inc, singles])
-        h = rng.random(inc.shape[1])
-        lp = LinearProgram(c=-h, a_eq=inc, b_eq=np.ones(m))
-        sol = lp_solve(lp)
-        ref = scipy_linprog(-h, A_eq=inc, b_eq=np.ones(m), bounds=(0, None))
-        assert ref.success
-        assert sol.value == pytest.approx(ref.fun, abs=1e-8)
-        solved += 1
-    assert solved == 60
+        assert -sol.value == pytest.approx(ref.fun, abs=1e-8)
+        assert np.all(a @ sol.dual_ge >= b - 1e-9)
+        assert np.all(a.T @ sol.x <= 1 + 1e-9)
 
 
 def test_duals_certify_strong_duality():
+    # max b.u s.t. a^T u <= c, u >= 0, with positive capacities c
     rng = np.random.default_rng(3)
     for _ in range(30):
         n = int(rng.integers(2, 5))
@@ -105,12 +86,15 @@ def test_duals_certify_strong_duality():
         a = (rng.random((k, n)) < 0.6).astype(float)
         a[a.sum(axis=1) == 0, -1] = 1.0
         b = rng.random(k)
-        lp = LinearProgram(c=rng.random(n) + 0.1, a_ge=a, b_ge=b)
+        c = rng.random(n) + 0.1
+        lp = packing(b, a.T, c)
         sol = lp_solve(lp)
-        dual_val = float(sol.dual_ge @ b)
+        ref = scipy_linprog(-b, A_ub=a.T, b_ub=c, bounds=(0, None))
+        assert ref.success
+        assert sol.value == pytest.approx(ref.fun, abs=1e-8)
+        dual_val = float(sol.dual_ge @ lp.b_ge)
         assert dual_val == pytest.approx(sol.value, abs=1e-8)
         assert np.all(sol.dual_ge >= -FEAS_TOL)
-
 
 
 def test_degenerate_fallback_terminates_on_beale_cycle():

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog as scipy_linprog
 
 from skacap import omniscience
 from skacap.errors import ModelError
 from skacap.linprog import lp_solve
-from skacap.models import PartySpec, SourceModel, mask_of
+from skacap.models import PartySpec, SourceModel, bits, mask_of
 from skacap.omniscience import (
     co_basis_hint,
     constraint_family,
+    incidence,
+    max_cover,
     pk_capacity,
     rco,
     sk_capacity,
@@ -172,6 +175,40 @@ def test_dual_two_terminal_forced_point():
 def test_dual_independent_terminals_zero():
     model = one_var_per_terminal([0.25] * 4, (2, 2))
     assert sk_capacity_dual(model, {0, 1}).value == pytest.approx(0.0, abs=1e-10)
+
+
+def test_max_cover_matches_scipy_equality_lp():
+    # max g.lam over the covers Lambda(A), solved as a packing LP through the
+    # singleton completion, against scipy's LP with the equality rows; costs
+    # of both signs, singleton costs negative as in the transceiver converse
+    rng = np.random.default_rng(16)
+    cases = [(2, 0b11, 0), (4, 0b0101, 0b1000)]  # one pair, one with D nonempty
+    for _ in range(40):
+        m = int(rng.integers(2, 7))
+        a = rng.choice(m, size=int(rng.integers(2, m + 1)), replace=False)
+        cases.append((m, mask_of(a.tolist()), 0))
+    for m, a, d in cases:
+        spec = PartySpec(m, a, d)
+        members = constraint_family(spec).members
+        cover = incidence(members, bits(spec.d_complement)).T
+        g = rng.normal(size=len(members))
+        singles = [i for i, b in enumerate(members) if b & (b - 1) == 0]
+        g[singles] = -rng.random(len(singles))
+        value, lam = max_cover(spec, g)
+        ref = scipy_linprog(-g, A_eq=cover, b_eq=np.ones(cover.shape[0]), bounds=(0, None))
+        assert ref.success
+        assert value == pytest.approx(-ref.fun, abs=1e-9)
+        weights = np.array([lam.get(b, 0.0) for b in members])
+        assert set(lam) <= set(members) and weights.min() >= 0.0
+        np.testing.assert_allclose(cover @ weights, 1.0, rtol=0, atol=1e-9)
+        assert weights @ g == pytest.approx(value, abs=1e-9)
+
+
+def test_max_cover_refuses_a_lone_terminal():
+    # {a} is not in Gamma({a}), so no singleton completion exists
+    spec = PartySpec(3, 0b010, 0)
+    with pytest.raises(ModelError, match="at least two terminals"):
+        max_cover(spec, np.zeros(len(constraint_family(spec).members)))
 
 
 @pytest.mark.parametrize(

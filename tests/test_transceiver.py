@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from skacap import transceiver
 from skacap.errors import ModelError
 from skacap.models import (
     PartySpec,
@@ -330,6 +331,16 @@ def test_min_lambda_equals_sk_capacity_on_product_inputs():
             assert lambda_upper_expression(t, p_in, lam) == pytest.approx(
                 val, abs=1e-9
             )
+
+
+@pytest.mark.parametrize("bound", [sk_bounds, upper_bound_sk, noninteractive_sk_capacity])
+def test_lone_key_terminal_refused_before_searching(bound, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the input search ran")
+
+    monkeypatch.setattr(transceiver, "maximize_product_simplices", no_search)
+    with pytest.raises(ModelError, match="at least two terminals"):
+        bound(single_bsc_transceiver(0.1), 0b10, InputOptimizerConfig())
 
 
 def test_noninteractive_single_bsc():
