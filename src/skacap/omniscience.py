@@ -43,12 +43,14 @@ nonempty proper subset of D^c, and it contains A only when A = {j}, so
 every singleton lies in Gamma(A) exactly when |A| >= 2, which
 ``max_cover`` requires, as key agreement does.
 
-A search over many sources with one spec (the noninteractive input
-search) passes one ``co_basis_hint(spec)`` to every ``_rco`` call.  Each
-call first reads the value and the rates off the last optimal basis,
+``_pk`` and ``_rco`` take a stack of sources, one row of subset
+entropies each.  A search over many sources with one spec (the
+noninteractive input search) passes one ``co_basis_hint(spec)`` to every
+call.  Each row, in order, is first read off the last optimal basis,
 accepted only with the solver's own certificate (rates feasible, lam
-feasible, equal objectives within ``FEAS_TOL``); otherwise it solves in
-full and keeps the new basis.  Without a hint every call solves in full.
+feasible, equal objectives within ``FEAS_TOL``); a row that fails is
+solved in full, its basis kept, and the rows after it are tried on that
+basis.  Without a hint a call starts from an empty one.
 
 The simplex stops once no reduced cost is below -``FEAS_TOL``, an
 absolute threshold, so conditional entropies far below one bit would all
@@ -118,22 +120,29 @@ def _entropies(model: SourceModel) -> np.ndarray:
     p = marginalize(model.pmf, frozenset().union(*model.terminal_vars))
     axis = {v: i for i, v in enumerate(p.ids)}
     groups = [sum(1 << axis[v] for v in g) for g in model.terminal_vars]
-    return subset_entropies(p.tensor(), groups)
+    return subset_entropies(p.tensor()[None], groups)[0]
+
+
+@lru_cache(maxsize=256)
+def _complements(m: int, members: tuple[int, ...]) -> np.ndarray:
+    """[m] minus each member, as an index array."""
+    return ((1 << m) - 1) & ~np.asarray(members, dtype=np.int64)
 
 
 def _conditionals(h: np.ndarray, m: int, members) -> np.ndarray:
-    """H(X_B | X_{B^c}) off the subset entropies ``h``, B over ``members`` in [m]."""
+    """H(X_B | X_{B^c}) off the subset entropies ``h`` (one row per source),
+    B over ``members`` in [m]."""
     full = (1 << m) - 1
-    return np.maximum(h[full] - h[full & ~np.asarray(members, dtype=np.int64)], 0.0)
+    return np.maximum(h[..., full:full + 1] - h[..., _complements(m, tuple(members))], 0.0)
 
 
-def _unit(h: np.ndarray) -> float:
-    """The power of two that scales ``max(h)`` up into [0.5, 1); 1 when
-    ``max(h)`` is at least 0.5 or h <= 0."""
-    top = float(np.max(h, initial=0.0))
-    if top <= 0.0:
-        return 1.0
-    return math.ldexp(1.0, -min(max(math.frexp(top)[1], -1000), 0))
+def _unit(h: np.ndarray) -> list[float]:
+    """Per row, the power of two that scales the row's maximum up into
+    [0.5, 1); 1 when that maximum is at least 0.5 or the row is <= 0."""
+    return [
+        math.ldexp(1.0, -min(max(math.frexp(top)[1], -1000), 0)) if top > 0.0 else 1.0
+        for top in h.max(axis=1).tolist()
+    ]
 
 
 def _check_compatible(model: SourceModel, spec: PartySpec):
@@ -152,8 +161,10 @@ def _require_pair(spec: PartySpec):
 def rco(model: SourceModel, spec: PartySpec) -> CapacityReport:
     """Minimum total communication-for-omniscience rate for D^c."""
     _check_compatible(model, spec)
-    value, rates = _rco(spec, _entropies(model))
-    return CapacityReport(value, "exact", "omniscience-lp-primal", _rate_witness(spec, rates))
+    value, rates = _rco(spec, _entropies(model)[None])
+    return CapacityReport(
+        float(value[0]), "exact", "omniscience-lp-primal", _rate_witness(spec, rates[0])
+    )
 
 
 def co_basis_hint(spec: PartySpec) -> BasisHint:
@@ -165,42 +176,52 @@ def co_basis_hint(spec: PartySpec) -> BasisHint:
 
 def _rco(
     spec: PartySpec, h_all: np.ndarray, hint: BasisHint | None = None
-) -> tuple[float, np.ndarray]:
-    """R_CO and its optimal rates, one per terminal of D^c in ascending order."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """R_CO and its optimal rates, one per terminal of D^c in ascending
+    order, for each row of the subset entropies ``h_all``."""
     family = constraint_family(spec)
     if not family.members:
-        return 0.0, np.zeros(popcount(spec.d_complement))
+        return np.zeros(len(h_all)), np.zeros((len(h_all), popcount(spec.d_complement)))
     if hint is None:
         hint = co_basis_hint(spec)
     elif hint.key != spec:
         raise ModelError("basis hint was built for the CO LP of another spec")
     h = _conditionals(h_all, spec.m, family.members)
     value, _, rates = _pack(hint, h)
-    slack = -hint.a_ge.T @ rates - h  # incidence @ rates - h
-    if slack.min() < -WITNESS_TOL:
-        worst = family.members[int(np.argmin(slack))]
+    short = rates @ hint.a_ge + h  # h - incidence @ rates, per row
+    if short.max() > WITNESS_TOL:
+        worst = family.members[int(np.argmax(short)) % short.shape[1]]
         raise InternalConsistencyError(
             f"rate vector violates constraint B={{{','.join(str(t + 1) for t in bits(worst))}}}"
         )
-    if value < -1e-9:
-        raise InternalConsistencyError(f"R_CO {value!r} below zero beyond tolerance")
-    return max(value, 0.0), rates
+    lowest = value.min()
+    if lowest < -1e-9:
+        raise InternalConsistencyError(f"R_CO {lowest!r} below zero beyond tolerance")
+    return (value if lowest >= 0.0 else np.maximum(value, 0.0)), rates
 
 
-def _pack(hint: BasisHint, h: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """max h.lam over the packing polytope of ``hint``: the value, lam and
-    the row duals (for the CO LP, the rates).
+def _pack(hint: BasisHint, h: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
+    """max h.lam over the packing polytope of ``hint`` for each row of the
+    cost stack ``h``: the values, the lam and the row duals (for the CO
+    LP, the rates).
 
-    The solution is read off the hint's basis when that passes the
-    certificate; otherwise the LP is solved in full from the surplus basis
-    and the hint keeps the new basis.
+    The rows are taken in order.  A row is read off the hint's basis when
+    that passes the certificate; otherwise it is solved in full from the
+    surplus basis and the hint keeps the new basis for the rows after it.
+    So each row gets the numbers it would get alone, after the rows
+    before it.
     """
-    unit = _unit(h)
-    sol = hint.reuse(-h * unit)
-    if sol is None:
-        sol = lp_solve(LinearProgram(c=-h * unit, a_ge=hint.a_ge, b_ge=hint.b_ge))
-        hint.adopt(sol.basis)
-    return -sol.value / unit, sol.x, sol.dual_ge / unit
+    values, lams, duals = [], [], []
+    for row, unit in zip(h, _unit(h)):
+        c = -row * unit
+        sol = hint.reuse(c)
+        if sol is None:
+            sol = lp_solve(LinearProgram(c=c, a_ge=hint.a_ge, b_ge=hint.b_ge))
+            hint.adopt(sol.basis)
+        values.append(-sol.value / unit)
+        lams.append(sol.x)
+        duals.append(sol.dual_ge / unit)
+    return np.array(values), lams, np.array(duals)
 
 
 def _rate_witness(spec: PartySpec, rates_vec: np.ndarray) -> dict:
@@ -215,26 +236,26 @@ def pk_capacity(model: SourceModel, spec: PartySpec) -> CapacityReport:
     """Private-key capacity H(X_M | X_D) - R_CO (exact)."""
     _check_compatible(model, spec)
     _require_pair(spec)
-    value, h_given_d, co, rates = _pk(spec, _entropies(model))
+    value, h_given_d, co, rates = (x[0] for x in _pk(spec, _entropies(model)[None]))
     witness = _rate_witness(spec, rates)
-    witness["rco"] = co
-    witness["h_given_d"] = h_given_d
-    return CapacityReport(value, "exact", "omniscience-lp", witness)
+    witness["rco"] = float(co)
+    witness["h_given_d"] = float(h_given_d)
+    return CapacityReport(float(value), "exact", "omniscience-lp", witness)
 
 
 def _pk(
     spec: PartySpec, h: np.ndarray, hint: BasisHint | None = None
-) -> tuple[float, float, float, np.ndarray]:
-    """C_PK, H(X_M | X_D), R_CO and the CO rates, off the subset entropies
-    ``h`` of a source with one group per terminal of ``spec``."""
-    h_given_d = float(h[(1 << spec.m) - 1] - h[spec.d])
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """C_PK, H(X_M | X_D), R_CO and the CO rates for each row of the subset
+    entropies ``h``, one row per source with one group per terminal of
+    ``spec``."""
+    h_given_d = h[:, (1 << spec.m) - 1] - h[:, spec.d]
     co, rates = _rco(spec, h, hint)
     value = h_given_d - co
-    if value < -1e-9:
-        raise InternalConsistencyError(
-            f"PK capacity {value!r} below zero beyond tolerance"
-        )
-    return max(value, 0.0), h_given_d, co, rates
+    lowest = value.min()
+    if lowest < -1e-9:
+        raise InternalConsistencyError(f"PK capacity {lowest!r} below zero beyond tolerance")
+    return (value if lowest >= 0.0 else np.maximum(value, 0.0)), h_given_d, co, rates
 
 
 def sk_capacity(model: SourceModel, a) -> CapacityReport:
@@ -258,12 +279,12 @@ def max_cover(spec: PartySpec, g: np.ndarray) -> tuple[float, dict[int, float]]:
     singles = np.searchsorted(members, [1 << j for j in terminals])
     g = np.asarray(g, dtype=float)
     g_single = g[singles]
-    packed, lam, _ = _pack(hint, g - g_single @ cover)
-    lam = lam.copy()
+    packed, lam, _ = _pack(hint, (g - g_single @ cover)[None])
+    lam = lam[0].copy()
     lam[singles] += 1.0 - cover @ lam
     if np.abs(cover @ lam - 1.0).max() > WITNESS_TOL or lam.min() < -WITNESS_TOL:
         raise InternalConsistencyError("lambda witness violates Lambda(A) constraints")
-    value = float(g_single.sum()) + packed
+    value = float(g_single.sum()) + float(packed[0])
     return value, {b: float(x) for b, x in zip(members, lam) if x > 1e-12}
 
 

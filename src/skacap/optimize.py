@@ -13,6 +13,14 @@ near-maximal scan values, then refines by golden section.  Centering
 matters: objectives of min-of-concave shape (polytree capacities) have
 flat plateaus along single coordinates, and a plateau-edge point would
 stall the ascent one coordinate at a time.
+
+The objective scores stacks of points.  Points whose values the search
+needs before it decides anything are passed as one stack: the whole
+seed set, the scan of each line search, and the first pair of its golden
+section; every later golden step is a stack of one.  The objective must
+give each point the value it would give it alone, so the search takes
+the same steps, and counts the same evaluations, as it would scoring one
+point at a time.
 """
 
 from __future__ import annotations
@@ -113,8 +121,38 @@ def _grid_seeds(dims: Sequence[int], resolution: float) -> list[list[np.ndarray]
     return seeds
 
 
+def stack_points(points: Sequence[list[np.ndarray]]) -> list[np.ndarray]:
+    """Points of a product of simplices as one (points, k_s) array per simplex."""
+    return [np.stack(vs) for vs in zip(*points)]
+
+
+def _trials(point, s, a, b, ts):
+    """The points that move mass t from symbol a to symbol b of simplex s,
+    one per t: the stack passed to the objective, and each point alone."""
+    q = np.repeat(point[s][None], len(ts), axis=0)
+    q[:, a] -= ts
+    q[:, b] += ts
+    q = np.clip(q, 0.0, None)
+    total = q.sum(axis=1)
+    if total.min() <= 0:
+        raise ModelError("degenerate point off the simplex")
+    q /= total[:, None]
+    stack = [v[None].repeat(len(ts), axis=0) for v in point]
+    stack[s] = q
+    trials = []
+    for row in q:
+        trial = list(point)
+        trial[s] = row
+        trials.append(trial)
+    return stack, trials
+
+
 def _line_search(point, s, a, b, value, objective):
-    """Maximize along moving mass between symbols a and b of simplex s."""
+    """Maximize along moving mass between symbols a and b of simplex s.
+
+    The scan and the golden section's first pair are each scored as one
+    stack; every later golden step is a stack of one.
+    """
     p = point[s]
     lo, hi = -float(p[b]), float(p[a])
     span = hi - lo
@@ -123,18 +161,14 @@ def _line_search(point, s, a, b, value, objective):
 
     evals = 0
 
-    def at(t):
+    def at(*ts):
         nonlocal evals
-        q = p.copy()
-        q[a] -= t
-        q[b] += t
-        trial = list(point)
-        trial[s] = _normalize(q)
-        evals += 1
-        return objective(trial), trial
+        stack, trials = _trials(point, s, a, b, np.array(ts))
+        evals += len(ts)
+        return [(float(v), t) for v, t in zip(objective(stack), trials)]
 
     ts = np.linspace(lo, hi, SCAN_POINTS)
-    scanned = [at(t) for t in ts]
+    scanned = at(*ts)
     values = np.array([v for v, _ in scanned])
     vmax = float(values.max())
     flat = np.where(values >= vmax - 1e-12)[0]
@@ -155,8 +189,7 @@ def _line_search(point, s, a, b, value, objective):
     right = ts[min(center + 1, SCAN_POINTS - 1)]
     x1 = right - _INVPHI * (right - left)
     x2 = left + _INVPHI * (right - left)
-    f1, t1 = at(x1)
-    f2, t2 = at(x2)
+    (f1, t1), (f2, t2) = at(x1, x2)
     for _ in range(40):
         if right - left < 1e-6 * max(span, 1e-6):
             break
@@ -165,13 +198,13 @@ def _line_search(point, s, a, b, value, objective):
             if f1 >= best_v:
                 best_v, best_trial = f1, t1
             x2 = left + _INVPHI * (right - left)
-            f2, t2 = at(x2)
+            (f2, t2), = at(x2)
         else:
             right, x2, f2, t2 = x2, x1, f1, t1
             if f2 >= best_v:
                 best_v, best_trial = f2, t2
             x1 = right - _INVPHI * (right - left)
-            f1, t1 = at(x1)
+            (f1, t1), = at(x1)
     for f, t in ((f1, t1), (f2, t2)):
         if f > best_v:
             best_v, best_trial = f, t
@@ -182,7 +215,7 @@ def _line_search(point, s, a, b, value, objective):
 
 def _ascend(start, objective, cfg):
     point = [p.copy() for p in start]
-    value = objective(point)
+    value = float(objective(stack_points([point]))[0])
     evals = 1
     converged = False
     for _ in range(cfg.ascent):
@@ -203,12 +236,15 @@ def _ascend(start, objective, cfg):
 
 def maximize_product_simplices(
     dims: Sequence[int],
-    objective: Callable[[list[np.ndarray]], float],
+    objective: Callable[[list[np.ndarray]], np.ndarray],
     cfg: InputOptimizerConfig,
     extra_seeds: Sequence[list[np.ndarray]] = (),
 ) -> AscentResult:
     """Maximize ``objective`` over a product of probability simplices.
 
+    ``objective`` scores a stack of points, given as one (points, k_s)
+    array per simplex (``stack_points``), and returns one value per point;
+    a point's value must not depend on the points stacked with it.
     Returns the best point found, whether the best ascent converged, and
     the converged endpoint of every start (``finals``) so callers can reuse
     the evaluated family.
@@ -222,11 +258,8 @@ def maximize_product_simplices(
     seeds.extend([_normalize(np.asarray(p, dtype=float)) for p in s] for s in extra_seeds)
     seeds.extend(_grid_seeds(dims, cfg.grid_resolution))
 
-    evals = 0
-    scored = []
-    for sd in seeds:
-        scored.append((objective(sd), sd))
-        evals += 1
+    evals = len(seeds)
+    scored = [(float(v), sd) for v, sd in zip(objective(stack_points(seeds)), seeds)]
     scored.sort(key=lambda t: -t[0])
     starts = [sd for _, sd in scored[:2]]
 

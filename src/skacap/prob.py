@@ -7,8 +7,9 @@ distance, channel composition, and independent products.
 
 Every capacity in the package is a function of one array:
 ``subset_entropies`` gives H of every union of variable groups of one
-joint (one group per terminal), indexed by group mask.  ``entropy`` and
-``mutual_information`` take their few entropies from ``marginalize``.
+joint (one group per terminal), indexed by group mask, for a whole stack
+of joints in one lattice pass.  ``entropy`` and ``mutual_information``
+take their few entropies from ``marginalize``.
 
 Conventions
 -----------
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -207,44 +209,81 @@ def marginalize(p: JointPMF, keep: Iterable[VarId]) -> JointPMF:
     return JointPMF(kept_vars, arr.ravel())
 
 
-def _plain_entropy(flat: np.ndarray) -> float:
-    mask = flat > ZERO_CUTOFF
-    vals = flat[mask]
-    return float(-(vals * np.log2(vals)).sum())
+def _ylogy(flat: np.ndarray) -> np.ndarray:
+    """The sum of y log2 y over the last axis (minus the entropy) of entries
+    that are exact zeros or above ``ZERO_CUTOFF``; a zero adds exactly 0."""
+    return (flat * np.log2(np.maximum(flat, ZERO_CUTOFF))).sum(axis=-1)
+
+
+def _cut(p: np.ndarray) -> np.ndarray:
+    """``p`` with its entries at or below ``ZERO_CUTOFF`` set to exact zeros."""
+    return np.where(p > ZERO_CUTOFF, p, 0.0)
+
+
+@lru_cache(maxsize=256)
+def _lattice_walk(ndim: int, group_axes: tuple[int, ...]) -> tuple:
+    """The nodes of the lattice walk of ``subset_entropies``, in walk order:
+    (depth, axes summed out of the node at depth - 1, group mask).
+
+    Step t = 1, 2, ... drops the groups whose bits, reversed, are the bits
+    of t, one group more than step t & (t - 1): the group of t's lowest
+    bit, summed out of that step's marginal.  No step between them has
+    that depth, so the walk keeps only the path to its current node.
+    The last step, which drops every group, is left out.
+    """
+    covered = [i for g in group_axes for i in range(ndim) if (g >> i) & 1]
+    if sorted(covered) != list(range(ndim)):
+        raise ModelError(f"groups {group_axes} do not partition {ndim} axes")
+    k = len(group_axes)
+    drops = [tuple(1 + i for i in range(ndim) if (g >> i) & 1) for g in group_axes]
+    t = np.arange(1, (1 << k) - 1)
+    dropped, depth = np.zeros_like(t), np.zeros_like(t)
+    for b in range(k):
+        bit = (t >> b) & 1
+        dropped |= bit << (k - 1 - b)
+        depth += bit
+    last = k - 1 - np.log2(t & -t).astype(int)
+    masks = ((1 << k) - 1) & ~dropped
+    return tuple(zip(depth.tolist(), [drops[j] for j in last.tolist()], masks.tolist()))
 
 
 def subset_entropies(tensor: np.ndarray, group_axes: Sequence[int]) -> np.ndarray:
-    """H of every union of variable groups of one joint, as one array of
-    length 2^groups indexed by group mask (0 for the empty mask).
+    """H of every union of variable groups, for a stack of joints: one row
+    per joint, of length 2^groups and indexed by group mask (0 for the
+    empty mask).
 
-    ``tensor`` has one axis per variable; ``group_axes[j]`` is the bitmask
-    of the axes of group j, and the groups partition the axes.  Walks the
-    marginal lattice depth first: each child sums one group's axes out of
-    its parent (kept as size-1 axes), dropping groups in ascending order so
-    every mask is visited once, and at most about twice the tensor is alive
-    at a time.
+    ``tensor`` has a leading stack axis, then one axis per variable; a
+    single joint is a stack of one.  ``group_axes[j]`` is the bitmask of
+    the variable axes of group j, and the groups partition the axes.  Walks
+    the marginal lattice depth first: each child sums one group's axes out
+    of its parent (kept as size-1 axes), so every mask is visited once and
+    only the path from the root to the current node is alive.  The walk's
+    plan depends on the layout alone and is built once per layout.  The
+    joint's entries at or below ``ZERO_CUTOFF`` are set to zero first, so
+    every marginal entry is a zero or above the cutoff.
+
+    Every operation acts on each row alone, in an order that does not
+    depend on the stack's size, so a row's entropies are bit for bit those
+    of its joint alone.
     """
-    k = len(group_axes)
-    drops = [tuple(i for i in range(tensor.ndim) if (g >> i) & 1) for g in group_axes]
-    full = (1 << k) - 1
-    out = np.zeros(1 << k)
-    out[full] = _plain_entropy(tensor.ravel())
-    # (parent marginal, group to drop from it, parent's mask)
-    stack = [(tensor, j, full) for j in range(k)]
-    while stack:
-        parent, j, parent_mask = stack.pop()
-        mask = parent_mask & ~(1 << j)
-        if not mask:
-            continue  # the empty mask keeps entropy 0
-        arr = parent.sum(axis=drops[j], keepdims=True)
-        out[mask] = _plain_entropy(arr.ravel())
-        stack.extend((arr, i, mask) for i in range(j + 1, k))
-    return out
+    n = tensor.shape[0]
+    nodes = _lattice_walk(tensor.ndim - 1, tuple(group_axes))
+    out = np.zeros((1 << len(group_axes), n))
+    if tensor.min() <= ZERO_CUTOFF:
+        tensor = _cut(tensor)
+    out[-1] = _ylogy(tensor.reshape(n, -1))
+    path = [tensor] + [None] * len(group_axes)
+    for depth, drop, mask in nodes:
+        arr = path[depth] = path[depth - 1].sum(axis=drop, keepdims=True)
+        out[mask] = _ylogy(arr.reshape(n, -1))
+    np.negative(out, out=out)
+    out[0] = 0.0
+    return out.T
 
 
 def _h(p: JointPMF, vars_: frozenset) -> float:
     """H of the ``vars_`` marginal of ``p`` (0 for no variables)."""
-    return _plain_entropy(marginalize(p, vars_).probs) if vars_ else 0.0
+    return -float(_ylogy(_cut(marginalize(p, vars_).probs))) if vars_ else 0.0
 
 
 def _clamp_nonneg(value: float, what: str) -> float:

@@ -13,11 +13,17 @@ input T_j and observes output Y_j:
   message per terminal after all transmissions, the capacity equals
   max over product input distributions of the emulated source's SK
   capacity.  Realized by a multistart search over per-terminal simplices.
-  Each evaluation takes its subset entropies off the emulated joint array
-  and solves the CO LP from the previous evaluation's optimal basis when
+  The objective scores stacks of points: the search passes its seed set,
+  each line-search scan and each golden section's first pair as one
+  stack, and every later golden step as a stack of one.  A stack's
+  product inputs and joints are formed with a leading stack axis and its
+  subset entropies come off one lattice pass; then the points' CO LPs are
+  taken in order, each read off the previous point's optimal basis when
   that basis still carries a duality certificate (its polytope depends on
-  (m, A) alone), so the values are those of ``sk_capacity`` on the
-  validated emulated source.
+  (m, A) alone) and solved in full otherwise.  Every step acts on each
+  point alone, so a point's value is the one it gets scored by itself
+  after the points before it, and the values are those of
+  ``sk_capacity`` on the validated emulated source.
 * Auxiliary multiaccess upper bounds: split each transceiver into an input
   terminal (owning T_j, connected through a noiseless identity layer) and
   an output terminal (owning (T_j, Y_j)); the weighted-entropy converse
@@ -63,11 +69,24 @@ from .omniscience import (
     max_cover,
     pk_capacity,
 )
-from .optimize import AscentResult, InputOptimizerConfig, maximize_product_simplices
+from .optimize import (
+    AscentResult,
+    InputOptimizerConfig,
+    maximize_product_simplices,
+    stack_points,
+)
 from .prob import Dmc, JointPMF, VarId, subset_entropies
 
 #: Tolerance for Lambda(A) membership checks.
 LAMBDA_TOL = 1e-8
+
+#: Joint cells of the largest stack of points the NI objective scores in
+#: one pass; a larger stack is scored in slices, in order.
+STACK_CELLS = 1 << 16
+
+#: A later input family member replaces the upper bound's best only when
+#: its value is larger by more than this, so round-off picks no member.
+TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,14 +116,17 @@ class EmulationSpec:
 
 
 class _Layout:
-    """Array layout of the emulated source P(T_M) W(Y_M | T_M) of one model.
+    """Array layout of the emulated source P(T_M) W(Y_M | T_M) of one model,
+    for stacks of product inputs.
 
     ``dims[j]`` is the size of terminal j's joint input alphabet; a point is
-    one probability vector per terminal, row-major over its T group.  The
-    input permutation, the joint shape and the axes of each terminal's T_j
-    (``t_axes[j]``), Y_j (``y_axes[j]``) and X_j (``group_axes[j]``) are
-    fixed per model and computed here once, so no ``JointPMF`` is validated
-    per point.
+    one probability vector per terminal, row-major over its T group, and a
+    stack of points is one (points, dims[j]) array per terminal.  The input
+    transposition, the joint shape, Eve's axes and the axes of each
+    terminal's T_j (``t_axes[j]``), Y_j (``y_axes[j]``) and X_j
+    (``group_axes[j]``) are fixed per model and computed here once, so no
+    ``JointPMF`` is validated per point.  Every array carries a leading
+    stack axis.
     """
 
     def __init__(self, t: TransceiverModel):
@@ -115,36 +137,43 @@ class _Layout:
         axis = {v: i for i, v in enumerate(v for v in ids if v != t.eve_var)}
         self.rows = ch.rows
         self.dims = [int(np.prod([sizes[v] for v in g])) for g in t.input_vars]
-        self.group_shape = [sizes[v] for v in group_order]
-        self.to_channel = [group_order.index(v) for v in ch.in_ids]
+        self.group_shape = tuple(sizes[v] for v in group_order)
+        to_channel = [0] + [1 + group_order.index(v) for v in ch.in_ids]
+        self.to_channel = None if to_channel == sorted(to_channel) else tuple(to_channel)
         self.joint_shape = tuple(a.size for _, a in ch.in_vars + ch.out_vars)
-        self.eve_axes = tuple(i for i, v in enumerate(ids) if v == t.eve_var)
+        self.eve_axes = tuple(1 + i for i, v in enumerate(ids) if v == t.eve_var)
         self.t_axes = [sum(1 << axis[v] for v in g) for g in t.input_vars]
         self.y_axes = [sum(1 << axis[v] for v in g) for g in t.output_vars]
         self.group_axes = [ta | ya for ta, ya in zip(self.t_axes, self.y_axes)]
 
-    def inputs(self, vecs) -> np.ndarray:
-        """The product input of the per-terminal vectors, flat in channel input order."""
-        p_in = vecs[0]
-        for v in vecs[1:]:
-            p_in = np.multiply.outer(p_in, v)
-        return np.transpose(p_in.reshape(self.group_shape), self.to_channel).ravel()
+    def inputs(self, stack) -> np.ndarray:
+        """The product inputs of a stack of points, one row each, flat in
+        channel input order."""
+        n = len(stack[0])
+        p_in = stack[0]
+        for v in stack[1:]:
+            p_in = (p_in[:, :, None] * v[:, None, :]).reshape(n, -1)
+        if self.to_channel is None:
+            return p_in
+        return p_in.reshape((n,) + self.group_shape).transpose(self.to_channel).reshape(n, -1)
 
-    def joint(self, p_flat: np.ndarray) -> np.ndarray:
+    def joint(self, p_in: np.ndarray) -> np.ndarray:
         """P(T_M) W(Y_M | T_M) with Eve's output summed out, one axis per
-        variable; ``p_flat`` is the input, flat in channel input order."""
-        joint = (p_flat[:, None] * self.rows).reshape(self.joint_shape)
+        variable after the stack axis; ``p_in`` holds one input per row,
+        flat in channel input order."""
+        joint = (p_in[:, :, None] * self.rows).reshape((len(p_in),) + self.joint_shape)
         if self.eve_axes:
             joint = joint.sum(axis=self.eve_axes)
         return joint
 
-    def entropies(self, vecs) -> np.ndarray:
-        """Subset entropies of the emulated source, one group per terminal X_j.
+    def entropies(self, stack) -> np.ndarray:
+        """Subset entropies of the emulated sources of a stack of points, one
+        row per point and one group per terminal X_j.
 
-        Gives what ``emulated_to_source`` at the product input gives, by the
-        same floating-point operations.
+        Gives what ``emulated_to_source`` at each product input gives, by
+        the same floating-point operations.
         """
-        return subset_entropies(self.joint(self.inputs(vecs)), self.group_axes)
+        return subset_entropies(self.joint(self.inputs(stack)), self.group_axes)
 
 
 def emulate(t: TransceiverModel, spec: EmulationSpec) -> SourceModel:
@@ -162,11 +191,7 @@ def emulate(t: TransceiverModel, spec: EmulationSpec) -> SourceModel:
             raise ModelError(
                 f"conditional {j} outputs {ch.out_ids}, expected T group {t.input_vars[j]}"
             )
-    lay = _Layout(t)
-    p_t = np.stack([
-        p * lay.inputs([ch.rows[v] for ch in spec.conditionals])
-        for v, p in enumerate(spec.p_v.probs)
-    ])
+    p_t = spec.p_v.probs[:, None] * _Layout(t).inputs([ch.rows for ch in spec.conditionals])
     joint = JointPMF(
         spec.p_v.vars + t.channel.in_vars + t.channel.out_vars,
         (p_t[:, :, None] * t.channel.rows).ravel(),
@@ -250,7 +275,7 @@ def _converse_terms(lay: _Layout, p_flat: np.ndarray, members) -> tuple[float, n
     """
     m = len(lay.dims)
     full = (1 << m) - 1
-    h = subset_entropies(lay.joint(p_flat), lay.t_axes + lay.y_axes)
+    h = subset_entropies(lay.joint(p_flat[None]), lay.t_axes + lay.y_axes)[0]
     b = np.asarray(members, dtype=np.int64)
     b_o, b_i = b & full, b >> m
     s = full & ~(b_o & b_i)
@@ -350,14 +375,30 @@ def _ni_search(
         got = [int(np.size(v)) for v in vecs]
         if got != lay.dims:
             raise ModelError(f"extra input has group sizes {got}, expected {lay.dims}")
-    # each evaluation's CO LP starts from the optimal basis of the last one,
-    # which is accepted only with its certificate
-    spec = PartySpec(t.m, a_mask, 0)
-    hint = co_basis_hint(spec)
     return maximize_product_simplices(
-        lay.dims, lambda point: _pk(spec, lay.entropies(point), hint)[0], cfg,
-        extra_seeds=extra_inputs,
+        lay.dims, _ni_objective(lay, PartySpec(t.m, a_mask, 0)), cfg, extra_seeds=extra_inputs
     )
+
+
+def _ni_objective(lay: _Layout, spec: PartySpec):
+    """The NI objective C_PK(product input) of ``spec`` on stacks of points.
+
+    Each evaluation's CO LP starts from the optimal basis of the last one,
+    which is accepted only with its certificate.  A stack is scored in
+    slices of at most ``STACK_CELLS`` joint cells (at least one point
+    each), in order, all sharing that basis.
+    """
+    hint = co_basis_hint(spec)
+    step = max(1, STACK_CELLS // int(np.prod(lay.joint_shape)))
+
+    def objective(stack) -> np.ndarray:
+        n = len(stack[0])
+        if n > step:
+            return np.concatenate([objective([v[i:i + step] for v in stack])
+                                   for i in range(0, n, step)])
+        return _pk(spec, lay.entropies(stack), hint)[0]
+
+    return objective
 
 
 def upper_bound_sk(
@@ -373,6 +414,8 @@ def upper_bound_sk(
     optimizer's endpoints, each evaluated once (exact repeats are
     skipped); for each member the converse expression is minimized over
     fractional covers by LP, and the maximum over the family is reported.
+    A later member replaces an earlier one only when it is larger by more
+    than ``TIE_TOL``, so members tied up to round-off report the first.
     The family is recorded in the witness: the value upper-bounds the
     noninteractive capacity restricted to that family, per the converse of
     the auxiliary construction.
@@ -385,7 +428,7 @@ def upper_bound_sk(
     family: list[list[np.ndarray]] = [[np.full(k, 1.0 / k) for k in lay.dims]]
     family += [[np.asarray(v, dtype=float) for v in vecs] for vecs in extra_inputs]
     for vecs in family[1:]:  # the caller's inputs must be distributions
-        JointPMF(t.channel.in_vars, lay.inputs(vecs))
+        JointPMF(t.channel.in_vars, lay.inputs(stack_points([vecs]))[0])
     family += [point for _, point in search.finals]
     family.append(search.point)
     best_val = -np.inf
@@ -398,9 +441,9 @@ def upper_bound_sk(
         if key in seen:
             continue
         seen.add(key)
-        val, lam = _min_lambda(lay, lay.inputs(vecs), a_mask)
+        val, lam = _min_lambda(lay, lay.inputs(stack_points([vecs]))[0], a_mask)
         recorded.append({"input": [[float(x) for x in v] for v in vecs], "value": val})
-        if val > best_val:
+        if val > best_val + TIE_TOL:
             best_val, best_lam, best_point = val, lam, vecs
     witness = {
         "family": recorded,
@@ -456,9 +499,10 @@ def sk_bounds(
     search = _ni_search(t, a_mask, cfg, extra_inputs=inputs)
     ni = _ni_report(search)
     upper = upper_bound_sk(t, a_mask, cfg, extra_inputs=inputs, search=search)
+    values = _ni_objective(lay, spec)(stack_points(inputs))
     lowers = [
-        _emulation_report(np.ones(1), [[v] for v in vecs], _pk(spec, lay.entropies(vecs))[0])
-        for vecs in inputs
+        _emulation_report(np.ones(1), [[v] for v in vecs], float(value))
+        for vecs, value in zip(inputs, values)
     ]
     best_lower = max(l.value for l in lowers)
     if best_lower > ni.value + 1e-7 or ni.value > upper.value + 1e-7:

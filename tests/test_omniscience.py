@@ -432,7 +432,7 @@ def test_sk_capacity_ignores_independent_local_noise(source, data):
 
 
 def entropies_of(model):
-    return omniscience._entropies(model)
+    return omniscience._entropies(model)[None]
 
 
 def counted_solves(monkeypatch):
@@ -462,7 +462,7 @@ def test_basis_hint_for_another_cost_reuses_only_with_its_certificate(monkeypatc
         hint = co_basis_hint(spec)
         omniscience._pk(spec, entropies_of(first), hint)
         h = omniscience._conditionals(entropies_of(second), 3, members)
-        reused = hint.reuse(-h) is not None
+        reused = hint.reuse(-h[0]) is not None
         before = len(solves)
         got = omniscience._pk(spec, entropies_of(second), hint)[0]
         assert len(solves) - before == (0 if reused else 1)
@@ -485,7 +485,7 @@ def test_unusable_basis_hint_falls_back_to_a_full_solve(basis, monkeypatch):
     want = sk_capacity(model, spec.a).value
     hint = co_basis_hint(spec)
     hint.adopt(chosen)
-    assert hint.reuse(-omniscience._conditionals(entropies_of(model), 3, members)) is None
+    assert hint.reuse(-omniscience._conditionals(entropies_of(model), 3, members)[0]) is None
     solves = counted_solves(monkeypatch)
     assert omniscience._pk(spec, entropies_of(model), hint)[0] == pytest.approx(want, abs=1e-12)
     assert len(solves) == 1

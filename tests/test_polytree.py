@@ -545,7 +545,7 @@ def test_wiretap_ascent_matches_an_independent_search():
             return mutual_information_matrix(p, w_y) - mutual_information_matrix(p, v)
 
         res = wiretapped_edge_lower(w_y, w_z, tol=tol)
-        search = maximize_product_simplices([k], lambda pt: f(pt[0]),
+        search = maximize_product_simplices([k], lambda stack: np.array([f(p) for p in stack[0]]),
                                             InputOptimizerConfig(restarts=4, seed=k))
         assert res.converged
         assert res.gap <= tol

@@ -251,12 +251,42 @@ def test_subset_entropies_match_prob_entropy():
     for _ in range(5):
         flat = rng.dirichlet(np.full(int(np.prod(sizes)), 0.3))
         p = pmf(tuple((i, Alphabet(s)) for i, s in enumerate(sizes)), flat)
-        every = subset_entropies(p.tensor(), [sum(1 << v for v in g) for g in groups])
+        every = subset_entropies(p.tensor()[None], [sum(1 << v for v in g) for g in groups])[0]
         assert every.shape == (1 << len(groups),)
         assert every[0] == 0.0
         for mask in range(1, 1 << len(groups)):
             union = set().union(*(g for j, g in enumerate(groups) if (mask >> j) & 1))
             assert every[mask] == pytest.approx(entropy(p, union), abs=1e-12)
+
+
+def test_stacked_subset_entropies_equal_each_row_alone():
+    # each row of a stack equals the stack of one bit for bit, and the
+    # marginal entropies to 1e-12; rows with zero cells (a grid vertex and
+    # a point mass), a size-1 axis, and an Eve axis summed out first
+    rng = np.random.default_rng(44)
+    sizes = (2, 3, 1, 4, 2, 3)  # axis 5 is Eve
+    eve = 5
+    groups = [{3, 0}, {2}, {4, 1}]
+    cells = int(np.prod(sizes))
+    rows = [rng.dirichlet(np.full(cells, 0.4)) for _ in range(4)]
+    vertex = np.zeros(sizes)
+    vertex[1, :, 0, 2, :, :] = rng.dirichlet(np.ones(18)).reshape(3, 2, 3)
+    rows.append(vertex.ravel())
+    rows.append(np.eye(cells)[7])
+    sparse = rng.dirichlet(np.ones(cells)) * (rng.random(cells) < 0.5)
+    rows.append(sparse / sparse.sum())
+    stack = np.stack(rows).reshape((len(rows),) + sizes).sum(axis=1 + eve)
+    masks = [sum(1 << v for v in g) for g in groups]
+    every = subset_entropies(stack, masks)
+    assert every.shape == (len(rows), 1 << len(groups))
+    ids = tuple((i, Alphabet(s)) for i, s in enumerate(sizes))
+    for i, flat in enumerate(rows):
+        assert np.array_equal(every[i], subset_entropies(stack[i:i + 1], masks)[0])
+        p = pmf(ids, flat)
+        assert every[i, 0] == 0.0
+        for mask in range(1, 1 << len(groups)):
+            union = set().union(*(g for j, g in enumerate(groups) if (mask >> j) & 1))
+            assert every[i, mask] == pytest.approx(entropy(p, union), abs=1e-12)
 
 
 def test_dmc_row_error_reports_index_and_sum():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from skacap import transceiver
+from skacap import omniscience, transceiver
 from skacap.errors import ModelError
+from skacap.linprog import lp_solve
 from skacap.models import (
     PartySpec,
     Polytree,
@@ -14,7 +15,7 @@ from skacap.models import (
     polytree_to_transceiver,
 )
 from skacap.omniscience import _entropies, constraint_family, incidence, sk_capacity
-from skacap.optimize import InputOptimizerConfig, maximize_product_simplices
+from skacap.optimize import InputOptimizerConfig, maximize_product_simplices, stack_points
 from skacap.prob import (
     Alphabet,
     Dmc,
@@ -43,6 +44,7 @@ from skacap.transceiver import (
     _Layout,
     _converse_terms,
     _min_lambda,
+    _ni_objective,
     _ni_search,
 )
 
@@ -539,8 +541,11 @@ def test_ni_search_equals_the_plain_objective(name):
     pair = 0b101 if t.m > 2 else 0b11
     for a_mask in {(1 << t.m) - 1, pair}:
 
-        def plain(point):
-            return sk_capacity(emulated_to_source(t, product_input(t, point)), a_mask).value
+        def plain(stack):
+            return np.array([
+                sk_capacity(emulated_to_source(t, product_input(t, point)), a_mask).value
+                for point in zip(*stack)
+            ])
 
         want = maximize_product_simplices(_Layout(t).dims, plain, cfg)
         got = _ni_search(t, a_mask, cfg)
@@ -549,6 +554,103 @@ def test_ni_search_equals_the_plain_objective(name):
         for u, v in zip(got.point, want.point):
             np.testing.assert_allclose(u, v, rtol=0, atol=1e-12)
         assert [v for v, _ in got.finals] == pytest.approx([v for v, _ in want.finals], abs=1e-12)
+
+
+def one_point_per_call(objective):
+    """The same objective fed the points of each stack one call at a time."""
+
+    def score(stack):
+        n = len(stack[0])
+        return np.concatenate([objective([v[i:i + 1] for v in stack]) for i in range(n)])
+
+    return score
+
+
+def assert_same_search(got, want):
+    assert got.value == want.value
+    assert got.converged == want.converged
+    assert got.evaluations == want.evaluations
+    assert all(np.array_equal(u, v) for u, v in zip(got.point, want.point))
+    assert len(got.finals) == len(want.finals)
+    for (gv, gp), (wv, wp) in zip(got.finals, want.finals):
+        assert gv == wv
+        assert all(np.array_equal(u, v) for u, v in zip(gp, wp))
+
+
+@pytest.mark.parametrize("name", SEARCH_MODELS)
+def test_stacked_search_equals_one_point_per_call(name, monkeypatch):
+    # the seed set, each scan and each golden pair scored as one stack walk
+    # the search path of the same kernel fed one point per call, bit for
+    # bit, also when a small cell cap splits every stack
+    t = SEARCH_MODELS[name]
+    lay = _Layout(t)
+    cfg = InputOptimizerConfig(restarts=1, ascent=15, grid_resolution=0.25, seed=5)
+    pair = 0b101 if t.m > 2 else 0b11
+    for a_mask in {(1 << t.m) - 1, pair}:
+        spec = PartySpec(t.m, a_mask, 0)
+
+        def search(wrap=lambda f: f):
+            objective = _ni_objective(lay, spec)
+            return maximize_product_simplices(lay.dims, wrap(objective), cfg)
+
+        stacked = search()
+        assert_same_search(stacked, _ni_search(t, a_mask, cfg))
+        assert_same_search(stacked, search(one_point_per_call))
+        with monkeypatch.context() as patch:
+            patch.setattr(transceiver, "STACK_CELLS", 2 * int(np.prod(lay.joint_shape)))
+            assert_same_search(stacked, search())
+
+
+def test_stacked_search_solves_in_full_inside_a_stack(monkeypatch):
+    # the CO basis changes inside the seed stack: rows after a full solve
+    # are tried on the new basis, and the search still equals the one
+    # point per call search, full solve for full solve
+    t = SEARCH_MODELS["t3-binary"]
+    lay = _Layout(t)
+    spec = PartySpec(t.m, (1 << t.m) - 1, 0)
+    cfg = InputOptimizerConfig(restarts=1, ascent=15, grid_resolution=0.25, seed=5)
+    solves = []
+
+    def counting(lp):
+        solves.append(lp)
+        return lp_solve(lp)
+
+    monkeypatch.setattr(omniscience, "lp_solve", counting)
+    calls = []
+
+    def recording(objective):
+        def score(stack):
+            before = len(solves)
+            values = objective(stack)
+            calls.append((len(values), len(solves) - before))
+            return values
+
+        return score
+
+    objective = _ni_objective(lay, spec)
+    stacked = maximize_product_simplices(lay.dims, recording(objective), cfg)
+    stacked_solves = len(solves)
+    # two full solves in one call: at most one of them is its first row
+    assert any(n >= 2 and full >= 2 for n, full in calls)
+    objective = _ni_objective(lay, spec)
+    single = maximize_product_simplices(lay.dims, one_point_per_call(objective), cfg)
+    assert_same_search(stacked, single)
+    assert len(solves) == 2 * stacked_solves
+
+
+def test_upper_bound_keeps_the_first_of_tied_family_members():
+    # a member one ulp off the uniform input ties with it up to round-off;
+    # the uniform input, first in the family, stays the argmax
+    t = single_bsc_transceiver(0.11)
+    uniform = [np.full(k, 1.0 / k) for k in _Layout(t).dims]
+    off = [np.array([np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)]), np.ones(1)]
+    rep = upper_bound_sk(t, 0b11, CFG, extra_inputs=[off])
+    values = [e["value"] for e in rep.witness["family"]]
+    assert [e["input"] for e in rep.witness["family"][:2]] == [
+        [[0.5, 0.5], [1.0]], [[float(x) for x in v] for v in off]
+    ]
+    assert rep.witness["argmax_input"] == [[float(x) for x in v] for v in uniform]
+    assert abs(rep.value - max(values)) <= 1e-12
 
 
 def test_emulated_oracle_matches_the_jointpmf_route():
@@ -565,7 +667,7 @@ def test_emulated_oracle_matches_the_jointpmf_route():
                        if k > 1 else np.ones(1) for k in dims])
         for point in points:
             src = emulated_to_source(t, product_input(t, point))
-            assert np.array_equal(lay.entropies(point), _entropies(src))
+            assert np.array_equal(lay.entropies(stack_points([point]))[0], _entropies(src))
             emulated = emulate(t, constant_emulation(t, point))
             assert np.array_equal(emulated.pmf.probs, src.pmf.probs)
 
@@ -594,7 +696,8 @@ def test_emulate_v_correlated_matches_the_factorization():
 @pytest.mark.parametrize("name", ["t3-binary", "pin4"])
 def test_upper_bound_evaluates_each_family_input_once(name):
     # the loop before repeats were skipped: every member evaluated, first
-    # argmax kept; skipping exact repeats changes only the recorded family
+    # argmax kept up to the tie tolerance; skipping exact repeats changes
+    # only the recorded family
     t = SEARCH_MODELS[name]
     a_mask = (1 << t.m) - 1
     uniform = [np.full(k, 1.0 / k) for k in _Layout(t).dims]
@@ -604,7 +707,7 @@ def test_upper_bound_evaluates_each_family_input_once(name):
     best_val, best_point, best_lam = -np.inf, None, None
     for vecs in family:
         val, lam = _min_lambda(_Layout(t), product_input(t, vecs).probs, a_mask)
-        if val > best_val:
+        if val > best_val + transceiver.TIE_TOL:
             best_val, best_point, best_lam = val, vecs, lam
     distinct = []
     for vecs in family:
