@@ -28,11 +28,18 @@ and a chi-square uniformity check over produced key bytes.  Reliability
 of blocks where some terminal's key disagrees.
 
 All randomness derives from one master seed through an indexed schedule
-(purpose, edge or block number), so runs are bit-reproducible.  The draws
-(``_draw_blocks``) are the only loop over blocks; after them everything works
-on whole arrays of blocks: syndromes and Toeplitz hashes are mod-2 matrix
-products, the decode table is a sorted array searched once per block, and
-decode checks, agreement and key forwarding are array compares and XORs.
+(purpose, edge or block number), so runs are bit-reproducible.  Codes and
+hashes draw from ``_rng(seed, namespace, edge)``.  Block b reads the raw
+PCG64 stream seeded by ``SeedSequence([seed, _NS_BLOCK, b])``, edge by edge:
+n sender bits from uint32 halves, then n noise words (``_draw_blocks`` gives
+the layout).  These are the draws ``Generator.integers(0, 2, n, uint8)`` and
+``Generator.random(n) < p`` make, but the schedule is stated in terms of the
+seed sequence and the raw stream, which numpy keeps stable (NEP 19).
+Seeding one stream per block is the only loop over blocks; the seed words of
+all blocks are one pass of uint32 arithmetic, and after the draws everything
+works on whole arrays of blocks: syndromes and Toeplitz hashes are mod-2
+matrix products, the decode table is a sorted array searched once per block,
+and decode checks, agreement and key forwarding are array compares and XORs.
 """
 
 from __future__ import annotations
@@ -51,9 +58,13 @@ from .prob import binary_entropy, check_cells
 #: Exhaustive-decoder guards.
 MAX_BLOCK_LEN = 28
 MAX_TABLE_PATTERNS = 1 << 21
+#: Most blocks per run: every block index is then one 32-bit seed word.
+MAX_BLOCKS = 1 << 32
 
 #: Blocks per kernel pass, which bounds the per-block arrays in memory.
 _CHUNK_BLOCKS = 4096
+#: Raw stream words per draw pass, which bounds them in memory.
+_DRAW_WORDS = 1 << 16
 #: Parent patterns per step of the decode-table build.
 _GROW_CHUNK = 4096
 
@@ -63,6 +74,15 @@ _NS_HASH = 1
 _NS_BLOCK = 2
 
 _Z95 = 1.959963984540054
+
+#: numpy's ``SeedSequence`` hash constants (a pool of four uint32 words).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+#: PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
@@ -91,8 +111,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 8:
             raise ModelError("need n >= 8 rounds per block")
-        if self.blocks < 1:
-            raise ModelError("need at least one block")
+        if not 1 <= self.blocks <= MAX_BLOCKS:
+            raise ModelError(f"need between 1 and {MAX_BLOCKS} blocks")
         if not 0 < self.rate < math.inf:
             raise ModelError("rate must be positive and finite")
         if not (0 <= self.recon_margin < math.inf and 0 <= self.pa_margin < math.inf):
@@ -490,20 +510,111 @@ def _edge_label(g: Polytree, eid: int) -> str:
     return f"{e.sender + 1}->{e.receiver + 1}"
 
 
+def _block_seed_words(seed: int, lo: int, hi: int) -> np.ndarray:
+    """``SeedSequence([seed, _NS_BLOCK, b]).generate_state(4, np.uint64)`` of
+    each block b = lo..hi-1, as rows of a (blocks, 4) array.
+
+    One pass of uint32 arithmetic over all blocks, as numpy hashes and mixes
+    its pool: the entropy words are the seed's one or two 32-bit words (low
+    first), the namespace and b, zero-padded to four; the hash constants
+    advance on every hash whatever the data, so they are the same per block.
+    """
+    seed = int(seed) & (2**64 - 1)
+    b = np.arange(lo, hi, dtype=np.uint32)
+    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else []) + [_NS_BLOCK]
+    entropy = [np.full_like(b, w) for w in words] + [b]
+    entropy += [np.zeros_like(b)] * (4 - len(entropy))
+
+    def hasher(const, mult):
+        def hash_(v):
+            nonlocal const
+            v = v ^ np.uint32(const)
+            const = const * mult & _MASK32
+            v = v * np.uint32(const)
+            return v ^ (v >> np.uint32(16))
+
+        return hash_
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(v) for v in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v = np.uint32(_MIX_MULT_L) * pool[dst]
+                v -= np.uint32(_MIX_MULT_R) * hashmix(pool[src])
+                pool[dst] = v ^ (v >> np.uint32(16))
+    out = hasher(_INIT_B, _MULT_B)
+    halves = [out(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    return np.stack([halves[i] | (halves[i + 1] << np.uint64(32)) for i in (0, 2, 4, 6)], 1)
+
+
+def _stream_layout(n: int, edges: int):
+    """Where the draws of each edge sit in a block's raw words.
+
+    Returns the words per block, the byte (of the words read as
+    little-endian bytes) whose top bit is each sent bit, and the word of
+    each noise draw, the last two as (edges, n) arrays.  An edge's sent bits
+    take ceil(n / 4) uint32 halves, low half first; a high half left over is
+    the next half read, after any noise words, as PCG64 buffers it.
+    """
+    width, kept = 0, None
+    sent_byte, noise_word = [], []
+    for _ in range(edges):
+        halves = []
+        for _ in range(-(-n // 4)):
+            if kept is None:
+                halves.append(8 * width)
+                kept, width = width, width + 1
+            else:
+                halves.append(8 * kept + 4)
+                kept = None
+        sent_byte.append([h + j for h in halves for j in range(4)][:n])
+        noise_word.append(range(width, width + n))
+        width += n
+    return width, np.array(sent_byte), np.array(noise_word)
+
+
+def _noise_cut(p: float) -> int:
+    """The least word w with ``(w >> 11) 2**-53 >= p``: an integer x has
+    x 2**-53 < p exactly when x < ceil(p 2**53), the scaling being exact."""
+    return math.ceil(p * 2.0**53) << 11
+
+
 def _draw_blocks(st: _Static, lo: int, hi: int):
     """Sender bits and BSC noise of blocks lo..hi-1, as (edges, blocks, n) uint8.
 
-    This is the seed schedule: block b draws from ``_rng(seed, _NS_BLOCK, b)``,
-    edge by edge, n sender bits and then n uniforms compared with the crossover.
+    This is the seed schedule.  Block b reads the raw PCG64 stream seeded by
+    ``SeedSequence([seed, _NS_BLOCK, b])``, edge by edge in ``sub_edges``
+    order.  An edge reads ceil(n / 4) uint32 halves (each 64-bit word gives
+    its low half, then its high half, and a half left over is the next
+    edge's first); its sent bits are the top bits of their first n bytes,
+    little-endian.  Then it reads n words w, and ``noise = (w >> 11) 2**-53
+    < p``.  These are ``Generator.integers(0, 2, n, uint8)`` (Lemire's
+    bound with range 2 never rejects) and ``Generator.random(n) < p``.
     """
     n = st.cfg.n
+    width, sent_byte, noise_word = _stream_layout(n, len(st.sub_edges))
+    cut = np.array([_noise_cut(st.p[eid]) for eid in st.sub_edges], dtype=np.uint64)[:, None]
+    seeds = _block_seed_words(st.cfg.seed, lo, hi).tolist()
     sent = np.empty((len(st.sub_edges), hi - lo, n), dtype=np.uint8)
     noise = np.empty_like(sent)
-    for i, b in enumerate(range(lo, hi)):
-        rng = _rng(st.cfg.seed, _NS_BLOCK, b)
-        for k, eid in enumerate(st.sub_edges):
-            sent[k, i] = rng.integers(0, 2, size=n, dtype=np.uint8)
-            noise[k, i] = rng.random(n) < st.p[eid]
+    bitgen = np.random.PCG64(0)
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    step = max(1, _DRAW_WORDS // width)
+    for start in range(0, hi - lo, step):
+        rows = seeds[start : start + step]
+        raw = np.empty((len(rows), width), dtype=np.uint64)
+        for i, (s_hi, s_lo, i_hi, i_lo) in enumerate(rows):
+            # PCG64 seeding: inc from words 2-3; from state 0, step, add words 0-1, step
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            start_state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            state["state"] = {"state": start_state, "inc": inc}
+            bitgen.state = state
+            raw[i] = bitgen.random_raw(width)
+        at = slice(start, start + len(rows))
+        by = raw.astype("<u8", copy=False).view(np.uint8)
+        sent[:, at] = (by[:, sent_byte] >> 7).swapaxes(0, 1)
+        noise[:, at] = (raw[:, noise_word] < cut).swapaxes(0, 1)
     return sent, noise
 
 
@@ -620,7 +731,9 @@ def _wilson_halfwidth(k: int, n: int) -> float:
 
 
 def _uniformity_pvalue(bits: np.ndarray) -> Optional[float]:
-    from scipy import stats  # here, not at the top: it is most of the import time
+    """Chi-square p-value of the key bytes (or of their top bits, when too
+    few) against uniform, as ``scipy.stats.chisquare`` computes it."""
+    from scipy.special import chdtrc  # here, not at the top: scipy adds to the import time
 
     if bits.size < 64:
         return None
@@ -628,7 +741,8 @@ def _uniformity_pvalue(bits: np.ndarray) -> Optional[float]:
     for nbins, shift in ((256, 0), (16, 4), (4, 6), (2, 7)):
         if by.size / nbins >= 5:
             counts = np.bincount(by >> shift, minlength=nbins)
-            return float(stats.chisquare(counts).pvalue)
+            expected = counts.mean()
+            return float(chdtrc(nbins - 1, np.sum((counts - expected) ** 2 / expected)))
     return None
 
 

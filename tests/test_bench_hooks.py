@@ -13,11 +13,14 @@ from skacap import cli
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SAMPLES = ROOT / "sample_models"
 
-#: The README's ``capacity --dual`` and ``bounds`` examples.
+#: The README's ``capacity --dual``, ``bounds`` and ``simulate`` examples,
+#: the last at 200 blocks and without its CSV file.
 RUNS = (
     ("capacity", str(SAMPLES / "source_bsc_pair.json"), "--A", "1,2", "--dual"),
     ("bounds", str(SAMPLES / "transceiver_bsc.json"), "--A", "1,2",
      "--restarts", "8", "--seed", "1"),
+    ("simulate", str(SAMPLES / "polytree_sim.json"), "--n", "24", "--blocks", "200",
+     "--rate", "0.2", "--delta", "0.5", "--s", "8", "--seed", "7"),
 )
 
 
@@ -47,3 +50,8 @@ def test_traced_runs_match_untraced_and_count_the_lp(capsys):
     metrics = spans.layer_metrics(tracer)
     assert metrics["linprog.solves"] > 0
     assert metrics["linprog.max_rows"] > 0
+    assert metrics["sim.blocks"] > 0
+    assert metrics["sim.table_patterns"] > 0
+    ran = {span[1] for span in tracer.spans}
+    for name in ("sim.run_sim", "sim._prepare", "sim._build_code", "sim._uniformity_pvalue"):
+        assert name in ran

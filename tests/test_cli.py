@@ -416,6 +416,16 @@ def test_bad_numeric_flags_exit_2(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_simulate_blocks_past_the_cap_exit_2():
+    # refused by SimConfig, before a decode table is built or a block drawn
+    samples = pathlib.Path(__file__).parents[1] / "sample_models"
+    proc = run_cli("simulate", str(samples / "polytree_sim.json"), "--n", "24",
+                   "--blocks", str(2**32 + 1), "--rate", "0.2")
+    assert proc.returncode == 2, proc.stderr
+    assert str(2**32) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_readme_exit_codes_match_cli():
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     table = readme.split("Exit codes:", 1)[1].split("\n\n")[1]

@@ -3,10 +3,15 @@ import io
 import json
 import math
 import pathlib
+import subprocess
+import sys
+import types
 from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import child_env
+from scipy import stats
 
 from skacap import sim
 from skacap.errors import DecodeBudgetError, ModelError, RateInfeasibleError
@@ -498,6 +503,127 @@ def test_batched_kernel_matches_per_block_reference(topology, seed, tmp_path, mo
     assert res.transcript == transcript
     assert (tmp_path / "blocks.csv").read_bytes() == rows.encode()
     assert 0 < res.failed_blocks < cfg.blocks
+
+
+def generator_draws(st, lo, hi):
+    """The seed schedule through ``Generator`` methods, block by block: the
+    draw loop as it was before the raw-stream decode."""
+    n = st.cfg.n
+    sent = np.empty((len(st.sub_edges), hi - lo, n), dtype=np.uint8)
+    noise = np.empty_like(sent)
+    for i, b in enumerate(range(lo, hi)):
+        rng = sim._rng(st.cfg.seed, sim._NS_BLOCK, b)
+        for k, eid in enumerate(st.sub_edges):
+            sent[k, i] = rng.integers(0, 2, size=n, dtype=np.uint8)
+            noise[k, i] = rng.random(n) < st.p[eid]
+    return sent, noise
+
+
+def draw_state(seed, n, crossovers):
+    """The fields of ``sim._Static`` that ``_draw_blocks`` reads."""
+    return types.SimpleNamespace(
+        cfg=types.SimpleNamespace(n=n, seed=seed),
+        sub_edges=tuple(range(len(crossovers))),
+        p=dict(enumerate(crossovers)),
+    )
+
+
+DRAW_SEEDS = [0, 1, 12345, 2**31 - 1, 2**32, 2**40 + 7, 2**64 - 1, -5]
+#: Crossovers of up to five edges, a zero and one just under 1/2 among them.
+CROSSOVERS = (0.05, 0.3, 0.0, 0.5 - 2**-53, 0.125)
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+def test_draw_blocks_equal_the_generator_loop(seed):
+    # n with an even and an odd count of uint32 halves, with and without a
+    # part-used last half; one to five edges, so a kept half crosses noise
+    # words and edges; blocks from 3 on
+    for n in (8, 9, 13, 16, 20, 23, 24, 28):
+        for edges in (1, 2, 3, 5):
+            st = draw_state(seed, n, CROSSOVERS[:edges])
+            got, want = sim._draw_blocks(st, 3, 40), generator_draws(st, 3, 40)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == np.uint8
+                np.testing.assert_array_equal(g, w, err_msg=f"n={n}, edges={edges}")
+
+
+def test_draw_blocks_across_draw_passes(monkeypatch):
+    st = draw_state(2**63 + 17, 20, CROSSOVERS[:3])
+    want = generator_draws(st, 1000, 1031)
+    assert sim._stream_layout(20, 3)[0] == 68  # 3 + 20, 2 + 20 and 3 + 20 words
+    for words in (1, 2 * 68, 7 * 68 + 5):  # 1, 2 and 7 blocks per pass
+        monkeypatch.setattr(sim, "_DRAW_WORDS", words)
+        for g, w in zip(sim._draw_blocks(st, 1000, 1031), want):
+            np.testing.assert_array_equal(g, w)
+
+
+def test_noise_cut_is_the_random_draw_compare():
+    # Generator.random() maps a word w to (w >> 11) 2**-53; random words
+    # almost never land next to the cut, so the words around it are checked
+    for p in (0.0, 2**-53, 3 * 2**-60, 0.05, 0.1, 0.125, 0.3, 0.5 - 2**-53):
+        cut = sim._noise_cut(p)
+        near = np.array([cut + d for d in (-2049, -2048, -1, 0, 1, 2047, 2048)
+                         if 0 <= cut + d < 2**64], dtype=np.uint64)
+        np.testing.assert_array_equal(near < np.uint64(cut),
+                                      (near >> np.uint64(11)) * 2.0**-53 < p)
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+def test_block_seed_words_match_seed_sequence(seed):
+    blocks = [0, 1, 2, 7, 2**31, 2**32 - 2, 2**32 - 1]
+    got = np.concatenate([sim._block_seed_words(seed, b, b + 1) for b in blocks])
+    got = np.concatenate([got, sim._block_seed_words(seed, 5000, 5100)])
+    want = [
+        np.random.SeedSequence([seed & (2**64 - 1), sim._NS_BLOCK, b]).generate_state(4, np.uint64)
+        for b in blocks + list(range(5000, 5100))
+    ]
+    np.testing.assert_array_equal(got, np.array(want))
+
+
+def test_simconfig_caps_blocks_at_one_seed_word():
+    assert SimConfig(n=8, blocks=sim.MAX_BLOCKS, rate=0.1).blocks == 2**32
+    with pytest.raises(ModelError, match=str(sim.MAX_BLOCKS)):
+        SimConfig(n=8, blocks=sim.MAX_BLOCKS + 1, rate=0.1)
+
+
+def test_uniformity_pvalue_matches_scipy_chisquare():
+    rng = np.random.default_rng(12)
+    weights = np.int64(1) << np.arange(7, -1, -1)
+    checked = set()
+    # 8 bytes give no p-value; 10, 20, 80 and 1,280 bytes are the first
+    # that test 2, 4, 16 and 256 bins
+    for size in (64, 80, 150, 160, 639, 640, 10239, 10240, 30000):
+        for bias in (0.5, 0.45, 0.3):
+            for _ in range(20):
+                bits = (rng.random(size) < bias).astype(np.uint8)
+                got = sim._uniformity_pvalue(bits)
+                by = bits[: size // 8 * 8].reshape(-1, 8) @ weights
+                fits = [k for k in (256, 16, 4, 2) if by.size >= 5 * k]
+                if not fits:
+                    assert got is None
+                    continue
+                nbins = fits[0]
+                counts = np.bincount(by // (256 // nbins), minlength=nbins)
+                assert got == float(stats.chisquare(counts).pvalue)
+                checked.add(nbins)
+    assert checked == {2, 4, 16, 256}
+
+
+def test_run_sim_leaves_scipy_stats_out():
+    code = (
+        "import sys\n"
+        "from skacap.models import Polytree, edge\n"
+        "from skacap.prob import bsc_matrix\n"
+        "from skacap.sim import SimConfig, run_sim\n"
+        "g = Polytree(2, (edge(0, 1, bsc_matrix(0.05)),))\n"
+        "res = run_sim(g, {0, 1}, SimConfig(n=24, blocks=2000, rate=0.25, seed=1))\n"
+        "print(res.uniformity_p is not None, 'scipy.stats' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
 
 
 @pytest.mark.parametrize("n, key_len", [(24, 5), (300, 40), (1000, 7)])
