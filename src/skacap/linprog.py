@@ -68,7 +68,8 @@ class LinearProgram:
         c = np.ascontiguousarray(self.c, dtype=float).ravel()
         if c.size == 0:
             raise ModelError("LP needs at least one variable")
-        a_ge = np.ascontiguousarray(self.a_ge, dtype=float).reshape(-1, c.size)
+        # any memory order: a basis hint's constraints are used without a copy
+        a_ge = np.asarray(self.a_ge, dtype=float).reshape(-1, c.size)
         b_ge = np.ascontiguousarray(self.b_ge, dtype=float).ravel()
         if a_ge.shape[0] != b_ge.size:
             raise ModelError(f"a_ge: {a_ge.shape[0]} rows but {b_ge.size} bounds")
@@ -95,12 +96,26 @@ class LpSolution:
     basis: tuple[int, ...] = ()
 
 
+def _basis_matrix(a_ge: np.ndarray, basis) -> np.ndarray:
+    """The columns ``basis`` of the standard form [a_ge  -I]."""
+    k, n = a_ge.shape
+    out = np.zeros((k, len(basis)))
+    for i, j in enumerate(basis):
+        if j < n:
+            out[:, i] = a_ge[:, j]
+        else:
+            out[j - n, i] = -1.0
+    return out
+
+
 def _pivot(tab: np.ndarray, obj: np.ndarray, row: int, col: int):
-    tab[row] /= tab[row, col]
-    factors = tab[:, col].copy()
-    factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
-    obj -= obj[col] * tab[row]
+    # row by row, so no temporary as large as the tableau
+    pivot = tab[row]
+    pivot /= pivot[col]
+    for i, f in enumerate(tab[:, col].tolist()):
+        if i != row and f != 0.0:
+            tab[i] -= f * pivot
+    obj -= obj[col] * pivot
 
 
 def _simplex(tab, obj, basis, cap, tol=FEAS_TOL):
@@ -154,8 +169,10 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
         raise ModelError("lp_solve needs b_ge <= 0 (a feasible surplus basis)")
     # Standard form [a_ge  -I] [x; s] = b_ge.  Negated, its surplus columns
     # are the identity and its rhs -b_ge >= 0: the surplus basis is feasible.
-    a_std = np.hstack([lp.a_ge, -np.eye(k)])
-    tab = np.hstack([-a_std, -lp.b_ge[:, None]])
+    tab = np.empty((k, n + k + 1))
+    np.negative(lp.a_ge, out=tab[:, :n])
+    tab[:, n:-1] = np.eye(k)
+    np.negative(lp.b_ge, out=tab[:, -1])
     c_std = np.concatenate([lp.c, np.zeros(k)])
     obj = np.append(c_std, 0.0)
     basis = list(range(n, n + k))
@@ -163,10 +180,11 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
 
     y = np.zeros(n + k)
     y[basis] = tab[:, -1]
+    del tab  # as large as a_ge: not kept through the certificate
     x = y[:n]
     value = float(lp.c @ x)
     try:
-        dual_ge = np.linalg.solve(a_std[:, basis].T, c_std[basis])
+        dual_ge = np.linalg.solve(_basis_matrix(lp.a_ge, basis).T, c_std[basis])
     except np.linalg.LinAlgError as exc:
         raise LpCertificationError(f"singular basis at optimum: {exc}") from exc
 
@@ -206,14 +224,16 @@ class BasisHint:
     a_ge.x >= b_ge, x >= 0, reused while only the cost c changes.
 
     ``key`` names what the caller built the constraints from, so that it
-    can refuse a hint built for other constraints.  The right-hand side is
+    can refuse a hint built for other constraints.  The hint keeps
+    ``a_ge`` itself, without a copy when it is already float, and never
+    writes to it; the caller hands it over.  The right-hand side is
     fixed, so the primal point x_B = B^-1 b_ge depends on the basis alone
     and is formed once per adopted basis, together with the map
     c -> y = B^-T c_B from a cost to the basis duals.
     """
 
     def __init__(self, a_ge: np.ndarray, b_ge: np.ndarray, key=None):
-        self.a_ge = np.array(a_ge, dtype=float)
+        self.a_ge = np.asarray(a_ge, dtype=float)
         self.b_ge = np.array(b_ge, dtype=float).ravel()
         self.key = key
         self._b_max = float(np.abs(self.b_ge).max(initial=0.0))
@@ -231,7 +251,7 @@ class BasisHint:
             return False
         cols = list(self._basis)
         try:
-            binv = np.linalg.inv(np.hstack([self.a_ge, -np.eye(k)])[:, cols])
+            binv = np.linalg.inv(_basis_matrix(self.a_ge, cols))
         except np.linalg.LinAlgError:
             self._basis = ()
             return False

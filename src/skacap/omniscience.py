@@ -112,7 +112,9 @@ def constraint_family(spec: PartySpec) -> SubsetFamily:
 def incidence(members, terminals) -> np.ndarray:
     """0/1 matrix whose entry [i, k] is 1 when ``terminals[k]`` lies in ``members[i]``."""
     members = np.asarray(members, dtype=np.int64).reshape(-1, 1)
-    return ((members >> np.asarray(terminals, dtype=np.int64)) & 1).astype(float)
+    out = members >> np.asarray(terminals, dtype=np.int64)
+    out &= 1
+    return out.astype(float)
 
 
 def _entropies(model: SourceModel) -> np.ndarray:
@@ -171,7 +173,8 @@ def co_basis_hint(spec: PartySpec) -> BasisHint:
     """An empty basis hint for the CO LPs of ``spec``, shared by one search."""
     family = constraint_family(spec)
     inc = incidence(family.members, bits(spec.d_complement))
-    return BasisHint(a_ge=-inc.T, b_ge=-np.ones(inc.shape[1]), key=spec)
+    np.negative(inc, out=inc)
+    return BasisHint(a_ge=inc.T, b_ge=-np.ones(inc.shape[1]), key=spec)
 
 
 def _rco(

@@ -8,8 +8,11 @@ distance, channel composition, and independent products.
 Every capacity in the package is a function of one array:
 ``subset_entropies`` gives H of every union of variable groups of one
 joint (one group per terminal), indexed by group mask, for a whole stack
-of joints in one lattice pass.  ``entropy`` and ``mutual_information``
-take their few entropies from ``marginalize``.
+of joints.  It sums the leading groups out of the joint one mask at a
+time and gets every mask of the trailing groups from one subset-sum
+(zeta) transform, in chunks of at most ``LATTICE_BLOCK`` cells per joint.
+``entropy`` and ``mutual_information`` take their few entropies from
+``marginalize``.
 
 Conventions
 -----------
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +45,9 @@ DERIVED_TOL = 1e-10
 
 #: Hard cap on dense joint alphabet size (number of cells).
 MAX_CELLS = 1 << 24
+
+#: Most zeta-block cells per joint that ``subset_entropies`` works on at once.
+LATTICE_BLOCK = 1 << 13
 
 
 def check_cells(cells: int, what: str):
@@ -220,31 +226,91 @@ def _cut(p: np.ndarray) -> np.ndarray:
     return np.where(p > ZERO_CUTOFF, p, 0.0)
 
 
-@lru_cache(maxsize=256)
-def _lattice_walk(ndim: int, group_axes: tuple[int, ...]) -> tuple:
-    """The nodes of the lattice walk of ``subset_entropies``, in walk order:
-    (depth, axes summed out of the node at depth - 1, group mask).
+class _Lattice(NamedTuple):
+    """The plan of ``subset_entropies`` for one layout, built once per layout.
 
-    Step t = 1, 2, ... drops the groups whose bits, reversed, are the bits
-    of t, one group more than step t & (t - 1): the group of t's lowest
-    bit, summed out of that step's marginal.  No step between them has
-    that depth, so the walk keeps only the path to its current node.
-    The last step, which drops every group, is left out.
+    ``order`` permutes the variable axes (after the stack axis) so that each
+    group's axes are adjacent and the groups come in order; it is None when
+    they already are.  ``sizes[j]`` is the number of cells of group j.  The
+    first ``lead`` groups are the leading ones.  Trailing group g gets an
+    axis of ``ext[g] = sizes[g] + 1`` slots in a zeta block of ``block``
+    cells, the last slot holding the sum over the others, and ``bins[c]``
+    has bit g set when block cell c keeps group g.  A chunk holds ``chunk``
+    leading cells of one node, each with its zeta block.  ``nodes`` lists,
+    per leading mask, the axes summed out of the joint and the kept mask.
+    On a chunk viewed as (rows, leading cells) + ``ext``, ``fill`` indexes
+    the kept slots and each of ``steps`` is a zeta step: (axis, index of
+    the slots summed, index of the slots written).
     """
-    covered = [i for g in group_axes for i in range(ndim) if (g >> i) & 1]
-    if sorted(covered) != list(range(ndim)):
+
+    order: Optional[tuple[int, ...]]
+    sizes: tuple[int, ...]
+    lead: int
+    ext: tuple[int, ...]
+    block: int
+    bins: np.ndarray
+    chunk: int
+    nodes: tuple
+    fill: tuple
+    steps: tuple
+
+
+@lru_cache(maxsize=256)
+def _lattice(shape: tuple[int, ...], group_axes: tuple[int, ...]) -> _Lattice:
+    """The plan of ``subset_entropies`` for joints of variable axes ``shape``.
+
+    The trailing groups are the longest run of last groups whose zeta block
+    fits in ``LATTICE_BLOCK`` cells.  The zeta steps run from the last
+    trailing group to the first: step g writes the summed-out slot of group
+    g for every cell whose earlier groups are all kept, so each block cell
+    is written once, and every step's innermost axis is the contiguous run
+    of the groups after g.  With leading groups a chunk holds more than
+    half of ``LATTICE_BLOCK`` cells, so a stack goes one joint at a time.
+    """
+    ndim = len(shape)
+    axes = [[i for i in range(ndim) if (g >> i) & 1] for g in group_axes]
+    order = tuple(i for a in axes for i in a)
+    if sorted(order) != list(range(ndim)):
         raise ModelError(f"groups {group_axes} do not partition {ndim} axes")
-    k = len(group_axes)
-    drops = [tuple(1 + i for i in range(ndim) if (g >> i) & 1) for g in group_axes]
-    t = np.arange(1, (1 << k) - 1)
-    dropped, depth = np.zeros_like(t), np.zeros_like(t)
-    for b in range(k):
-        bit = (t >> b) & 1
-        dropped |= bit << (k - 1 - b)
-        depth += bit
-    last = k - 1 - np.log2(t & -t).astype(int)
-    masks = ((1 << k) - 1) & ~dropped
-    return tuple(zip(depth.tolist(), [drops[j] for j in last.tolist()], masks.tolist()))
+    sizes = tuple(math.prod(shape[i] for i in a) for a in axes)
+    lead, block = len(sizes), 1
+    while lead and block * (sizes[lead - 1] + 1) <= LATTICE_BLOCK:
+        lead -= 1
+        block *= sizes[lead] + 1
+    trail = sizes[lead:]
+    ext = tuple(s + 1 for s in trail)
+    bins = np.zeros(ext, dtype=np.intp)
+    kept = (slice(None), slice(None)) + tuple(slice(0, s) for s in trail)
+    steps = []
+    for g in reversed(range(len(trail))):
+        bins += ((np.arange(ext[g]) < trail[g]) << g).reshape((-1,) + (1,) * (len(trail) - 1 - g))
+        steps.append((2 + g, kept[:3 + g], kept[:2 + g] + (trail[g],)))
+    bins = bins.ravel()
+    bins.setflags(write=False)
+    full = (1 << lead) - 1
+    return _Lattice(
+        order=None if order == tuple(range(ndim)) else (0,) + tuple(1 + i for i in order),
+        sizes=sizes,
+        lead=lead,
+        ext=ext,
+        block=block,
+        bins=bins,
+        chunk=max(1, min(LATTICE_BLOCK // block, math.prod(sizes[:lead]))),
+        nodes=tuple(
+            (tuple(1 + i for i in range(lead) if (t >> i) & 1), full & ~t) for t in range(full + 1)
+        ),
+        fill=kept,
+        steps=tuple(steps),
+    )
+
+
+def _chunk_views(buf: np.ndarray, n: int, q: int, plan: _Lattice) -> tuple:
+    """Views of ``buf`` for a chunk of ``q`` leading cells of ``n`` joints:
+    the kept slots to fill, the zeta steps (axis, slots summed, slots
+    written), then the block and the y log y scratch, flat."""
+    x, y = buf[0, :n * q * plan.block], buf[1, :n * q * plan.block]
+    v = x.reshape((n, q) + plan.ext)
+    return v[plan.fill], [(axis, v[src], v[dst]) for axis, src, dst in plan.steps], x, y
 
 
 def subset_entropies(tensor: np.ndarray, group_axes: Sequence[int]) -> np.ndarray:
@@ -254,31 +320,68 @@ def subset_entropies(tensor: np.ndarray, group_axes: Sequence[int]) -> np.ndarra
 
     ``tensor`` has a leading stack axis, then one axis per variable; a
     single joint is a stack of one.  ``group_axes[j]`` is the bitmask of
-    the variable axes of group j, and the groups partition the axes.  Walks
-    the marginal lattice depth first: each child sums one group's axes out
-    of its parent (kept as size-1 axes), so every mask is visited once and
-    only the path from the root to the current node is alive.  The walk's
-    plan depends on the layout alone and is built once per layout.  The
-    joint's entries at or below ``ZERO_CUTOFF`` are set to zero first, so
-    every marginal entry is a zero or above the cutoff.
+    the variable axes of group j, and the groups partition the axes.
+
+    The groups are split into leading and trailing ones (``_lattice``).
+    Each leading mask is one node: the joint with the other leading groups
+    summed out.  All masks of a node come from one subset-sum ("zeta")
+    transform over the trailing groups (Yates): each trailing group is one
+    axis with one extra slot for the sum over the group, so a block cell
+    is the marginal cell of one trailing mask.  Then one y log y pass runs
+    over the block, and one weighted ``bincount`` adds each cell to the bin
+    of its trailing mask.  A chunk of work holds at most ``LATTICE_BLOCK``
+    block cells, or one block, over a run of the node's leading cells and
+    of the stack's rows, so the working set stays bounded at every size.
+    The joint's entries at or below ``ZERO_CUTOFF`` are set to zero first,
+    so every marginal entry is a zero or above the cutoff.
 
     Every operation acts on each row alone, in an order that does not
     depend on the stack's size, so a row's entropies are bit for bit those
     of its joint alone.
     """
     n = tensor.shape[0]
-    nodes = _lattice_walk(tensor.ndim - 1, tuple(group_axes))
-    out = np.zeros((1 << len(group_axes), n))
+    plan = _lattice(tensor.shape[1:], tuple(group_axes))
     if tensor.min() <= ZERO_CUTOFF:
         tensor = _cut(tensor)
-    out[-1] = _ylogy(tensor.reshape(n, -1))
-    path = [tensor] + [None] * len(group_axes)
-    for depth, drop, mask in nodes:
-        arr = path[depth] = path[depth - 1].sum(axis=drop, keepdims=True)
-        out[mask] = _ylogy(arr.reshape(n, -1))
-    np.negative(out, out=out)
-    out[0] = 0.0
-    return out.T
+    if plan.order is not None:
+        tensor = tensor.transpose(plan.order)
+    tensor = tensor.reshape((n,) + plan.sizes)
+    trail = plan.sizes[plan.lead:]
+    block, chunk, step = plan.block, plan.chunk, 1 << plan.lead
+    rows = min(n, max(1, LATTICE_BLOCK // (chunk * block)))
+    nb = 1 << len(trail)
+    bins = (np.arange(rows)[:, None] * nb + plan.bins).ravel() if rows > 1 else plan.bins
+    buf = np.empty((2, rows * chunk * block))
+    views = {}
+    out = np.empty((n, 1 << len(plan.sizes)))
+    for r in range(0, n, rows):
+        stack = tensor[r:r + rows]
+        m = len(stack)
+        for summed, kept in plan.nodes:
+            node = stack.sum(axis=summed, keepdims=True) if summed else stack
+            node = node.reshape((m, -1) + trail)
+            acc = None
+            for a in range(0, node.shape[1], chunk):
+                q = min(chunk, node.shape[1] - a)
+                if (m, q) not in views:
+                    views[m, q] = _chunk_views(buf, m, q, plan)
+                fill, steps, x, y = views[m, q]
+                fill[...] = node[:, a:a + q]
+                for axis, src, dst in steps:
+                    np.add.reduce(src, axis=axis, out=dst)
+                np.maximum(x, ZERO_CUTOFF, out=y)
+                np.log2(y, out=y)
+                np.multiply(x, y, out=y)
+                if q > 1:
+                    y = np.add.reduce(y.reshape(m, q, block), axis=1, out=x[:m * block].reshape(m, block))
+                part = np.bincount(bins[:m * block], weights=y.ravel(), minlength=m * nb)
+                if acc is None:
+                    acc = part
+                else:
+                    acc += part
+            np.negative(acc.reshape(m, nb), out=out[r:r + m, kept::step])
+    out[:, 0] = 0.0
+    return out
 
 
 def _h(p: JointPMF, vars_: frozenset) -> float:

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from skacap import prob
 from skacap.errors import ModelError
 from skacap.prob import (
+    LATTICE_BLOCK,
+    ZERO_CUTOFF,
     Alphabet,
     Dmc,
     JointPMF,
@@ -287,6 +292,98 @@ def test_stacked_subset_entropies_equal_each_row_alone():
         for mask in range(1, 1 << len(groups)):
             union = set().union(*(g for j, g in enumerate(groups) if (mask >> j) & 1))
             assert every[i, mask] == pytest.approx(entropy(p, union), abs=1e-12)
+
+
+def assert_masks_match_entropy(p, groups, masks, abs_tol=1e-12):
+    """``subset_entropies`` of ``p`` at ``masks`` against ``entropy``, the
+    independent route through ``marginalize``."""
+    axis = {v: i for i, v in enumerate(p.ids)}
+    every = subset_entropies(p.tensor()[None], [sum(1 << axis[v] for v in g) for g in groups])[0]
+    assert every.shape == (1 << len(groups),)
+    assert every[0] == 0.0
+    for mask in masks:
+        union = set().union(*(g for j, g in enumerate(groups) if (mask >> j) & 1))
+        assert every[mask] == pytest.approx(entropy(p, union), abs=abs_tol), mask
+
+
+@pytest.mark.parametrize("size, k", [(2, k) for k in range(1, 14)] + [(3, 7)])
+def test_subset_entropies_on_both_sides_of_the_block_boundary(size, k):
+    # one variable per group: up to 8 binary groups the whole lattice is one
+    # zeta block; from 9 on, and for 7 ternary groups, the first groups are
+    # leading, summed out one mask at a time, and a node's leading cells
+    # span several chunks
+    rng = np.random.default_rng(100 + k)
+    p = pmf([(i, Alphabet(size)) for i in range(k)], rng.dirichlet(np.full(size ** k, 0.5)))
+    lead = prob._lattice((size,) * k, tuple(1 << i for i in range(k))).lead
+    assert (lead == 0) == ((size + 1) ** k <= LATTICE_BLOCK)
+    masks = range(1, 1 << k)
+    if k > 8:
+        masks = sorted({*rng.integers(1, 1 << k, 150).tolist(), (1 << k) - 1,
+                        *(1 << j for j in range(k))})
+    assert_masks_match_entropy(p, [{i} for i in range(k)], masks)
+
+
+def test_subset_entropies_alphabets_groups_and_cutoff():
+    # alphabets of size 1, 2 and 3; groups of non-adjacent axes, listed out
+    # of axis order (the (T_j, Y_j) layout of a transceiver); and entries at,
+    # below and far below ZERO_CUTOFF, plus exact zeros
+    rng = np.random.default_rng(45)
+    sizes = (3, 1, 2, 3, 2, 1, 3)
+    groups = [{0, 4}, {5, 2}, {1}, {6, 3}]
+    cells = int(np.prod(sizes))
+    for _ in range(3):
+        flat = rng.dirichlet(np.full(cells, 0.3))
+        picks = rng.choice(cells, size=12, replace=False)
+        flat[picks[:3]] = ZERO_CUTOFF
+        flat[picks[3:6]] = ZERO_CUTOFF / 2
+        flat[picks[6:9]] = 1e-300
+        flat[picks[9:]] = 0.0
+        p = pmf(tuple((i, Alphabet(s)) for i, s in enumerate(sizes)), flat / flat.sum())
+        assert_masks_match_entropy(p, groups, range(1, 1 << len(groups)))
+
+
+@pytest.mark.parametrize("sizes, groups, n", [
+    # eleven binary groups: three leading, each node in several chunks
+    ((2,) * 11, [1 << i for i in range(11)], 3),
+    # the (T_j, Y_j) layout: many rows to a chunk, 250 rows in four chunks
+    ((3, 3, 3, 3), [0b0101, 0b1010], 250),
+])
+def test_rows_across_chunk_boundaries_equal_each_row_alone(sizes, groups, n):
+    rng = np.random.default_rng(47)
+    cells = int(np.prod(sizes))
+    rows = rng.dirichlet(np.full(cells, 0.5), size=n)
+    rows[1] *= rng.random(cells) < 0.3  # a row with exact zeros
+    rows[1] /= rows[1].sum()
+    stack = rows.reshape((n,) + sizes)
+    every = subset_entropies(stack, groups)
+    plan = prob._lattice(sizes, tuple(groups))
+    per_chunk = max(1, LATTICE_BLOCK // (plan.chunk * plan.block))
+    assert n > per_chunk or plan.chunk < np.prod(plan.sizes[:plan.lead])
+    for i in sorted({0, 1, per_chunk - 1, per_chunk, n - 1} & set(range(n))):
+        assert np.array_equal(every[i], subset_entropies(stack[i:i + 1], groups)[0])
+
+
+def test_subset_entropies_memory_stays_bounded():
+    # one call at m = 12 binary, its plan built in the call: about 0.2 MB
+    # above the joint
+    rng = np.random.default_rng(48)
+    stack = rng.dirichlet(np.ones(1 << 12)).reshape((1,) + (2,) * 12)
+    groups = [1 << i for i in range(12)]
+    prob._lattice.cache_clear()
+    tracemalloc.start()
+    try:
+        subset_entropies(stack, groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+
+
+def test_subset_entropies_refuses_groups_that_do_not_partition():
+    stack = np.full((1, 2, 2, 2), 1 / 8)
+    for groups in ([0b011, 0b110], [0b001, 0b010]):
+        with pytest.raises(ModelError, match="do not partition"):
+            subset_entropies(stack, groups)
 
 
 def test_dmc_row_error_reports_index_and_sum():

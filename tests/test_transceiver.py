@@ -535,7 +535,10 @@ SEARCH_MODELS = search_models()
 @pytest.mark.parametrize("name", SEARCH_MODELS)
 def test_ni_search_equals_the_plain_objective(name):
     # the array objective with its reused CO basis walks the same search path
-    # as sk_capacity on the validated emulated source, evaluation for evaluation
+    # as sk_capacity on the validated emulated source, evaluation for
+    # evaluation.  The two routes differ by ulps and the objective can be
+    # flat at the maximum, so they may report different maximizers: each
+    # point, scored by the other route, gives its own route's value.
     t = SEARCH_MODELS[name]
     cfg = InputOptimizerConfig(restarts=1, ascent=15, grid_resolution=0.25, seed=5)
     pair = 0b101 if t.m > 2 else 0b11
@@ -551,8 +554,9 @@ def test_ni_search_equals_the_plain_objective(name):
         got = _ni_search(t, a_mask, cfg)
         assert got.evaluations == want.evaluations
         assert got.value == pytest.approx(want.value, abs=1e-12)
-        for u, v in zip(got.point, want.point):
-            np.testing.assert_allclose(u, v, rtol=0, atol=1e-12)
+        ni = _ni_objective(_Layout(t), PartySpec(t.m, a_mask, 0))
+        assert plain(stack_points([got.point]))[0] == pytest.approx(got.value, abs=1e-12)
+        assert ni(stack_points([want.point]))[0] == pytest.approx(want.value, abs=1e-12)
         assert [v for v, _ in got.finals] == pytest.approx([v for v, _ in want.finals], abs=1e-12)
 
 
