@@ -28,6 +28,7 @@ from .omniscience import (  # noqa: E402,F401
     rco,
     sk_capacity,
     sk_capacity_dual,
+    source_entropies,
 )
 from .optimize import InputOptimizerConfig  # noqa: E402,F401
 from .polytree import (  # noqa: E402,F401

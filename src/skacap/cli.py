@@ -8,8 +8,9 @@ wiretapped bounds), simulate (Monte-Carlo protocol runs), validate
 Reports go to stdout as JSON with sorted keys and numbers rounded to 12
 significant digits; every report embeds the tool version, the model-file
 SHA-256, and the full configuration.  Diagnostics go to stderr.  Exit
-codes: 0 ok, 2 model/schema error, 3 LP failure, 4 internal-consistency
-failure, 5 infeasible rate, 6 iteration cap hit before convergence.
+codes: 0 ok, 2 model/schema error (also a command-line usage error or an
+unwritable --csv), 3 LP failure, 4 internal-consistency failure, 5
+infeasible rate, 6 iteration cap hit before convergence.
 """
 
 from __future__ import annotations
@@ -33,7 +34,13 @@ from .errors import (
 )
 from .modelio import parse_model
 from .models import PartySpec, Polytree, SourceModel, TransceiverModel
-from .omniscience import constraint_family, pk_capacity, sk_capacity, sk_capacity_dual
+from .omniscience import (
+    constraint_family,
+    pk_capacity,
+    sk_capacity,
+    sk_capacity_dual,
+    source_entropies,
+)
 from .optimize import InputOptimizerConfig
 from .polytree import polytree_capacity, wiretapped_polytree_bounds
 from .sim import SimConfig, run_sim
@@ -124,10 +131,11 @@ def cmd_capacity(args) -> int:
         rep = pk_capacity(model, spec)
         result = {"pk_capacity": rep.to_dict()}
     else:
-        rep = sk_capacity(model, spec.a)
+        h = source_entropies(model)  # one computation for both routes
+        rep = sk_capacity(model, spec.a, h)
         result = {"sk_capacity": rep.to_dict()}
         if args.dual:
-            dual = sk_capacity_dual(model, spec.a)
+            dual = sk_capacity_dual(model, spec.a, h)
             result["sk_capacity_dual"] = dual.to_dict()
             if abs(dual.value - rep.value) > PRIMAL_DUAL_TOL:
                 raise InternalConsistencyError(
@@ -227,39 +235,23 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="skacap",
-        description="Secret-key agreement capacities for multiterminal channel models",
-    )
-    parser.add_argument("--version", action="version", version=f"skacap {__version__}")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p):
-        p.add_argument("model", help="model file (JSON)")
-        p.add_argument("--threads", type=_positive_int, default=1,
-                       help="accepted for compatibility; has no effect")
-
-    p = sub.add_parser("capacity", help="source-model SK/PK capacity")
-    common(p)
+def _capacity_args(p):
     p.add_argument("--A", required=True, help="key terminals, 1-based, comma-separated")
     p.add_argument("--D", default="", help="compromised terminals")
     p.add_argument("--dual", action="store_true",
                    help="also solve the fractional-cover dual and cross-check")
-    p.set_defaults(fn=cmd_capacity)
 
-    p = sub.add_parser("bounds", help="transceiver lower/noninteractive/upper bounds")
-    common(p)
+
+def _bounds_args(p):
     p.add_argument("--A", required=True)
     p.add_argument("--D", default="")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=_positive_int, default=8,
                    help="grid resolution denominator")
-    p.set_defaults(fn=cmd_bounds)
 
-    p = sub.add_parser("polytree", help="polytree-PIN capacity")
-    common(p)
+
+def _polytree_args(p):
     p.add_argument("--wiretap", action="store_true", help="wiretapped lower/upper pair")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="certified Frank-Wolfe gap at which each edge's ascent stops "
@@ -268,10 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility; has no effect")
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for compatibility; has no effect")
-    p.set_defaults(fn=cmd_polytree)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo key-agreement simulation")
-    common(p)
+
+def _simulate_args(p):
     p.add_argument("--A", default="", help="key terminals (default: all)")
     p.add_argument("--n", type=int, required=True, help="rounds per block")
     p.add_argument("--blocks", type=int, required=True)
@@ -280,16 +271,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=8, help="privacy-amplification margin bits")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", default=None, help="per-block CSV output path")
-    p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("validate", help="parse and check a model file")
-    common(p)
-    p.set_defaults(fn=cmd_validate)
+
+#: verb -> (help line, the verb's own arguments, handler), in usage order.
+VERBS = {
+    "capacity": ("source-model SK/PK capacity", _capacity_args, cmd_capacity),
+    "bounds": ("transceiver lower/noninteractive/upper bounds", _bounds_args, cmd_bounds),
+    "polytree": ("polytree-PIN capacity", _polytree_args, cmd_polytree),
+    "simulate": ("Monte-Carlo key-agreement simulation", _simulate_args, cmd_simulate),
+    "validate": ("parse and check a model file", lambda p: None, cmd_validate),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The skacap parser with every verb, or with ``verb``'s subparser alone.
+
+    The one-verb parser parses that verb's command lines to the same
+    namespace, output and exit code as the full one.  Its subparsers carry
+    the full choice list as their metavar, so the top-level usage line it
+    prints (for an unrecognized argument) is the same too.  The full parser
+    sets no metavar, because argparse would then name the verb argument by
+    its metavar in the errors for an unknown or missing verb.
+    """
+    parser = argparse.ArgumentParser(
+        prog="skacap",
+        description="Secret-key agreement capacities for multiterminal channel models",
+    )
+    parser.add_argument("--version", action="version", version=f"skacap {__version__}")
+    metavar = None if verb is None else "{" + ",".join(VERBS) + "}"
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for name, (help_line, add_args, fn) in VERBS.items():
+        if verb not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("model", help="model file (JSON)")
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help="accepted for compatibility; has no effect")
+        add_args(p)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None).
+
+    Only the named verb's subparser is built: building all of them costs
+    more than a small command's work.  A command line that does not start
+    with a verb (``-h``, ``--version``, an unknown verb, none) gets the full
+    parser and its messages.
+    """
+    argv = list(sys.argv[1:] if argv is None else argv)
+    verb = argv[0] if argv and argv[0] in VERBS else None
+    args = build_parser(verb).parse_args(argv)
     try:
         return args.fn(args)
     except RateInfeasibleError as exc:

@@ -117,7 +117,7 @@ def incidence(members, terminals) -> np.ndarray:
     return out.astype(float)
 
 
-def _entropies(model: SourceModel) -> np.ndarray:
+def source_entropies(model: SourceModel) -> np.ndarray:
     """H(X_S) for every terminal mask S of ``model``, Eve summed out."""
     p = marginalize(model.pmf, frozenset().union(*model.terminal_vars))
     axis = {v: i for i, v in enumerate(p.ids)}
@@ -163,7 +163,7 @@ def _require_pair(spec: PartySpec):
 def rco(model: SourceModel, spec: PartySpec) -> CapacityReport:
     """Minimum total communication-for-omniscience rate for D^c."""
     _check_compatible(model, spec)
-    value, rates = _rco(spec, _entropies(model)[None])
+    value, rates = _rco(spec, source_entropies(model)[None])
     return CapacityReport(
         float(value[0]), "exact", "omniscience-lp-primal", _rate_witness(spec, rates[0])
     )
@@ -235,11 +235,18 @@ def _rate_witness(spec: PartySpec, rates_vec: np.ndarray) -> dict:
     }
 
 
-def pk_capacity(model: SourceModel, spec: PartySpec) -> CapacityReport:
-    """Private-key capacity H(X_M | X_D) - R_CO (exact)."""
+def pk_capacity(
+    model: SourceModel, spec: PartySpec, h: np.ndarray | None = None
+) -> CapacityReport:
+    """Private-key capacity H(X_M | X_D) - R_CO (exact).
+
+    ``h`` is ``source_entropies(model)``, for a caller that already has it.
+    """
     _check_compatible(model, spec)
     _require_pair(spec)
-    value, h_given_d, co, rates = (x[0] for x in _pk(spec, _entropies(model)[None]))
+    if h is None:
+        h = source_entropies(model)
+    value, h_given_d, co, rates = (x[0] for x in _pk(spec, h[None]))
     witness = _rate_witness(spec, rates)
     witness["rco"] = float(co)
     witness["h_given_d"] = float(h_given_d)
@@ -261,9 +268,9 @@ def _pk(
     return (value if lowest >= 0.0 else np.maximum(value, 0.0)), h_given_d, co, rates
 
 
-def sk_capacity(model: SourceModel, a) -> CapacityReport:
+def sk_capacity(model: SourceModel, a, h: np.ndarray | None = None) -> CapacityReport:
     """Secret-key capacity: the D = empty specialization of pk_capacity."""
-    return pk_capacity(model, PartySpec(model.m, as_mask(a), 0))
+    return pk_capacity(model, PartySpec(model.m, as_mask(a), 0), h)
 
 
 def max_cover(spec: PartySpec, g: np.ndarray) -> tuple[float, dict[int, float]]:
@@ -298,10 +305,14 @@ def lambda_witness(lam: dict[int, float]) -> dict[str, float]:
     }
 
 
-def sk_capacity_dual(model: SourceModel, a) -> CapacityReport:
-    """SK capacity by the fractional-cover dual; cross-checks the primal."""
+def sk_capacity_dual(model: SourceModel, a, h: np.ndarray | None = None) -> CapacityReport:
+    """SK capacity by the fractional-cover dual; cross-checks the primal.
+
+    ``h`` is ``source_entropies(model)``, for a caller that already has it.
+    """
     spec = PartySpec(model.m, as_mask(a), 0)
-    h = _entropies(model)
+    if h is None:
+        h = source_entropies(model)
     packed, lam = max_cover(spec, _conditionals(h, model.m, constraint_family(spec).members))
     value = float(h[-1]) - packed
     witness = {"lambda": lambda_witness(lam)}

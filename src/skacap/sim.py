@@ -46,12 +46,13 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DecodeBudgetError, ModelError, RateInfeasibleError
+from .errors import DecodeBudgetError, ModelError, RateInfeasibleError, SkacapError
 from .models import Polytree, as_mask, bits
 from .prob import binary_entropy, check_cells
 
@@ -663,26 +664,30 @@ def run_sim(g: Polytree, a, cfg: SimConfig, csv_path: Optional[str] = None) -> S
     """Run ``cfg.blocks`` independent protocol executions and score them.
 
     Deterministic given the seed: block b's randomness is derived from
-    (seed, block-namespace, b).  Rate infeasibility is reported before any
-    sampling happens.
+    (seed, block-namespace, b).  Rate infeasibility, and then a ``csv_path``
+    that cannot be opened for writing, are reported before any sampling
+    happens.
     """
     st = _prepare(g, a, cfg)
-    starts = range(0, cfg.blocks, _CHUNK_BLOCKS)
-    chunks = [_run_blocks(st, lo, min(lo + _CHUNK_BLOCKS, cfg.blocks)) for lo in starts]
-    decode_ok, agree, root_keys, transcripts = zip(*chunks)
-    decode_ok = np.concatenate(decode_ok, axis=1)
-    agree = np.concatenate(agree)
-    failed = int(np.count_nonzero(~agree))
-    labels = [_edge_label(g, eid) for eid in st.sub_edges]
-
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
+    try:  # before the first block, so that an unwritable path costs no run
+        out = nullcontext() if csv_path is None else open(csv_path, "w", newline="")
+    except OSError as exc:
+        raise SkacapError(f"cannot write CSV file: {exc}") from exc
+    with out as fh:
+        starts = range(0, cfg.blocks, _CHUNK_BLOCKS)
+        chunks = [_run_blocks(st, lo, min(lo + _CHUNK_BLOCKS, cfg.blocks)) for lo in starts]
+        decode_ok, agree, root_keys, transcripts = zip(*chunks)
+        decode_ok = np.concatenate(decode_ok, axis=1)
+        agree = np.concatenate(agree)
+        labels = [_edge_label(g, eid) for eid in st.sub_edges]
+        if fh is not None:
             writer = csv.writer(fh)
             writer.writerow(
                 ["block_id"] + [f"decode_ok_{label}" for label in labels] + ["agree"]
             )
             rows = np.column_stack([np.arange(cfg.blocks), decode_ok.T, agree])
             writer.writerows(rows.tolist())
+    failed = int(np.count_nonzero(~agree))
 
     per_edge = [
         {

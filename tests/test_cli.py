@@ -1,3 +1,4 @@
+import argparse
 import json
 import pathlib
 import re
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from conftest import child_env, run_skacap
 
-from skacap import cli
+from skacap import cli, omniscience, sim
 from skacap.modelio import serialize_model
 from skacap.models import Polytree, SourceModel, edge, polytree_to_transceiver
 from skacap.prob import Alphabet, JointPMF, binary_entropy, bsc_matrix
@@ -82,6 +83,24 @@ def test_capacity_dual_flag(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = validate_schema(proc.stdout)
     assert "lambda" in doc["result"]["sk_capacity_dual"]["witness"]
+
+
+def test_capacity_dual_computes_the_subset_entropies_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return source_entropies(model)
+
+    source_entropies = omniscience.source_entropies
+    monkeypatch.setattr(omniscience, "source_entropies", counted)
+    monkeypatch.setattr(cli, "source_entropies", counted)
+    samples = pathlib.Path(__file__).parents[1] / "sample_models"
+    argv = ["capacity", str(samples / "source_three_terminals.json"), "--A", "1,2,3", "--dual"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len(calls) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert set(result) == {"sk_capacity", "sk_capacity_dual"}
 
 
 def test_capacity_schema_error_exit_2(tmp_path):
@@ -267,6 +286,23 @@ def test_simulate_noiseless_and_csv(tmp_path):
     assert len(lines) == 41
 
 
+def test_simulate_unwritable_csv_exit_2_before_simulating(tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(sim, "_run_blocks", lambda *args: ran.append(args))
+    samples = pathlib.Path(__file__).parents[1] / "sample_models"
+    rc = cli.main([
+        "simulate", str(samples / "polytree_sim.json"), "--n", "16", "--blocks", "10",
+        "--rate", "0.1", "--csv", str(tmp_path / "no_such_dir" / "x.csv"),
+    ])
+    assert rc == cli.EXIT_MODEL
+    assert ran == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write CSV file: ")
+    assert "no_such_dir" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_infeasible_rate_exit_5(tmp_path):
     # budget arithmetic: r = ceil(24 h(0.2) 1.25) = 22, so 24 - 22 - 8 < 0
     g = Polytree(2, (edge(0, 1, bsc_matrix(0.2)),))
@@ -432,6 +468,122 @@ def test_readme_exit_codes_match_cli():
     documented = {int(code) for code in re.findall(r"^\|\s*(\d+)\s*\|", table, re.M)}
     constants = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
     assert documented == constants
+
+
+def test_readme_exit_2_row_covers_usage_and_csv_errors(tmp_path, capsys):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("Exit codes:", 1)[1].split("\n\n")[1]
+    row = re.search(r"^\|\s*2\s*\|(.*)$", table, re.M).group(1)
+    assert "usage error" in row
+    assert "`--csv`" in row
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["validate"])
+    assert usage.value.code == cli.EXIT_MODEL
+    samples = pathlib.Path(__file__).parents[1] / "sample_models"
+    argv = ["simulate", str(samples / "polytree_sim.json"), "--n", "16", "--blocks", "1",
+            "--rate", "0.1", "--csv", str(tmp_path)]  # a directory
+    assert cli.main(argv) == cli.EXIT_MODEL
+
+
+# The front end: main() builds only the named verb's subparser, and falls
+# back to the full parser when argv does not start with a verb.  Both must
+# give the same bytes and exit codes.
+
+def _outcome(capsys, call):
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _subparser(parser, verb):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[verb]
+
+
+_SAMPLE_ARGV = {
+    "capacity": ["--A", "1,2", "--D", "3", "--dual"],
+    "bounds": ["--A", "1,2", "--restarts", "2", "--seed", "5", "--grid", "4"],
+    "polytree": ["--wiretap", "--tol", "1e-6"],
+    "simulate": ["--n", "16", "--blocks", "2", "--rate", "0.1", "--csv", "x.csv"],
+    "validate": ["--threads", "2"],
+}
+
+
+@pytest.mark.parametrize("verb", list(cli.VERBS))
+def test_main_builds_only_the_named_verbs_parser(verb, tmp_path, monkeypatch, capsys):
+    full_dests = [a.dest for a in _subparser(cli.build_parser(), verb)._actions]
+    built, added = [], []
+    init = argparse.ArgumentParser.__init__
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    def recording_add_argument(self, *args, **kwargs):
+        action = add_argument(self, *args, **kwargs)
+        added.append((self.prog, action.dest))
+        return action
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording_add_argument)
+    code, _, err = _outcome(capsys, lambda: cli.main(
+        [verb, str(tmp_path / "missing.json"), *_SAMPLE_ARGV[verb]]
+    ))
+    assert code == cli.EXIT_MODEL
+    assert err.startswith("error: cannot read model file")
+    assert len(built) <= 2
+    assert {prog for prog, _ in added} <= {"skacap", f"skacap {verb}"}
+    assert [dest for prog, dest in added if prog == f"skacap {verb}"] == full_dests
+
+
+@pytest.mark.parametrize("verb", list(cli.VERBS))
+def test_one_verb_parser_gives_the_full_parsers_namespace(verb):
+    argv = [verb, "m.json", *_SAMPLE_ARGV[verb]]
+    lean = vars(cli.build_parser(verb).parse_args(argv))
+    assert lean == vars(cli.build_parser().parse_args(argv))
+    assert lean["verb"] == verb
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        ["--help"],
+        ["--version"],
+        ["--version", "capacity"],
+        *([verb, "-h"] for verb in cli.VERBS),
+        ["frobnicate", "m.json"],
+        [],
+        ["capacity", "m.json"],
+        ["validate"],
+        ["simulate", "m.json", "--n", "16", "--blocks", "2"],
+        ["capacity", "m.json", "--A", "1,2", "--bogus"],
+        ["validate", "m.json", "extra"],
+        ["validate", "m.json", "--threads", "0"],
+        ["bounds", "m.json", "--A", "1,2", "--grid", "x"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-verb",
+)
+def test_main_parses_like_the_full_parser(argv, capsys):
+    want = _outcome(capsys, lambda: cli.build_parser().parse_args(argv))
+    assert want[0] in (0, 2)  # each case ends while parsing
+    assert _outcome(capsys, lambda: cli.main(argv)) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["capacity", "m.json", "--A", "1,2", "--bogus"], ["validate", "-h"], ["--version"], []],
+    ids=["unrecognized", "verb-help", "version", "no-verb"],
+)
+def test_main_without_argv_reads_sys_argv(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["skacap", *argv])
+    want = _outcome(capsys, lambda: cli.build_parser().parse_args(None))
+    assert _outcome(capsys, lambda: cli.main(None)) == want
+    assert want[0] in (0, 2)
 
 
 def _parallel_edges_file(tmp_path):

@@ -263,7 +263,7 @@ def test_pk_upper_bounded_by_conditional_entropy():
         model = one_var_per_terminal(flat, (2,) * m)
         spec = PartySpec(m, 0b011, 0b100)
         val = pk_capacity(model, spec).value
-        h = omniscience._entropies(model)
+        h = omniscience.source_entropies(model)
         h_md = h[0b111] - h[0b100]
         assert 0.0 <= val <= h_md + 1e-9
 
@@ -276,7 +276,7 @@ def test_rate_witness_feasible():
     spec = PartySpec(m, 0b0011, 0b1000)
     rep = rco(model, spec)
     rates = {int(k) - 1: v for k, v in rep.witness["rates"].items()}
-    h = omniscience._entropies(model)
+    h = omniscience.source_entropies(model)
     full = (1 << m) - 1
     for b in constraint_family(spec).members:
         got = sum(rates[j] for j in range(m) if (b >> j) & 1)
@@ -292,7 +292,7 @@ def test_entropy_oracle_matches_prob_entropy():
     rng = np.random.default_rng(31)
     flat = rng.dirichlet(np.ones(16))
     model = one_var_per_terminal(flat, (2, 2, 2, 2))
-    h = omniscience._entropies(model)
+    h = omniscience.source_entropies(model)
     assert h[0] == 0.0
     for mask in range(1, 16):
         keep = {j for j in range(4) if (mask >> j) & 1}
@@ -302,7 +302,7 @@ def test_entropy_oracle_matches_prob_entropy():
     # a terminal of two variables, listed out of axis order, and Eve summed out
     pmf = JointPMF(((0, B), (1, Alphabet(3)), (2, B), (3, B)), rng.dirichlet(np.ones(24)))
     groups = (frozenset({2, 0}), frozenset({3}))
-    h = omniscience._entropies(SourceModel(pmf, groups, eve_var=1))
+    h = omniscience.source_entropies(SourceModel(pmf, groups, eve_var=1))
     for mask in range(1, 4):
         keep = set().union(*(g for j, g in enumerate(groups) if (mask >> j) & 1))
         assert h[mask] == pytest.approx(entropy(pmf, keep), abs=1e-12)
@@ -432,7 +432,7 @@ def test_sk_capacity_ignores_independent_local_noise(source, data):
 
 
 def entropies_of(model):
-    return omniscience._entropies(model)[None]
+    return omniscience.source_entropies(model)[None]
 
 
 def counted_solves(monkeypatch):

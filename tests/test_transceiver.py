@@ -14,7 +14,7 @@ from skacap.models import (
     emulated_to_source,
     polytree_to_transceiver,
 )
-from skacap.omniscience import _entropies, constraint_family, incidence, sk_capacity
+from skacap.omniscience import constraint_family, incidence, sk_capacity, source_entropies
 from skacap.optimize import InputOptimizerConfig, maximize_product_simplices, stack_points
 from skacap.prob import (
     Alphabet,
@@ -671,7 +671,7 @@ def test_emulated_oracle_matches_the_jointpmf_route():
                        if k > 1 else np.ones(1) for k in dims])
         for point in points:
             src = emulated_to_source(t, product_input(t, point))
-            assert np.array_equal(lay.entropies(stack_points([point]))[0], _entropies(src))
+            assert np.array_equal(lay.entropies(stack_points([point]))[0], source_entropies(src))
             emulated = emulate(t, constant_emulation(t, point))
             assert np.array_equal(emulated.pmf.probs, src.pmf.probs)
 
