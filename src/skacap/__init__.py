@@ -50,12 +50,26 @@ from .prob import (  # noqa: E402,F401
 )
 from .sim import SimConfig, SimResult, run_sim  # noqa: E402,F401
 from .transceiver import (  # noqa: E402,F401
-    EmulationSpec,
-    emulate,
-    lambda_upper_expression,
-    lower_bound_pk,
     noninteractive_sk_capacity,
     sk_bounds,
     upper_bound_sk,
     wsk_upper_by_pk,
 )
+
+#: The public names, in the order of the imports above, as the README's
+#: "Library" section lists them.
+__all__ = [
+    "CapacityReport", "PartySpec", "Polytree", "PolytreeEdge", "SourceModel",
+    "TransceiverModel", "edge", "emulated_to_source", "polytree_to_transceiver",
+    "LinearProgram", "lp_solve",
+    "parse_model", "serialize_model",
+    "constraint_family", "pk_capacity", "rco", "sk_capacity", "sk_capacity_dual",
+    "source_entropies",
+    "InputOptimizerConfig",
+    "edge_capacity", "polytree_capacity", "wiretapped_edge_lower",
+    "wiretapped_polytree_bounds",
+    "Alphabet", "Dmc", "JointPMF", "compose", "entropy", "marginalize",
+    "mutual_information", "product_pmf", "statistical_distance",
+    "SimConfig", "SimResult", "run_sim",
+    "noninteractive_sk_capacity", "sk_bounds", "upper_bound_sk", "wsk_upper_by_pk",
+]

@@ -3,12 +3,11 @@
 Three routes to the key capacity of a channel where terminal j controls
 input T_j and observes output Y_j:
 
-* Source-emulation lower bounds: fix a publicly known auxiliary variable V
-  with conditionally independent inputs, run the channel n times with no
-  interleaved discussion, and run a source-model protocol on the realized
-  IID source.  The emulated model gains terminal 0 (owning V), which is
-  treated as compromised.  With V constant it is the noninteractive
-  objective below at the product input, and ``sk_bounds`` reads it there.
+* The source-emulation lower bound: run the channel n times on
+  independent inputs with no interleaved discussion, then run a
+  source-model protocol on the realized IID source.  With the auxiliary V
+  constant, its value is the noninteractive objective below at that
+  product input; ``sk_bounds`` reports it at the uniform input.
 * The noninteractive SK capacity: with independent inputs and one public
   message per terminal after all transmissions, the capacity equals
   max over product input distributions of the emulated source's SK
@@ -28,8 +27,9 @@ input T_j and observes output Y_j:
   terminal (owning T_j, connected through a noiseless identity layer) and
   an output terminal (owning (T_j, Y_j)); the weighted-entropy converse
   expression of that 2m-terminal model, minimized over fractional covers
-  by LP and maximized over a declared family of input distributions, gives
-  an upper bound relative to that family.  The 2m-terminal model is never
+  by LP and maximized over a family of product inputs (the uniform input
+  and the noninteractive search's endpoints), gives an upper bound
+  relative to that family.  The 2m-terminal model is never
   built: every term of its converse is a closed form in entropies of
   (T_M, Y_M) (``_converse_terms``), and the cover LP is the one of
   ``omniscience.max_cover``.
@@ -46,8 +46,7 @@ on the wiretap SK capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -64,7 +63,6 @@ from .omniscience import (
     _require_pair,
     co_basis_hint,
     constraint_family,
-    incidence,
     lambda_witness,
     max_cover,
     pk_capacity,
@@ -75,10 +73,7 @@ from .optimize import (
     maximize_product_simplices,
     stack_points,
 )
-from .prob import Dmc, JointPMF, VarId, subset_entropies
-
-#: Tolerance for Lambda(A) membership checks.
-LAMBDA_TOL = 1e-8
+from .prob import subset_entropies
 
 #: Joint cells of the largest stack of points the NI objective scores in
 #: one pass; a larger stack is scored in slices, in order.
@@ -89,39 +84,14 @@ STACK_CELLS = 1 << 16
 TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class EmulationSpec:
-    """Auxiliary-variable emulation: P(V) and per-terminal P(T_j | V).
-
-    All conditionals share V's alphabet; V = constant (size-1 alphabet)
-    recovers plain product-input emulation.
-    """
-
-    p_v: JointPMF
-    conditionals: tuple[Dmc, ...]
-
-    def __post_init__(self):
-        if len(self.p_v.vars) != 1:
-            raise ModelError("p_v must be a distribution over the single variable V")
-        v_var = self.p_v.vars[0]
-        for j, ch in enumerate(self.conditionals):
-            if ch.in_vars != (v_var,):
-                raise ModelError(
-                    f"conditional {j} must take V (variable {v_var[0]}) as its input"
-                )
-
-    @property
-    def v_id(self) -> VarId:
-        return self.p_v.vars[0][0]
-
-
 class _Layout:
     """Array layout of the emulated source P(T_M) W(Y_M | T_M) of one model,
     for stacks of product inputs.
 
     ``dims[j]`` is the size of terminal j's joint input alphabet; a point is
-    one probability vector per terminal, row-major over its T group, and a
-    stack of points is one (points, dims[j]) array per terminal.  The input
+    one probability vector per terminal, row-major over its T group (the
+    uniform input is ``uniform``), and a stack of points is one
+    (points, dims[j]) array per terminal.  The input
     transposition, the joint shape, Eve's axes and the axes of each
     terminal's T_j (``t_axes[j]``), Y_j (``y_axes[j]``) and X_j
     (``group_axes[j]``) are fixed per model and computed here once, so no
@@ -137,6 +107,7 @@ class _Layout:
         axis = {v: i for i, v in enumerate(v for v in ids if v != t.eve_var)}
         self.rows = ch.rows
         self.dims = [int(np.prod([sizes[v] for v in g])) for g in t.input_vars]
+        self.uniform = [np.full(k, 1.0 / k) for k in self.dims]
         self.group_shape = tuple(sizes[v] for v in group_order)
         to_channel = [0] + [1 + group_order.index(v) for v in ch.in_ids]
         self.to_channel = None if to_channel == sorted(to_channel) else tuple(to_channel)
@@ -176,81 +147,6 @@ class _Layout:
         return subset_entropies(self.joint(self.inputs(stack)), self.group_axes)
 
 
-def emulate(t: TransceiverModel, spec: EmulationSpec) -> SourceModel:
-    """Source model over {0} + M realized by V-correlated source emulation.
-
-    Terminal 0 owns V; terminal j owns (T_j, Y_j).  The joint factorizes as
-    P(V) * prod_j P(T_j | V) * P(Y_M | T_M).
-    """
-    if len(spec.conditionals) != t.m:
-        raise ModelError(f"need {t.m} conditionals, got {len(spec.conditionals)}")
-    sizes = dict((vid, a.size) for vid, a in t.channel.in_vars)
-    for j, ch in enumerate(spec.conditionals):
-        want = tuple((v, sizes[v]) for v in t.input_vars[j])
-        if tuple((v, a.size) for v, a in ch.out_vars) != want:
-            raise ModelError(
-                f"conditional {j} outputs {ch.out_ids}, expected T group {t.input_vars[j]}"
-            )
-    p_t = spec.p_v.probs[:, None] * _Layout(t).inputs([ch.rows for ch in spec.conditionals])
-    joint = JointPMF(
-        spec.p_v.vars + t.channel.in_vars + t.channel.out_vars,
-        (p_t[:, :, None] * t.channel.rows).ravel(),
-    )
-    groups = (frozenset({spec.v_id}),) + t.terminal_vars()
-    return SourceModel(pmf=joint, terminal_vars=groups, eve_var=t.eve_var)
-
-
-def constant_emulation(t: TransceiverModel, inputs: Sequence[np.ndarray]) -> EmulationSpec:
-    """V = constant emulation whose conditionals realize the given product input.
-
-    ``inputs[j]`` is a distribution over terminal j's joint T alphabet.
-    """
-    used = set(t.channel.in_ids) | set(t.channel.out_ids)
-    v_id = max(used) + 1
-    p_v = JointPMF(((v_id, 1),), np.ones(1))
-    conds = []
-    for j in range(t.m):
-        out_vars = tuple(
-            (vid, t.channel.in_vars[t.channel.in_ids.index(vid)][1])
-            for vid in t.input_vars[j]
-        )
-        row = np.asarray(inputs[j], dtype=float).ravel()[None, :]
-        conds.append(Dmc(((v_id, 1),), out_vars, row))
-    return EmulationSpec(p_v=p_v, conditionals=tuple(conds))
-
-
-def _shift_spec(spec: PartySpec) -> PartySpec:
-    """Shift a base-model spec by one terminal and compromise terminal 0."""
-    return PartySpec(spec.m + 1, spec.a << 1, (spec.d << 1) | 1)
-
-
-def lower_bound_pk(
-    t: TransceiverModel, spec: PartySpec, e: EmulationSpec
-) -> CapacityReport:
-    """Source-emulation lower bound on the transceiver PK capacity.
-
-    Computes the PK capacity of the emulated source with D' = D + {0} and
-    reports it as a lower bound for the channel model.
-    """
-    if spec.m != t.m:
-        raise ModelError(f"spec has {spec.m} terminals, model has {t.m}")
-    value = pk_capacity(emulate(t, e), _shift_spec(spec)).value
-    return _emulation_report(e.p_v.probs, [ch.rows for ch in e.conditionals], value)
-
-
-def _emulation_report(p_v, conditionals, value: float) -> CapacityReport:
-    """Lower-bound report of an emulation with P(V) and P(T_j | V) matrices."""
-    witness = {
-        "emulation": {
-            "v_alphabet": len(p_v),
-            "p_v": [float(x) for x in p_v],
-            "conditionals": [[[float(x) for x in row] for row in c] for c in conditionals],
-        },
-        "emulated_pk": value,
-    }
-    return CapacityReport(value, "lower_bound", "source-emulation", witness)
-
-
 # ---------------------------------------------------------------------------
 # Converse expression of the auxiliary multiaccess model
 # ---------------------------------------------------------------------------
@@ -283,47 +179,6 @@ def _converse_terms(lay: _Layout, p_flat: np.ndarray, members) -> tuple[float, n
     return h[-1] - h[full], g
 
 
-def _input_probs(t: TransceiverModel, p_in: JointPMF) -> np.ndarray:
-    if p_in.vars != t.channel.in_vars:
-        raise ModelError("p_in must be declared over the channel input variables")
-    return p_in.probs
-
-
-def lambda_upper_expression(
-    t: TransceiverModel, p_in: JointPMF, lam: dict[int, float]
-) -> float:
-    """Single-letter converse value E for a given fractional cover lambda.
-
-    E = [H(X_M) - sum_B lam_B H(X_B | X_{B^c})]
-        - [H(X_{M'}) - sum_B lam_B H(X_{B & M'} | X_{B^c & M'})],
-
-    with B over the 2m auxiliary terminals (see ``_converse_terms``) and M'
-    the input terminals.  ``lam`` must lie in Lambda(A): weights in [0, 1]
-    whose sum over sets containing j is 1 for every auxiliary terminal j.
-    """
-    p_flat = _input_probs(t, p_in)
-    n = 2 * t.m
-    for b, w in lam.items():
-        if w < -LAMBDA_TOL or w > 1 + LAMBDA_TOL:
-            raise ModelError(f"lambda weight {w!r} outside [0, 1]")
-        if b >> n:
-            raise ModelError(f"lambda set {b:#b} names terminals outside the model")
-    weights = np.array(list(lam.values()))
-    coverage = weights @ incidence(list(lam), range(n))
-    for j, c in enumerate(coverage):
-        if abs(c - 1.0) > LAMBDA_TOL:
-            raise ModelError(f"infeasible lambda: coverage of terminal {j + 1} is {c!r}")
-    constant, g = _converse_terms(_Layout(t), p_flat, list(lam))
-    return constant - float(weights @ g)
-
-
-def min_lambda_upper_expression(
-    t: TransceiverModel, p_in: JointPMF
-) -> tuple[float, dict[int, float]]:
-    """Minimize the converse expression over Lambda(A = all outputs) by LP."""
-    return _min_lambda(_Layout(t), _input_probs(t, p_in), (1 << t.m) - 1)
-
-
 def _min_lambda(
     lay: _Layout, p_flat: np.ndarray, a_mask: int
 ) -> tuple[float, dict[int, float]]:
@@ -339,21 +194,18 @@ def _min_lambda(
 
 
 def noninteractive_sk_capacity(
-    t: TransceiverModel,
-    a,
-    cfg: InputOptimizerConfig,
-    extra_inputs: Sequence[Sequence[np.ndarray]] = (),
+    t: TransceiverModel, a, cfg: InputOptimizerConfig
 ) -> CapacityReport:
     """Noninteractive SK capacity: max over product inputs of the emulated
     source's SK capacity.
 
-    Deterministic given the seed.  When the best ascent fails to converge
-    within the sweep cap the value is still reported, flagged as a lower
-    bound instead of exact.
+    Deterministic given the seed, and the very search ``sk_bounds`` runs.
+    When the best ascent fails to converge within the sweep cap the value
+    is still reported, flagged as a lower bound instead of exact.
     """
     a_mask = as_mask(a)
     _require_pair(PartySpec(t.m, a_mask, 0))
-    return _ni_report(_ni_search(t, a_mask, cfg, extra_inputs))
+    return _ni_report(_ni_search(t, a_mask, cfg))
 
 
 def _ni_report(res: AscentResult) -> CapacityReport:
@@ -367,17 +219,17 @@ def _ni_report(res: AscentResult) -> CapacityReport:
     return CapacityReport(res.value, kind, "noninteractive-input-search", witness)
 
 
-def _ni_search(
-    t: TransceiverModel, a_mask: int, cfg, extra_inputs=()
-) -> AscentResult:
+def _ni_search(t: TransceiverModel, a_mask: int, cfg) -> AscentResult:
+    """The one NI input search of ``t``.
+
+    The uniform input goes in as an extra seed on top of the optimizer's
+    own uniform seed, so it is scored twice, and when it scores best it
+    fills both of the two best starts; the reported values are those of
+    this seed set.
+    """
     lay = _Layout(t)
-    for vecs in extra_inputs:
-        got = [int(np.size(v)) for v in vecs]
-        if got != lay.dims:
-            raise ModelError(f"extra input has group sizes {got}, expected {lay.dims}")
-    return maximize_product_simplices(
-        lay.dims, _ni_objective(lay, PartySpec(t.m, a_mask, 0)), cfg, extra_seeds=extra_inputs
-    )
+    objective = _ni_objective(lay, PartySpec(t.m, a_mask, 0))
+    return maximize_product_simplices(lay.dims, objective, cfg, extra_seeds=[lay.uniform])
 
 
 def _ni_objective(lay: _Layout, spec: PartySpec):
@@ -405,32 +257,26 @@ def upper_bound_sk(
     t: TransceiverModel,
     a,
     cfg: InputOptimizerConfig,
-    extra_inputs: Sequence[Sequence[np.ndarray]] = (),
     search: Optional[AscentResult] = None,
 ) -> CapacityReport:
     """Auxiliary-multiaccess upper bound relative to a declared input family.
 
-    The family is the uniform input, any ``extra_inputs`` and the
-    optimizer's endpoints, each evaluated once (exact repeats are
-    skipped); for each member the converse expression is minimized over
-    fractional covers by LP, and the maximum over the family is reported.
-    A later member replaces an earlier one only when it is larger by more
-    than ``TIE_TOL``, so members tied up to round-off report the first.
-    The family is recorded in the witness: the value upper-bounds the
-    noninteractive capacity restricted to that family, per the converse of
-    the auxiliary construction.
+    The family is the uniform input and the endpoints of the NI search
+    (``search``, run here when not given), each evaluated once (exact
+    repeats are skipped); for each member the converse expression is
+    minimized over fractional covers by LP, and the maximum over the
+    family is reported.  A later member replaces an earlier one only when
+    it is larger by more than ``TIE_TOL``, so members tied up to round-off
+    report the first.  The family is recorded in the witness: the value
+    upper-bounds the noninteractive capacity restricted to that family,
+    per the converse of the auxiliary construction.
     """
     a_mask = as_mask(a)
     _require_pair(PartySpec(t.m, a_mask, 0))
     if search is None:
-        search = _ni_search(t, a_mask, cfg, extra_inputs)
+        search = _ni_search(t, a_mask, cfg)
     lay = _Layout(t)
-    family: list[list[np.ndarray]] = [[np.full(k, 1.0 / k) for k in lay.dims]]
-    family += [[np.asarray(v, dtype=float) for v in vecs] for vecs in extra_inputs]
-    for vecs in family[1:]:  # the caller's inputs must be distributions
-        JointPMF(t.channel.in_vars, lay.inputs(stack_points([vecs]))[0])
-    family += [point for _, point in search.finals]
-    family.append(search.point)
+    family = [lay.uniform] + [point for _, point in search.finals] + [search.point]
     best_val = -np.inf
     best_lam: dict[int, float] = {}
     best_point = None
@@ -475,39 +321,35 @@ def wsk_upper_by_pk(model: SourceModel, a) -> CapacityReport:
     return CapacityReport(inner.value, "upper_bound", "wsk-pk-promotion", witness)
 
 
-def sk_bounds(
-    t: TransceiverModel,
-    a,
-    cfg: InputOptimizerConfig,
-    emulation_inputs: Sequence[Sequence[np.ndarray]] = (),
-) -> dict:
-    """Lower bounds, noninteractive value, and surrogate upper bound.
+def sk_bounds(t: TransceiverModel, a, cfg: InputOptimizerConfig) -> dict:
+    """Lower bound, noninteractive value, and surrogate upper bound.
 
-    ``emulation_inputs`` are per-terminal product inputs used for
-    V = constant emulation lower bounds, each the noninteractive objective
-    at its input; they and the uniform input are folded into both the
-    optimizer seeds and the upper bound's declared family so the reported
-    ordering lower <= noninteractive <= upper holds by construction.
-    Raises InternalConsistencyError if the computed numbers violate it.
+    The lower bound is source emulation with V constant at the uniform
+    input, which is the noninteractive objective there.  The search seeds
+    the uniform input and the upper bound's family holds it, so the
+    reported ordering lower <= noninteractive <= upper holds by
+    construction.  Raises InternalConsistencyError if the computed numbers
+    violate it.
     """
     a_mask = as_mask(a)
     spec = PartySpec(t.m, a_mask, 0)
     _require_pair(spec)
-    lay = _Layout(t)
-    inputs = [[np.full(k, 1.0 / k) for k in lay.dims]]
-    inputs += [[np.asarray(v, dtype=float) for v in vecs] for vecs in emulation_inputs]
-    search = _ni_search(t, a_mask, cfg, extra_inputs=inputs)
+    search = _ni_search(t, a_mask, cfg)
     ni = _ni_report(search)
-    upper = upper_bound_sk(t, a_mask, cfg, extra_inputs=inputs, search=search)
-    values = _ni_objective(lay, spec)(stack_points(inputs))
-    lowers = [
-        _emulation_report(np.ones(1), [[v] for v in vecs], float(value))
-        for vecs, value in zip(inputs, values)
-    ]
-    best_lower = max(l.value for l in lowers)
-    if best_lower > ni.value + 1e-7 or ni.value > upper.value + 1e-7:
+    upper = upper_bound_sk(t, a_mask, cfg, search=search)
+    lay = _Layout(t)
+    value = float(_ni_objective(lay, spec)(stack_points([lay.uniform]))[0])
+    emulation = {
+        "v_alphabet": 1,
+        "p_v": [1.0],
+        "conditionals": [[[float(x) for x in v]] for v in lay.uniform],
+    }
+    lower = CapacityReport(
+        value, "lower_bound", "source-emulation", {"emulation": emulation, "emulated_pk": value}
+    )
+    if value > ni.value + 1e-7 or ni.value > upper.value + 1e-7:
         raise InternalConsistencyError(
-            f"bound ordering violated: lower {best_lower}, "
+            f"bound ordering violated: lower {value}, "
             f"noninteractive {ni.value}, upper {upper.value}"
         )
-    return {"lower_bounds": lowers, "noninteractive": ni, "upper_bound": upper}
+    return {"lower_bounds": [lower], "noninteractive": ni, "upper_bound": upper}

@@ -36,6 +36,7 @@ from skacap.prob import (
     binary_entropy,
     bsc_matrix,
     mutual_information,
+    product_pmf,
 )
 from skacap.sim import SimConfig, run_sim
 from skacap.transceiver import sk_bounds, wsk_upper_by_pk
@@ -182,10 +183,16 @@ def test_criterion_6_sandwich():
                     k = int(rng.integers(1, 8))
                     vecs.append(np.array([k / 8, 1 - k / 8]))
                 extra.append(vecs)
-            out = sk_bounds(t, (1 << m) - 1, cfg, emulation_inputs=extra)
-            lowers = [r.value for r in out["lower_bounds"]]
+            out = sk_bounds(t, (1 << m) - 1, cfg)
             ni = out["noninteractive"].value
             up = out["upper_bound"].value
+            # the lower bound at the uniform input, and the NI objective at
+            # each grid-aligned input by the emulated source's SK capacity
+            lowers = [r.value for r in out["lower_bounds"]]
+            for vecs in extra:
+                p_in = product_pmf([JointPMF(((j, B),), v) for j, v in enumerate(vecs)])
+                src = emulated_to_source(t, p_in)
+                lowers.append(sk_capacity(src, (1 << m) - 1).value)
             assert max(lowers) <= ni + 1e-7
             assert ni <= up + 1e-7
         assert time.monotonic() - start < 600.0

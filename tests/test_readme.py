@@ -1,5 +1,6 @@
 """Run the README's examples: the ``skacap`` commands and the library block."""
 
+import importlib
 import json
 import pathlib
 import shlex
@@ -10,6 +11,7 @@ import jsonschema
 import pytest
 from conftest import child_env, run_skacap
 
+import skacap
 from skacap.prob import binary_entropy
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -73,3 +75,20 @@ def test_readme_library_example():
     assert proc.returncode == 0, proc.stderr
     printed = [float(line) for line in proc.stdout.split()]
     assert printed == pytest.approx([1 - binary_entropy(0.2)] * 2, abs=1e-9)
+
+
+def test_readme_library_section_lists_the_public_names():
+    # each bullet is "- `module`: `name`, ..."; the names, in order, are
+    # skacap.__all__, and each is the package's re-export of the module's
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    listed = []
+    for line in section.splitlines():
+        if line.startswith("- `"):
+            module, names = line[2:].split(":", 1)
+            module = importlib.import_module("skacap." + module.strip("`"))
+            for name in names.split(","):
+                name = name.strip().strip("`")
+                assert getattr(skacap, name) is getattr(module, name)
+                listed.append(name)
+    assert skacap.__all__ == listed

@@ -15,7 +15,12 @@ from skacap.models import (
     polytree_to_transceiver,
 )
 from skacap.omniscience import constraint_family, incidence, sk_capacity, source_entropies
-from skacap.optimize import InputOptimizerConfig, maximize_product_simplices, stack_points
+from skacap.optimize import (
+    AscentResult,
+    InputOptimizerConfig,
+    maximize_product_simplices,
+    stack_points,
+)
 from skacap.prob import (
     Alphabet,
     Dmc,
@@ -24,19 +29,10 @@ from skacap.prob import (
     bsc_matrix,
     compose,
     entropy,
-    marginalize,
     mutual_information,
     product_pmf,
-    statistical_distance,
-    uniform_pmf,
 )
 from skacap.transceiver import (
-    EmulationSpec,
-    constant_emulation,
-    emulate,
-    lambda_upper_expression,
-    lower_bound_pk,
-    min_lambda_upper_expression,
     noninteractive_sk_capacity,
     sk_bounds,
     upper_bound_sk,
@@ -82,51 +78,27 @@ def random_transceiver(rng, m):
     )
 
 
-def v_correlated_spec(t, v_size, rng):
-    used = set(t.channel.in_ids) | set(t.channel.out_ids)
-    v_id = max(used) + 1
-    p_v = JointPMF(((v_id, Alphabet(v_size)),), rng.dirichlet(np.ones(v_size)))
-    conds = []
-    for j in range(t.m):
-        out_vars = tuple(
-            (vid, dict(t.channel.in_vars)[vid]) for vid in t.input_vars[j]
-        )
-        k = int(np.prod([a.size for _, a in out_vars]))
-        conds.append(Dmc(((v_id, Alphabet(v_size)),), out_vars, rng.dirichlet(np.ones(k), size=v_size)))
-    return EmulationSpec(p_v=p_v, conditionals=tuple(conds))
+def sk_at(t, vecs, a_mask=0b11):
+    """The NI objective at a product input by the independent route:
+    ``sk_capacity`` of the validated emulated source."""
+    return sk_capacity(emulated_to_source(t, product_input(t, vecs)), a_mask).value
 
 
 def test_emulate_constant_v_matches_product_emulation():
+    # the lower bound's witness names a constant-V emulation; its
+    # conditionals, taken as a product input, give the reported value by
+    # the independent route
     t = single_bsc_transceiver(0.11)
-    dims = [int(np.prod([dict(t.channel.in_vars)[v].size for v in g])) for g in t.input_vars]
-    vecs = [np.full(k, 1.0 / k) for k in dims]
-    spec = constant_emulation(t, vecs)
-    src = emulate(t, spec)
-    assert src.m == t.m + 1
-    direct = emulated_to_source(t, product_input(t, vecs))
-    # drop V and compare entry-wise
-    core = marginalize(src.pmf, set(direct.pmf.ids))
-    assert core.vars == direct.pmf.vars
-    np.testing.assert_allclose(core.probs, direct.pmf.probs, atol=1e-12)
-
-
-def test_emulate_v_copies_inputs():
-    # V uniform bit, T1 = T2 = V: the T marginal is a perfectly correlated pair
-    t = random_transceiver(np.random.default_rng(0), 2)
-    v_id = 10
-    p_v = JointPMF(((v_id, B),), np.array([0.5, 0.5]))
-    copy = np.eye(2)
-    conds = (
-        Dmc(((v_id, B),), ((0, B),), copy),
-        Dmc(((v_id, B),), ((1, B),), copy),
-    )
-    src = emulate(t, EmulationSpec(p_v=p_v, conditionals=conds))
-    tm = marginalize(src.pmf, {0, 1})
-    np.testing.assert_allclose(tm.probs, [0.5, 0.0, 0.0, 0.5], atol=1e-14)
+    (rep,) = sk_bounds(t, 0b11, CFG)["lower_bounds"]
+    emulation = rep.witness["emulation"]
+    assert emulation["v_alphabet"] == 1 and emulation["p_v"] == [1.0]
+    vecs = [np.array(rows[0]) for rows in emulation["conditionals"]]
+    assert [len(rows) for rows in emulation["conditionals"]] == [1] * t.m
+    assert rep.value == pytest.approx(sk_at(t, vecs), abs=1e-12)
 
 
 def test_emulate_degenerate_channel_outputs_independent():
-    # outputs independent of inputs: Y-marginal independent of (V, T)
+    # outputs independent of inputs: Y-marginal independent of T
     rows = np.tile(np.array([0.25, 0.25, 0.25, 0.25]), (4, 1))
     t = TransceiverModel(
         m=2,
@@ -134,32 +106,19 @@ def test_emulate_degenerate_channel_outputs_independent():
         output_vars=((2,), (3,)),
         channel=Dmc(((0, B), (1, B)), ((2, B), (3, B)), rows),
     )
-    spec = constant_emulation(t, [np.array([0.3, 0.7]), np.array([0.5, 0.5])])
-    src = emulate(t, spec)
+    src = emulated_to_source(t, product_input(t, [np.array([0.3, 0.7]), np.array([0.5, 0.5])]))
     assert mutual_information(src.pmf, {2, 3}, {0, 1}) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_emulation_spec_validates_v_alphabet():
-    t = random_transceiver(np.random.default_rng(4), 2)
-    p_v = JointPMF(((9, B),), np.array([0.5, 0.5]))
-    wrong_input = Dmc(((8, B),), ((0, B),), np.eye(2))
-    with pytest.raises(ModelError):
-        EmulationSpec(p_v=p_v, conditionals=(wrong_input, wrong_input))
-    with pytest.raises(ModelError):
-        # conditional outputs must be the terminal's T group
-        good_in = Dmc(((9, B),), ((5, B),), np.eye(2))
-        emulate(t, EmulationSpec(p_v=p_v, conditionals=(good_in, good_in)))
 
 
 def test_lower_bound_single_bsc_edge():
     t = single_bsc_transceiver(0.11)
-    dims = [1, 1]
     # uniform on the real input var; degenerate elsewhere
     vecs = []
     for g in t.input_vars:
         k = int(np.prod([dict(t.channel.in_vars)[v].size for v in g]))
         vecs.append(np.full(k, 1.0 / k))
-    rep = lower_bound_pk(t, PartySpec(2, 0b11, 0), constant_emulation(t, vecs))
+    assert sk_at(t, vecs) == pytest.approx(1 - binary_entropy(0.11), abs=1e-9)
+    (rep,) = sk_bounds(t, 0b11, CFG)["lower_bounds"]
     assert rep.kind == "lower_bound"
     assert rep.value == pytest.approx(1 - binary_entropy(0.11), abs=1e-9)
 
@@ -172,16 +131,14 @@ def test_lower_bound_point_mass_is_zero():
         v = np.zeros(k)
         v[0] = 1.0
         vecs.append(v)
-    rep = lower_bound_pk(t, PartySpec(2, 0b11, 0), constant_emulation(t, vecs))
-    assert rep.value == pytest.approx(0.0, abs=1e-10)
+    assert sk_at(t, vecs) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_lower_bound_identity_channel():
     g = Polytree(2, (edge(0, 1, np.eye(2)),))
     t = polytree_to_transceiver(g)
     vecs = [np.array([0.5, 0.5]), np.array([1.0])]
-    rep = lower_bound_pk(t, PartySpec(2, 0b11, 0), constant_emulation(t, vecs))
-    assert rep.value == pytest.approx(1.0, abs=1e-10)
+    assert sk_at(t, vecs) == pytest.approx(1.0, abs=1e-10)
 
 
 def aux_vars(t, mask):
@@ -263,6 +220,12 @@ def test_converse_terms_match_the_auxiliary_entropies():
         assert np.abs(g - want_g).max() <= 1e-12
 
 
+def expression_at(t, p_in, lam):
+    """The converse expression at the cover ``lam``, by ``_converse_terms``."""
+    constant, g = _converse_terms(_Layout(t), p_in.probs, list(lam))
+    return constant - float(np.array(list(lam.values())) @ g)
+
+
 def test_min_lambda_is_the_cover_minimum_of_the_auxiliary_expression():
     # the value is the reference expression at the returned cover, which
     # lies in Lambda(A), and no cover does better (scipy's LP on the
@@ -277,9 +240,7 @@ def test_min_lambda_is_the_cover_minimum_of_the_auxiliary_expression():
         assert abs(val - (constant - weights @ g)) <= 1e-12
         best = linprog(-g, A_eq=cover, b_eq=np.ones(2 * t.m), bounds=(0, None))
         assert val == pytest.approx(constant + best.fun, abs=1e-9)
-        if a_mask == (1 << t.m) - 1:
-            assert min_lambda_upper_expression(t, p_in) == (val, lam)
-        assert lambda_upper_expression(t, p_in, lam) == pytest.approx(val, abs=1e-12)
+        assert expression_at(t, p_in, lam) == pytest.approx(val, abs=1e-12)
 
 
 def test_lambda_expression_independence_cancellation():
@@ -291,7 +252,7 @@ def test_lambda_expression_independence_cancellation():
         p_in = product_input(t, vecs)
         # lambda: all singletons of the 2m auxiliary terminals
         lam = {1 << j: 1.0 for j in range(2 * m)}
-        val = lambda_upper_expression(t, p_in, lam)
+        val = expression_at(t, p_in, lam)
         # with lam covering inputs exactly once, bracket2 = 0, so
         # E = H(X_M) - sum_B lam_B H(X_B | X_{B^c})
         joint = compose(p_in, t.channel)
@@ -302,22 +263,6 @@ def test_lambda_expression_independence_cancellation():
         assert val == pytest.approx(first, abs=1e-10)
 
 
-def test_lambda_expression_rejects_infeasible():
-    t = random_transceiver(np.random.default_rng(2), 2)
-    p_in = product_input(t, [np.array([0.5, 0.5]), np.array([0.5, 0.5])])
-    with pytest.raises(ModelError, match="infeasible lambda"):
-        lambda_upper_expression(t, p_in, {0b0001: 1.0})
-    with pytest.raises(ModelError, match="outside the model"):
-        lambda_upper_expression(t, p_in, {0b1111: 1.0, 0b10000: 1.0})
-    with pytest.raises(ModelError, match=r"outside \[0, 1\]"):
-        lambda_upper_expression(t, p_in, {0b1111: 1.5})
-    wrong = JointPMF(((0, B), (5, B)), np.full(4, 0.25))
-    with pytest.raises(ModelError, match="channel input variables"):
-        lambda_upper_expression(t, wrong, {0b1111: 1.0})
-    with pytest.raises(ModelError, match="channel input variables"):
-        min_lambda_upper_expression(t, wrong)
-
-
 def test_min_lambda_equals_sk_capacity_on_product_inputs():
     rng = np.random.default_rng(12)
     for m in (2, 3):
@@ -326,13 +271,11 @@ def test_min_lambda_equals_sk_capacity_on_product_inputs():
             vecs = [rng.dirichlet(np.ones(2)) for _ in range(m)]
             p_in = product_input(t, vecs)
             sk = sk_capacity(emulated_to_source(t, p_in), (1 << m) - 1).value
-            val, lam = min_lambda_upper_expression(t, p_in)
+            val, lam = _min_lambda(_Layout(t), p_in.probs, (1 << m) - 1)
             assert val == pytest.approx(sk, abs=1e-9)
-            # the witness lies in Lambda(A): re-evaluating through the
-            # public expression reproduces the minimum
-            assert lambda_upper_expression(t, p_in, lam) == pytest.approx(
-                val, abs=1e-9
-            )
+            # re-evaluating the expression at the returned cover
+            # reproduces the minimum
+            assert expression_at(t, p_in, lam) == pytest.approx(val, abs=1e-9)
 
 
 @pytest.mark.parametrize("bound", [sk_bounds, upper_bound_sk, noninteractive_sk_capacity])
@@ -434,45 +377,34 @@ def test_sk_bounds_sandwich_and_witnesses():
         [np.array([0.25, 0.75]), np.array([0.625, 0.375])],
         [np.array([0.875, 0.125]), np.array([0.5, 0.5])],
     ]
-    out = sk_bounds(t, {0, 1}, CFG, emulation_inputs=grid_aligned)
-    lowers = [r.value for r in out["lower_bounds"]]
+    out = sk_bounds(t, {0, 1}, CFG)
     ni = out["noninteractive"]
     upper = out["upper_bound"]
-    assert max(lowers) <= ni.value + 1e-7
     assert ni.value <= upper.value + 1e-7
     assert upper.witness["family"]
-    assert out["lower_bounds"][0].witness["emulation"]["v_alphabet"] == 1
-    # each lower bound is the search objective at its input; the independent
-    # route builds the (m+1)-terminal emulated source with a constant V
-    inputs = [[np.full(2, 0.5), np.full(2, 0.5)]] + grid_aligned
-    assert len(out["lower_bounds"]) == len(inputs)
-    for rep, vecs in zip(out["lower_bounds"], inputs):
-        want = lower_bound_pk(t, PartySpec(2, 0b11, 0), constant_emulation(t, vecs))
-        assert rep.value == pytest.approx(want.value, abs=1e-12)
-        assert rep.witness["emulation"] == want.witness["emulation"]
-        assert rep.witness["emulated_pk"] == rep.value
+    # the one lower bound is the search objective at the uniform input, by
+    # the independent route, and each other product input scores at most
+    # the NI value
+    (rep,) = out["lower_bounds"]
+    uniform = [np.full(2, 0.5), np.full(2, 0.5)]
+    assert rep.value <= ni.value + 1e-7
+    assert rep.value == pytest.approx(sk_at(t, uniform), abs=1e-12)
+    assert rep.witness["emulation"] == {
+        "v_alphabet": 1, "p_v": [1.0], "conditionals": [[[0.5, 0.5]], [[0.5, 0.5]]]
+    }
+    assert rep.witness["emulated_pk"] == rep.value
+    for vecs in grid_aligned:
+        assert sk_at(t, vecs) <= ni.value + 1e-7
 
 
 def test_sk_bounds_noninteractive_report_equals_direct_search():
-    # sk_bounds seeds its search with the uniform input, so the direct call
-    # with that one extra seed runs the same search and must report the same
+    # one seeded search behind both: the same report, evaluation count too
     rng = np.random.default_rng(45)
-    t = random_transceiver(rng, 2)
-    uniform = [np.full(2, 0.5), np.full(2, 0.5)]
+    t = random_ternary_pair(rng)
     got = sk_bounds(t, {0, 1}, CFG)["noninteractive"].to_dict()
-    want = noninteractive_sk_capacity(t, {0, 1}, CFG, extra_inputs=[uniform]).to_dict()
+    want = noninteractive_sk_capacity(t, {0, 1}, CFG).to_dict()
     assert got == want
     assert {"evaluations", "converged"} <= set(got["witness"])
-
-
-def test_v_correlated_lower_bound_is_valid_report():
-    rng = np.random.default_rng(50)
-    t = random_transceiver(rng, 2)
-    spec = v_correlated_spec(t, 2, rng)
-    rep = lower_bound_pk(t, PartySpec(2, 0b11, 0), spec)
-    assert rep.kind == "lower_bound"
-    assert rep.value >= 0.0
-    assert rep.witness["emulation"]["v_alphabet"] == 2
 
 
 def test_upper_bound_never_below_noninteractive_on_random_models():
@@ -483,6 +415,10 @@ def test_upper_bound_never_below_noninteractive_on_random_models():
             ni = noninteractive_sk_capacity(t, (1 << m) - 1, CFG)
             up = upper_bound_sk(t, (1 << m) - 1, CFG)
             assert ni.value <= up.value + 1e-7
+
+
+def uniform_input(lay):
+    return [np.full(k, 1.0 / k) for k in lay.dims]
 
 
 def random_ternary_pair(rng):
@@ -550,11 +486,12 @@ def test_ni_search_equals_the_plain_objective(name):
                 for point in zip(*stack)
             ])
 
-        want = maximize_product_simplices(_Layout(t).dims, plain, cfg)
+        lay = _Layout(t)
+        want = maximize_product_simplices(lay.dims, plain, cfg, extra_seeds=[uniform_input(lay)])
         got = _ni_search(t, a_mask, cfg)
         assert got.evaluations == want.evaluations
         assert got.value == pytest.approx(want.value, abs=1e-12)
-        ni = _ni_objective(_Layout(t), PartySpec(t.m, a_mask, 0))
+        ni = _ni_objective(lay, PartySpec(t.m, a_mask, 0))
         assert plain(stack_points([got.point]))[0] == pytest.approx(got.value, abs=1e-12)
         assert ni(stack_points([want.point]))[0] == pytest.approx(want.value, abs=1e-12)
         assert [v for v, _ in got.finals] == pytest.approx([v for v, _ in want.finals], abs=1e-12)
@@ -595,7 +532,9 @@ def test_stacked_search_equals_one_point_per_call(name, monkeypatch):
 
         def search(wrap=lambda f: f):
             objective = _ni_objective(lay, spec)
-            return maximize_product_simplices(lay.dims, wrap(objective), cfg)
+            return maximize_product_simplices(
+                lay.dims, wrap(objective), cfg, extra_seeds=[uniform_input(lay)]
+            )
 
         stacked = search()
         assert_same_search(stacked, _ni_search(t, a_mask, cfg))
@@ -646,20 +585,20 @@ def test_upper_bound_keeps_the_first_of_tied_family_members():
     # a member one ulp off the uniform input ties with it up to round-off;
     # the uniform input, first in the family, stays the argmax
     t = single_bsc_transceiver(0.11)
-    uniform = [np.full(k, 1.0 / k) for k in _Layout(t).dims]
     off = [np.array([np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)]), np.ones(1)]
-    rep = upper_bound_sk(t, 0b11, CFG, extra_inputs=[off])
+    search = AscentResult(value=0.0, point=off, converged=True, evaluations=1, finals=[(0.0, off)])
+    rep = upper_bound_sk(t, 0b11, CFG, search=search)
     values = [e["value"] for e in rep.witness["family"]]
-    assert [e["input"] for e in rep.witness["family"][:2]] == [
+    assert [e["input"] for e in rep.witness["family"]] == [
         [[0.5, 0.5], [1.0]], [[float(x) for x in v] for v in off]
     ]
-    assert rep.witness["argmax_input"] == [[float(x) for x in v] for v in uniform]
+    assert rep.witness["argmax_input"] == [[0.5, 0.5], [1.0]]
     assert abs(rep.value - max(values)) <= 1e-12
 
 
 def test_emulated_oracle_matches_the_jointpmf_route():
-    # the layout oracle and constant-V emulate give the very floats of the
-    # product_pmf/compose route
+    # the layout oracle gives the very floats of the product_pmf/compose
+    # route
     rng = np.random.default_rng(71)
     for t in SEARCH_MODELS.values():
         lay = _Layout(t)
@@ -672,29 +611,6 @@ def test_emulated_oracle_matches_the_jointpmf_route():
         for point in points:
             src = emulated_to_source(t, product_input(t, point))
             assert np.array_equal(lay.entropies(stack_points([point]))[0], source_entropies(src))
-            emulated = emulate(t, constant_emulation(t, point))
-            assert np.array_equal(emulated.pmf.probs, src.pmf.probs)
-
-
-def test_ni_search_refuses_extra_inputs_of_the_wrong_size():
-    t = single_bsc_transceiver(0.1)
-    with pytest.raises(ModelError, match="group sizes"):
-        noninteractive_sk_capacity(t, {0, 1}, CFG, extra_inputs=[[np.ones(3) / 3, np.ones(1)]])
-
-
-def test_emulate_v_correlated_matches_the_factorization():
-    # P(V) prod_j P(T_j | V) W(Y_M | T_M), one V symbol at a time
-    rng = np.random.default_rng(72)
-    for t in SEARCH_MODELS.values():
-        spec = v_correlated_spec(t, 3, rng)
-        src = emulate(t, spec)
-        want = [
-            p * product_input(t, [c.rows[v] for c in spec.conditionals]).probs[:, None]
-            * t.channel.rows
-            for v, p in enumerate(spec.p_v.probs)
-        ]
-        assert src.pmf.vars == spec.p_v.vars + t.channel.in_vars + t.channel.out_vars
-        np.testing.assert_allclose(src.pmf.probs, np.ravel(want), rtol=1e-14, atol=1e-17)
 
 
 @pytest.mark.parametrize("name", ["t3-binary", "pin4"])
@@ -704,10 +620,9 @@ def test_upper_bound_evaluates_each_family_input_once(name):
     # only the recorded family
     t = SEARCH_MODELS[name]
     a_mask = (1 << t.m) - 1
-    uniform = [np.full(k, 1.0 / k) for k in _Layout(t).dims]
-    search = _ni_search(t, a_mask, CFG, [uniform])
-    rep = upper_bound_sk(t, a_mask, CFG, extra_inputs=[uniform], search=search)
-    family = [uniform, uniform] + [point for _, point in search.finals] + [search.point]
+    search = _ni_search(t, a_mask, CFG)
+    rep = upper_bound_sk(t, a_mask, CFG, search=search)
+    family = [uniform_input(_Layout(t))] + [point for _, point in search.finals] + [search.point]
     best_val, best_point, best_lam = -np.inf, None, None
     for vecs in family:
         val, lam = _min_lambda(_Layout(t), product_input(t, vecs).probs, a_mask)
