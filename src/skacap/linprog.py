@@ -26,13 +26,13 @@ all be within ``FEAS_TOL`` or the solver raises instead of returning a
 wrong answer.
 
 A search that solves many LPs over one fixed polytope, changing only the
-cost, can keep the optimal basis of its last full solve in a
-``BasisHint``.  A basis B stays optimal for a new cost exactly when the
-duals y = B^-T c_B are dual feasible, so ``BasisHint.reuse`` reads the
-solution off B^-1 without pivoting, and returns it only when it passes
-the checks of ``_certify`` (dual feasibility held to the threshold at
-which ``_simplex`` stops); otherwise the caller solves in full and hands
-the new basis to ``BasisHint.adopt``.
+cost, keeps the optimal bases of its last full solves in a ``BasisHint``.
+A basis B stays optimal for a new cost exactly when the duals
+y = B^-T c_B are dual feasible, so ``BasisHint.reuse_all`` reads each
+row of a cost stack off B^-1 of the first pooled basis that passes the
+checks of ``_certify`` (dual feasibility held to the threshold at which
+``_simplex`` stops), without pivoting; the caller solves a row that no
+basis passes in full and hands the new basis to ``BasisHint.adopt``.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ FEAS_TOL = 1e-9
 
 #: Consecutive degenerate pivots after which pricing falls back to Bland's rule.
 DEGENERATE_RUN = 10
+
+#: Factored optimal bases a ``BasisHint`` keeps, most recently adopted first.
+POOL_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -220,7 +223,7 @@ def _certify(lp: LinearProgram, x, value, dual_ge):
 
 
 class BasisHint:
-    """The optimal basis of the last full solve of  min c.x  s.t.
+    """The optimal bases of the last full solves of  min c.x  s.t.
     a_ge.x >= b_ge, x >= 0, reused while only the cost c changes.
 
     ``key`` names what the caller built the constraints from, so that it
@@ -228,8 +231,10 @@ class BasisHint:
     ``a_ge`` itself, without a copy when it is already float, and never
     writes to it; the caller hands it over.  The right-hand side is
     fixed, so the primal point x_B = B^-1 b_ge depends on the basis alone
-    and is formed once per adopted basis, together with the map
-    c -> y = B^-T c_B from a cost to the basis duals.
+    and is formed once per pooled basis, together with the map
+    c -> y = B^-T c_B from a cost to the basis duals.  A basis is
+    factored at the first read after its adoption, so a hint that is
+    never read again pays for no factorization.
     """
 
     def __init__(self, a_ge: np.ndarray, b_ge: np.ndarray, key=None):
@@ -237,62 +242,85 @@ class BasisHint:
         self.b_ge = np.array(b_ge, dtype=float).ravel()
         self.key = key
         self._b_max = float(np.abs(self.b_ge).max(initial=0.0))
-        self.adopt(())
+        self._pool: list = []  # [basis, factors or None], most recent first
+        self._stacked = None  # the factors of the pool, stacked
+
+    @property
+    def pool(self) -> tuple[tuple[int, ...], ...]:
+        """The pooled bases, most recently adopted first."""
+        return tuple(basis for basis, _ in self._pool)
 
     def adopt(self, basis):
-        """Keep ``basis`` (an ``LpSolution.basis``); B^-1 is formed at the next reuse."""
-        self._basis = tuple(basis)
-        self._dual_map = None
+        """Put ``basis`` (an ``LpSolution.basis``) first in the pool, dropping
+        the least recent past ``POOL_SIZE``; B^-1 is formed at the next read."""
+        basis = tuple(basis)
+        entry = next((e for e in self._pool if e[0] == basis), [basis, None])
+        self._pool = [entry] + [e for e in self._pool if e is not entry][:POOL_SIZE - 1]
+        self._stacked = None
 
-    def _factor(self) -> bool:
-        """Factor the kept basis; False (and the basis dropped) when it is unusable."""
+    def _factor(self, basis):
+        """x, slack, primal minimum and dual map of ``basis``; None when unusable."""
         k, n = self.a_ge.shape
-        if len(self._basis) != k:
-            return False
-        cols = list(self._basis)
+        if len(basis) != k:
+            return None
+        cols = list(basis)
         try:
             binv = np.linalg.inv(_basis_matrix(self.a_ge, cols))
         except np.linalg.LinAlgError:
-            self._basis = ()
-            return False
+            return None
         x_std = np.zeros(n + k)
         x_std[cols] = binv @ self.b_ge
-        self._x = x_std[:n]
-        self._x.setflags(write=False)
+        x = x_std[:n]
+        x.setflags(write=False)
         # The primal checks of _certify, on the constraints themselves, so
         # an inaccurate inverse cannot pass them.
-        self._slack = self.a_ge @ self._x - self.b_ge
-        self._primal_min = min(
-            float(self._slack.min(initial=0.0)), float(self._x.min(initial=0.0))
-        )
+        slack = self.a_ge @ x - self.b_ge
+        primal_min = min(float(slack.min(initial=0.0)), float(x.min(initial=0.0)))
         # Surplus columns cost 0, so only the structural basic columns enter.
         dual_map = np.zeros((n + k, k))
         dual_map[cols] = binv
-        self._dual_map = np.ascontiguousarray(dual_map[:n].T)
-        return True
+        return x, slack, primal_min, np.ascontiguousarray(dual_map[:n].T)
 
-    def reuse(self, c: np.ndarray) -> Optional[LpSolution]:
-        """The solution for cost ``c`` off the kept basis, or None to solve in full.
+    def reuse_all(self, costs: np.ndarray) -> list[Optional[LpSolution]]:
+        """For each row of the cost stack ``costs``, its solution off the
+        first pooled basis that certifies it, or None to solve in full.
 
-        Returned only when it passes the checks of ``_certify`` at its
+        Certified means the checks of ``_certify`` at the row's
         ``FEAS_TOL`` scale: primal feasibility, dual feasibility (the
         duals' signs and the reduced costs), and the duality gap and
         complementary slackness.  Dual feasibility is held to ``FEAS_TOL``
         itself, the threshold at which ``_simplex`` stops, so a reused
-        basis is one at which a full solve would stop too.
+        basis is one at which a full solve would stop too.  The checks
+        take every (basis, row) pair at once; an accepted row's value and
+        duals come from that row alone, as a one-row stack gets them.
         """
-        if self._dual_map is None and not self._factor():
-            return None
-        tol = FEAS_TOL * max(1.0, float(np.abs(c).max()), self._b_max)
-        dual = self._dual_map @ c
-        sigma = c - dual @ self.a_ge
-        if self._primal_min < -tol or min(dual.min(), sigma.min()) < -FEAS_TOL:
-            return None
-        x = self._x
-        value = float(c @ x)
-        scale = tol * max(1.0, abs(value))
-        if abs(value - float(dual @ self.b_ge)) > scale:
-            return None
-        if abs(float(dual @ self._slack)) + abs(float(sigma @ x)) > 10 * scale:
-            return None
-        return LpSolution(value, x, dual, 0, self._basis)
+        if len(costs) and self._stacked is None:  # factor new bases, drop unusable ones
+            for entry in self._pool:
+                entry[1] = entry[1] or self._factor(entry[0])
+            self._pool = [e for e in self._pool if e[1]]
+            self._stacked = [np.stack(a) for a in zip(*(f for _, f in self._pool))]
+        if not len(costs) or not self._pool:
+            return [None] * len(costs)
+        xs, slacks, primal_min, maps = self._stacked
+        tol = FEAS_TOL * np.maximum(np.abs(costs).max(axis=1), max(1.0, self._b_max))
+        duals = maps @ costs.T  # [basis, dual, row]
+        sigma = costs.T - self.a_ge.T @ duals  # [basis, reduced cost, row]
+        values = xs @ costs.T
+        scale = tol * np.maximum(1.0, np.abs(values))
+        comp = np.abs(slacks[:, None] @ duals) + np.abs(xs[:, None] @ sigma)
+        ok = (
+            (primal_min[:, None] >= -tol)
+            & (np.minimum(duals.min(axis=1), sigma.min(axis=1)) >= -FEAS_TOL)
+            & (np.abs(values - self.b_ge @ duals) <= scale)
+            & (comp[:, 0] <= 10 * scale)
+        )
+        first = ok.argmax(axis=0)
+        out: list[Optional[LpSolution]] = []
+        for c, i, passed in zip(costs, first.tolist(), ok[first, range(len(costs))].tolist()):
+            basis, (x, _, _, dual_map) = self._pool[i]
+            out.append(LpSolution(float(c @ x), x, dual_map @ c, 0, basis) if passed else None)
+        return out
+
+    def reuse(self, c: np.ndarray) -> Optional[LpSolution]:
+        """The one-row case of ``reuse_all``."""
+        return self.reuse_all(np.asarray(c, dtype=float)[None])[0]

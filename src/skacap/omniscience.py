@@ -46,11 +46,13 @@ every singleton lies in Gamma(A) exactly when |A| >= 2, which
 ``_pk`` and ``_rco`` take a stack of sources, one row of subset
 entropies each.  A search over many sources with one spec (the
 noninteractive input search) passes one ``co_basis_hint(spec)`` to every
-call.  Each row, in order, is first read off the last optimal basis,
+call, and the hint pools the optimal bases of its full solves.  The
+rows of a call are checked against every pooled basis at once, each
 accepted only with the solver's own certificate (rates feasible, lam
-feasible, equal objectives within ``FEAS_TOL``); a row that fails is
-solved in full, its basis kept, and the rows after it are tried on that
-basis.  Without a hint a call starts from an empty one.
+feasible, equal objectives within ``FEAS_TOL``) off the first basis that
+passes; the first row that none passes is solved in full, its basis
+joins the pool, and the rows after it are checked again.  Without a
+hint a call starts from an empty one.
 
 The simplex stops once no reduced cost is below -``FEAS_TOL``, an
 absolute threshold, so conditional entropies far below one bit would all
@@ -208,23 +210,23 @@ def _pack(hint: BasisHint, h: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]
     cost stack ``h``: the values, the lam and the row duals (for the CO
     LP, the rates).
 
-    The rows are taken in order.  A row is read off the hint's basis when
-    that passes the certificate; otherwise it is solved in full from the
-    surplus basis and the hint keeps the new basis for the rows after it.
-    So each row gets the numbers it would get alone, after the rows
-    before it.
+    Every row is first checked against the hint's pool of bases at once.
+    The first row that no pooled basis certifies is solved in full from
+    the surplus basis, the pool adopts the new basis, and the rows after
+    it are checked again.  So each row gets the numbers it would get
+    alone, after the rows before it.
     """
-    values, lams, duals = [], [], []
-    for row, unit in zip(h, _unit(h)):
-        c = -row * unit
-        sol = hint.reuse(c)
+    units = _unit(h)
+    costs = -h * np.array(units)[:, None]
+    sols = hint.reuse_all(costs)
+    for i, sol in enumerate(sols):
         if sol is None:
-            sol = lp_solve(LinearProgram(c=c, a_ge=hint.a_ge, b_ge=hint.b_ge))
-            hint.adopt(sol.basis)
-        values.append(-sol.value / unit)
-        lams.append(sol.x)
-        duals.append(sol.dual_ge / unit)
-    return np.array(values), lams, np.array(duals)
+            sols[i] = lp_solve(LinearProgram(c=costs[i], a_ge=hint.a_ge, b_ge=hint.b_ge))
+            hint.adopt(sols[i].basis)
+            sols[i + 1:] = hint.reuse_all(costs[i + 1:])
+    values = [-sol.value / unit for sol, unit in zip(sols, units)]
+    duals = [sol.dual_ge / unit for sol, unit in zip(sols, units)]
+    return np.array(values), [sol.x for sol in sols], np.array(duals)
 
 
 def _rate_witness(spec: PartySpec, rates_vec: np.ndarray) -> dict:

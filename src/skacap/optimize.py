@@ -17,10 +17,12 @@ stall the ascent one coordinate at a time.
 The objective scores stacks of points.  Points whose values the search
 needs before it decides anything are passed as one stack: the whole
 seed set, the scan of each line search, and the first pair of its golden
-section; every later golden step is a stack of one.  The objective must
-give each point the value it would give it alone, so the search takes
-the same steps, and counts the same evaluations, as it would scoring one
-point at a time.
+section.  Golden steps are pure functions of the bracket and of which
+side wins, so that pair and each later step's point go with the points
+of the steps after them down both outcomes, ``GOLDEN_LOOKAHEAD`` levels
+in all.  The objective must give each point the value it would give it
+alone, so the search takes the same steps, and counts the same
+evaluations (the points it uses), as it would scoring one at a time.
 """
 
 from __future__ import annotations
@@ -42,6 +44,13 @@ SCAN_POINTS = 9
 
 #: A sweep gaining less than this ends an ascent.
 TOLERANCE = 1e-7
+
+#: Cap on golden-section steps per line search.
+GOLDEN_STEPS = 40
+
+#: Golden levels one objective call scores: a step's point (or the first
+#: pair) and, for either outcome, the points of the steps after it.
+GOLDEN_LOOKAHEAD = 3
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -147,11 +156,36 @@ def _trials(point, s, a, b, ts):
     return stack, trials
 
 
+def _golden_step(bracket, up):
+    """The bracket (left, right, x1, x2) after one golden step, and the
+    point it adds: ``up`` when f1 < f2, so the left end moves up to x1."""
+    left, right, x1, x2 = bracket
+    if up:
+        left, x1 = x1, x2
+        x2 = left + _INVPHI * (right - left)
+        return (left, right, x1, x2), x2
+    right, x2 = x2, x1
+    x1 = right - _INVPHI * (right - left)
+    return (left, right, x1, x2), x1
+
+
+def _golden_ahead(bracket, points, step, stop):
+    """``points``, added by golden step ``step`` (-1: the first pair) and
+    leaving ``bracket``, then the points of the steps after it down either
+    outcome, ``GOLDEN_LOOKAHEAD`` levels in all, as far as the search goes."""
+    level = [bracket]
+    for _ in range(step + 1, min(step + GOLDEN_LOOKAHEAD, GOLDEN_STEPS)):
+        level = [_golden_step(b, up) for b in level if b[1] - b[0] >= stop for up in (True, False)]
+        points = points + [x for _, x in level]
+        level = [b for b, _ in level]
+    return points
+
+
 def _line_search(point, s, a, b, value, objective):
     """Maximize along moving mass between symbols a and b of simplex s.
 
-    The scan and the golden section's first pair are each scored as one
-    stack; every later golden step is a stack of one.
+    The scan is one stack; the golden section's first pair, and each later
+    step's point that no earlier stack held, go with ``_golden_ahead``.
     """
     p = point[s]
     lo, hi = -float(p[b]), float(p[a])
@@ -159,16 +193,13 @@ def _line_search(point, s, a, b, value, objective):
     if span < 1e-12:
         return value, point, 0
 
-    evals = 0
-
-    def at(*ts):
-        nonlocal evals
+    def at(ts):
         stack, trials = _trials(point, s, a, b, np.array(ts))
-        evals += len(ts)
         return [(float(v), t) for v, t in zip(objective(stack), trials)]
 
     ts = np.linspace(lo, hi, SCAN_POINTS)
-    scanned = at(*ts)
+    scanned = at(ts)
+    evals = SCAN_POINTS
     values = np.array([v for v, _ in scanned])
     vmax = float(values.max())
     flat = np.where(values >= vmax - 1e-12)[0]
@@ -189,22 +220,28 @@ def _line_search(point, s, a, b, value, objective):
     right = ts[min(center + 1, SCAN_POINTS - 1)]
     x1 = right - _INVPHI * (right - left)
     x2 = left + _INVPHI * (right - left)
-    (f1, t1), (f2, t2) = at(x1, x2)
-    for _ in range(40):
-        if right - left < 1e-6 * max(span, 1e-6):
+    stop = 1e-6 * max(span, 1e-6)
+
+    def score_ahead(bracket, points, step):
+        points = _golden_ahead(bracket, points, step, stop)
+        return dict(zip(points, at(points)))
+
+    bracket = (left, right, x1, x2)
+    ahead = score_ahead(bracket, [x1, x2], -1)
+    (f1, t1), (f2, t2) = ahead[x1], ahead[x2]
+    evals += 2
+    for step in range(GOLDEN_STEPS):
+        if bracket[1] - bracket[0] < stop:
             break
-        if f1 < f2:
-            left, x1, f1, t1 = x1, x2, f2, t2
-            if f1 >= best_v:
-                best_v, best_trial = f1, t1
-            x2 = left + _INVPHI * (right - left)
-            (f2, t2), = at(x2)
-        else:
-            right, x2, f2, t2 = x2, x1, f1, t1
-            if f2 >= best_v:
-                best_v, best_trial = f2, t2
-            x1 = right - _INVPHI * (right - left)
-            (f1, t1), = at(x1)
+        up = f1 < f2
+        kept = (f2, t2) if up else (f1, t1)
+        if kept[0] >= best_v:
+            best_v, best_trial = kept
+        bracket, x = _golden_step(bracket, up)
+        if x not in ahead:
+            ahead = score_ahead(bracket, [x], step)
+        evals += 1
+        (f1, t1), (f2, t2) = (kept, ahead[x]) if up else (ahead[x], kept)
     for f, t in ((f1, t1), (f2, t2)):
         if f > best_v:
             best_v, best_trial = f, t

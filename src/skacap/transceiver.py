@@ -13,16 +13,18 @@ input T_j and observes output Y_j:
   max over product input distributions of the emulated source's SK
   capacity.  Realized by a multistart search over per-terminal simplices.
   The objective scores stacks of points: the search passes its seed set,
-  each line-search scan and each golden section's first pair as one
-  stack, and every later golden step as a stack of one.  A stack's
-  product inputs and joints are formed with a leading stack axis and its
-  subset entropies come off one lattice pass; then the points' CO LPs are
-  taken in order, each read off the previous point's optimal basis when
-  that basis still carries a duality certificate (its polytope depends on
-  (m, A) alone) and solved in full otherwise.  Every step acts on each
-  point alone, so a point's value is the one it gets scored by itself
-  after the points before it, and the values are those of
-  ``sk_capacity`` on the validated emulated source.
+  each line-search scan, and each golden step with the steps after it
+  as one stack.  A memo per search skips the points already scored.
+  The rest have their product inputs and joints formed with a leading
+  stack axis and their subset entropies taken in one lattice pass; then
+  their CO LPs are checked at once against a pool of earlier optimal
+  bases (the polytope depends on (m, A) alone), each row read off the
+  first basis that still carries a duality certificate, and the first
+  row that none certifies is solved in full before the rows after it
+  are checked again.  Every step acts on each point alone, so a point's
+  value is the one it gets scored by itself after the points before it,
+  and the values are those of ``sk_capacity`` on the validated emulated
+  source.
 * Auxiliary multiaccess upper bounds: split each transceiver into an input
   terminal (owning T_j, connected through a noiseless identity layer) and
   an output terminal (owning (T_j, Y_j)); the weighted-entropy converse
@@ -220,35 +222,49 @@ def _ni_report(res: AscentResult) -> CapacityReport:
 
 
 def _ni_search(t: TransceiverModel, a_mask: int, cfg) -> AscentResult:
-    """The one NI input search of ``t``.
+    """The one NI input search of ``t``."""
+    lay = _Layout(t)
+    return _search(lay, _ni_objective(lay, PartySpec(t.m, a_mask, 0)), cfg)
+
+
+def _search(lay: _Layout, objective, cfg) -> AscentResult:
+    """The NI input search of ``objective`` on ``lay``.
 
     The uniform input goes in as an extra seed on top of the optimizer's
-    own uniform seed, so it is scored twice, and when it scores best it
-    fills both of the two best starts; the reported values are those of
-    this seed set.
+    own uniform seed, so it is seeded twice and scored once (the second
+    seed is a memo hit), and when it scores best it fills both of the two
+    best starts; the reported values are those of this seed set.
     """
-    lay = _Layout(t)
-    objective = _ni_objective(lay, PartySpec(t.m, a_mask, 0))
     return maximize_product_simplices(lay.dims, objective, cfg, extra_seeds=[lay.uniform])
 
 
 def _ni_objective(lay: _Layout, spec: PartySpec):
     """The NI objective C_PK(product input) of ``spec`` on stacks of points.
 
-    Each evaluation's CO LP starts from the optimal basis of the last one,
-    which is accepted only with its certificate.  A stack is scored in
-    slices of at most ``STACK_CELLS`` joint cells (at least one point
-    each), in order, all sharing that basis.
+    A memo keyed by the points' bytes keeps every value; only the unseen
+    rows of a stack are scored, in order, in slices of at most
+    ``STACK_CELLS`` joint cells (at least one point each), their CO LPs
+    all on one basis hint, whose bases are accepted only with their
+    certificates.
     """
     hint = co_basis_hint(spec)
     step = max(1, STACK_CELLS // int(np.prod(lay.joint_shape)))
+    memo: dict[bytes, float] = {}
 
-    def objective(stack) -> np.ndarray:
+    def score(stack) -> np.ndarray:
         n = len(stack[0])
         if n > step:
-            return np.concatenate([objective([v[i:i + step] for v in stack])
+            return np.concatenate([score([v[i:i + step] for v in stack])
                                    for i in range(0, n, step)])
         return _pk(spec, lay.entropies(stack), hint)[0]
+
+    def objective(stack) -> np.ndarray:
+        keys = [row.tobytes() for row in np.concatenate(stack, axis=1)]
+        unseen = dict.fromkeys(key for key in keys if key not in memo)
+        if unseen:
+            rows = [keys.index(key) for key in unseen]
+            memo.update(zip(unseen, score([v[rows] for v in stack]).tolist()))
+        return np.array([memo[key] for key in keys])
 
     return objective
 
@@ -275,7 +291,11 @@ def upper_bound_sk(
     _require_pair(PartySpec(t.m, a_mask, 0))
     if search is None:
         search = _ni_search(t, a_mask, cfg)
-    lay = _Layout(t)
+    return _upper_bound(_Layout(t), a_mask, search)
+
+
+def _upper_bound(lay: _Layout, a_mask: int, search: AscentResult) -> CapacityReport:
+    """``upper_bound_sk`` over the family of ``search`` on the layout ``lay``."""
     family = [lay.uniform] + [point for _, point in search.finals] + [search.point]
     best_val = -np.inf
     best_lam: dict[int, float] = {}
@@ -334,11 +354,13 @@ def sk_bounds(t: TransceiverModel, a, cfg: InputOptimizerConfig) -> dict:
     a_mask = as_mask(a)
     spec = PartySpec(t.m, a_mask, 0)
     _require_pair(spec)
-    search = _ni_search(t, a_mask, cfg)
-    ni = _ni_report(search)
-    upper = upper_bound_sk(t, a_mask, cfg, search=search)
     lay = _Layout(t)
-    value = float(_ni_objective(lay, spec)(stack_points([lay.uniform]))[0])
+    objective = _ni_objective(lay, spec)
+    search = _search(lay, objective, cfg)
+    ni = _ni_report(search)
+    upper = _upper_bound(lay, a_mask, search)
+    # a memo hit: uniform is the first seed row, scored on an empty hint
+    value = float(objective(stack_points([lay.uniform]))[0])
     emulation = {
         "v_alphabet": 1,
         "p_v": [1.0],

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog as scipy_linprog
 
-from skacap import omniscience
+from skacap import linprog, omniscience
 from skacap.errors import ModelError
-from skacap.linprog import lp_solve
+from skacap.linprog import LinearProgram, lp_solve
 from skacap.models import PartySpec, SourceModel, bits, mask_of
 from skacap.omniscience import (
     co_basis_hint,
@@ -483,12 +483,72 @@ def test_unusable_basis_hint_falls_back_to_a_full_solve(basis, monkeypatch):
     }[basis]
     model = one_var_per_terminal(np.random.default_rng(81).dirichlet(np.ones(8)), (2, 2, 2))
     want = sk_capacity(model, spec.a).value
+    cost = -omniscience._conditionals(entropies_of(model), 3, members)[0]
     hint = co_basis_hint(spec)
     hint.adopt(chosen)
-    assert hint.reuse(-omniscience._conditionals(entropies_of(model), 3, members)[0]) is None
+    assert hint.reuse(cost) is None
+    assert hint.pool == ()  # the read that factors it drops it
     solves = counted_solves(monkeypatch)
     assert omniscience._pk(spec, entropies_of(model), hint)[0] == pytest.approx(want, abs=1e-12)
     assert len(solves) == 1
+    assert len(hint.pool) == 1
+    # behind a usable basis, too, it leaves the pool at its first read
+    usable = hint.pool[0]
+    hint.adopt(chosen)
+    assert hint.reuse(cost).basis == usable
+    assert hint.pool == (usable,)
+
+
+def test_stacked_pool_read_equals_one_row_at_a_time(monkeypatch):
+    # stacks of CO LPs read off the pool at once get, row for row, what
+    # one row at a time gets: the same full solves, also mid-stack, the
+    # same bases, value bits and duals, and the same pool
+    rng = np.random.default_rng(83)
+    spec = PartySpec(3, 0b111, 0)
+    members = constraint_family(spec).members
+    h = np.concatenate([
+        omniscience._conditionals(
+            entropies_of(one_var_per_terminal(rng.dirichlet(np.full(8, 0.3)), (2, 2, 2))),
+            3, members)
+        for _ in range(80)
+    ])
+    solves = counted_solves(monkeypatch)
+    stacked, single = co_basis_hint(spec), co_basis_hint(spec)
+    mid_stack = False
+    for rows in np.array_split(h, 8):
+        before = len(solves)
+        got = omniscience._pack(stacked, rows)
+        full = []
+        for i, row in enumerate(rows):
+            n = len(solves)
+            want = omniscience._pack(single, row[None])
+            full.append(len(solves) - n)
+            assert want[0][0] == got[0][i]
+            assert np.array_equal(want[1][0], got[1][i])
+            assert np.array_equal(want[2][0], got[2][i])
+        assert len(solves) - before == 2 * sum(full)
+        mid_stack |= any(full[1:-1])
+        assert stacked.pool == single.pool
+        for sol, one in zip(stacked.reuse_all(-rows), [single.reuse(-row) for row in rows]):
+            assert (sol is None) == (one is None)
+            if sol is not None:
+                assert sol.basis == one.basis and sol.value == one.value
+                assert np.array_equal(sol.dual_ge, one.dual_ge)
+    assert mid_stack
+    assert 1 < len(stacked.pool) <= linprog.POOL_SIZE
+
+
+def test_basis_pool_keeps_the_most_recent_bases_first(monkeypatch):
+    monkeypatch.setattr(linprog, "POOL_SIZE", 3)
+    rng = np.random.default_rng(84)
+    hint = co_basis_hint(PartySpec(3, 0b111, 0))
+    adopted = []
+    for _ in range(40):
+        basis = lp_solve(LinearProgram(-rng.random(6), hint.a_ge, hint.b_ge)).basis
+        hint.adopt(basis)
+        adopted = [basis] + [b for b in adopted if b != basis]
+        assert hint.pool == tuple(adopted[:3])
+    assert len(adopted) > 3
 
 
 def test_basis_hint_of_another_family_is_refused():

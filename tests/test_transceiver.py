@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from skacap import omniscience, transceiver
+from skacap import omniscience, optimize, transceiver
 from skacap.errors import ModelError
 from skacap.linprog import lp_solve
 from skacap.models import (
@@ -579,6 +579,67 @@ def test_stacked_search_solves_in_full_inside_a_stack(monkeypatch):
     single = maximize_product_simplices(lay.dims, one_point_per_call(objective), cfg)
     assert_same_search(stacked, single)
     assert len(solves) == 2 * stacked_solves
+
+
+def search_at_depth(depth, dims, objective, monkeypatch):
+    """The search of ``objective`` with ``depth`` golden levels per call,
+    and the number of calls it made."""
+    calls = []
+
+    def score(stack):
+        calls.append(len(stack[0]))
+        return objective(stack)
+
+    cfg = InputOptimizerConfig(restarts=1, ascent=15, grid_resolution=0.25, seed=5)
+    uniform = [np.full(k, 1.0 / k) for k in dims]
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize, "GOLDEN_LOOKAHEAD", depth)
+        return maximize_product_simplices(dims, score, cfg, extra_seeds=[uniform]), len(calls)
+
+
+def closed_form(stack):
+    """A stateless objective with a plateau along q and a maximum inside."""
+    p, q, r = stack
+    return (
+        -((p - [0.2, 0.5, 0.3]) ** 2).sum(axis=1)
+        + np.minimum(q[:, 0], 0.4)
+        + np.sin(3.0 * r) @ [1.0, -1.0, 0.5, 0.2]
+    )
+
+
+def test_golden_lookahead_takes_the_one_point_steps_on_a_closed_form(monkeypatch):
+    deep, deep_calls = search_at_depth(optimize.GOLDEN_LOOKAHEAD, (3, 2, 4), closed_form,
+                                       monkeypatch)
+    one, one_calls = search_at_depth(1, (3, 2, 4), closed_form, monkeypatch)
+    assert_same_search(deep, one)
+    assert deep_calls < one_calls
+
+
+@pytest.mark.parametrize("name", SEARCH_MODELS)
+def test_golden_lookahead_takes_the_one_point_steps(name, monkeypatch):
+    # each golden step scored with the steps after it walks the
+    # one-point-per-step search path bit for bit, in fewer calls, and the
+    # memo hands each point of a search to _pk once
+    t = SEARCH_MODELS[name]
+    lay = _Layout(t)
+    scored = []
+
+    def entropies(stack, real=lay.entropies):
+        scored.extend(row.tobytes() for row in np.concatenate(stack, axis=1))
+        return real(stack)
+
+    monkeypatch.setattr(lay, "entropies", entropies)
+    pair = 0b101 if t.m > 2 else 0b11
+    for a_mask in {(1 << t.m) - 1, pair}:
+        runs = []
+        for depth in (optimize.GOLDEN_LOOKAHEAD, 1):
+            scored.clear()
+            objective = _ni_objective(lay, PartySpec(t.m, a_mask, 0))
+            runs.append(search_at_depth(depth, lay.dims, objective, monkeypatch))
+            assert len(scored) == len(set(scored))
+        (deep, deep_calls), (one, one_calls) = runs
+        assert_same_search(deep, one)
+        assert deep_calls < one_calls
 
 
 def test_upper_bound_keeps_the_first_of_tied_family_members():
