@@ -25,16 +25,13 @@ from .modelio import parse_model, serialize_model  # noqa: E402,F401
 from .omniscience import (  # noqa: E402,F401
     constraint_family,
     pk_capacity,
-    rco,
     sk_capacity,
     sk_capacity_dual,
     source_entropies,
 )
 from .optimize import InputOptimizerConfig  # noqa: E402,F401
 from .polytree import (  # noqa: E402,F401
-    edge_capacity,
     polytree_capacity,
-    wiretapped_edge_lower,
     wiretapped_polytree_bounds,
 )
 from .prob import (  # noqa: E402,F401
@@ -52,7 +49,6 @@ from .sim import SimConfig, SimResult, run_sim  # noqa: E402,F401
 from .transceiver import (  # noqa: E402,F401
     noninteractive_sk_capacity,
     sk_bounds,
-    upper_bound_sk,
     wsk_upper_by_pk,
 )
 
@@ -63,13 +59,12 @@ __all__ = [
     "TransceiverModel", "edge", "emulated_to_source", "polytree_to_transceiver",
     "LinearProgram", "lp_solve",
     "parse_model", "serialize_model",
-    "constraint_family", "pk_capacity", "rco", "sk_capacity", "sk_capacity_dual",
+    "constraint_family", "pk_capacity", "sk_capacity", "sk_capacity_dual",
     "source_entropies",
     "InputOptimizerConfig",
-    "edge_capacity", "polytree_capacity", "wiretapped_edge_lower",
-    "wiretapped_polytree_bounds",
+    "polytree_capacity", "wiretapped_polytree_bounds",
     "Alphabet", "Dmc", "JointPMF", "compose", "entropy", "marginalize",
     "mutual_information", "product_pmf", "statistical_distance",
     "SimConfig", "SimResult", "run_sim",
-    "noninteractive_sk_capacity", "sk_bounds", "upper_bound_sk", "wsk_upper_by_pk",
+    "noninteractive_sk_capacity", "sk_bounds", "wsk_upper_by_pk",
 ]

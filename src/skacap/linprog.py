@@ -320,7 +320,3 @@ class BasisHint:
             basis, (x, _, _, dual_map) = self._pool[i]
             out.append(LpSolution(float(c @ x), x, dual_map @ c, 0, basis) if passed else None)
         return out
-
-    def reuse(self, c: np.ndarray) -> Optional[LpSolution]:
-        """The one-row case of ``reuse_all``."""
-        return self.reuse_all(np.asarray(c, dtype=float)[None])[0]

@@ -149,26 +149,12 @@ def _unit(h: np.ndarray) -> list[float]:
     ]
 
 
-def _check_compatible(model: SourceModel, spec: PartySpec):
-    if model.m != spec.m:
-        raise ModelError(f"model has {model.m} terminals, spec has {spec.m}")
-
-
 def _require_pair(spec: PartySpec):
     if popcount(spec.a) < 2:
         raise ModelError(
             "key agreement needs at least two terminals in A "
             "(a lone terminal has no counterpart)"
         )
-
-
-def rco(model: SourceModel, spec: PartySpec) -> CapacityReport:
-    """Minimum total communication-for-omniscience rate for D^c."""
-    _check_compatible(model, spec)
-    value, rates = _rco(spec, source_entropies(model)[None])
-    return CapacityReport(
-        float(value[0]), "exact", "omniscience-lp-primal", _rate_witness(spec, rates[0])
-    )
 
 
 def co_basis_hint(spec: PartySpec) -> BasisHint:
@@ -244,7 +230,8 @@ def pk_capacity(
 
     ``h`` is ``source_entropies(model)``, for a caller that already has it.
     """
-    _check_compatible(model, spec)
+    if model.m != spec.m:
+        raise ModelError(f"model has {model.m} terminals, spec has {spec.m}")
     _require_pair(spec)
     if h is None:
         h = source_entropies(model)
@@ -285,10 +272,9 @@ def max_cover(spec: PartySpec, g: np.ndarray) -> tuple[float, dict[int, float]]:
     """
     _require_pair(spec)
     members = constraint_family(spec).members
-    terminals = bits(spec.d_complement)
-    cover = incidence(members, terminals).T  # [j, i] = 1 when terminal j lies in member i
-    hint = BasisHint(a_ge=-cover, b_ge=-np.ones(len(terminals)), key=spec)
-    singles = np.searchsorted(members, [1 << j for j in terminals])
+    hint = co_basis_hint(spec)
+    cover = -hint.a_ge  # [j, i] = 1 when terminal j lies in member i
+    singles = np.searchsorted(members, [1 << j for j in bits(spec.d_complement)])
     g = np.asarray(g, dtype=float)
     g_single = g[singles]
     packed, lam, _ = _pack(hint, (g - g_single @ cover)[None])

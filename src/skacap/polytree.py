@@ -23,63 +23,25 @@ the stack on its own stopping step, and every operation acts on each edge
 alone, so an edge's iterates are those of its own loop.  For the capacity,
 an edge whose value reaches the least value + gap of any edge cannot be
 the minimum, and stops early.  No dense model of the tree is built.
+
+``polytree_capacity`` and ``wiretapped_polytree_bounds`` are the module's
+two routes; a single channel is a one-edge tree ``Polytree(2, (edge(0, 1,
+W),))``.  Both read the edges' ``Dmc`` rows, which ``Dmc`` checked when
+it was built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, InternalConsistencyError, ModelError
 from .models import CapacityReport, Polytree
-from .prob import Dmc, ZERO_CUTOFF
+from .prob import ZERO_CUTOFF
 
 #: Blahut-Arimoto iteration cap.
 BA_MAX_ITER = 100_000
-
-
-@dataclass(frozen=True)
-class EdgeCapacityResult:
-    """Certified channel capacity of one edge."""
-
-    edge: Optional[tuple[int, int]]
-    capacity: float
-    optimal_input: np.ndarray
-    iterations: int
-    gap: float
-
-
-@dataclass(frozen=True)
-class WiretapEdgeResult:
-    """Certified value of max_p I(T;Y|Z) on one wiretapped edge.
-
-    ``gap`` is the Frank-Wolfe gap at ``optimal_input``, so ``value + gap``
-    bounds max_p I(T;Y|Z) from above over all inputs; ``converged`` says
-    whether that gap reached the requested tolerance.
-    """
-
-    edge: Optional[tuple[int, int]]
-    value: float
-    optimal_input: np.ndarray
-    converged: bool
-    gap: float
-
-
-def _rows_of(channel) -> np.ndarray:
-    rows = channel.rows if isinstance(channel, Dmc) else np.asarray(channel, dtype=float)
-    if rows.ndim != 2:
-        raise ModelError("channel must be a matrix")
-    if not np.all(np.isfinite(rows)):
-        raise ModelError("channel has a non-finite entry")
-    if np.any(rows < 0):
-        raise ModelError("channel has negative entries")
-    sums = rows.sum(axis=1)
-    bad = np.where(np.abs(sums - 1.0) > 1e-12)[0]
-    if bad.size:
-        raise ModelError(f"channel row {int(bad[0])} sums to {float(sums[bad[0]])!r}")
-    return rows
 
 
 def _hoist(w: np.ndarray):
@@ -100,11 +62,6 @@ def _divergences(chan, r: np.ndarray) -> np.ndarray:
     if zero is not None:
         logs[zero] = 0.0
     return (w * logs).sum(axis=-1)
-
-
-def mutual_information_matrix(p_in: np.ndarray, rows: np.ndarray) -> float:
-    """I(T; Y) in bits for input distribution ``p_in`` through ``rows``."""
-    return float(p_in @ _divergences(_hoist(rows), p_in))
 
 
 def _gradient(chans, r: np.ndarray) -> np.ndarray:
@@ -218,18 +175,6 @@ def _uncapped(run, max_iter: int):
     return max(value, 0.0), r, it, max(gap, 0.0), stop
 
 
-def edge_capacity(channel, tol: float = 1e-9, max_iter: int = BA_MAX_ITER,
-                  edge: Optional[tuple[int, int]] = None) -> EdgeCapacityResult:
-    """Channel capacity by Blahut-Arimoto from the uniform input.
-
-    Certified by the standard per-iteration bounds: the achieved mutual
-    information I(r) lower-bounds capacity and max_x D(W(.|x)||p_y)
-    upper-bounds it; iteration stops when their gap is at most ``tol``.
-    """
-    run = _ascend_edges([[_rows_of(channel)]], tol, max_iter)[0]
-    return EdgeCapacityResult(edge, *_uncapped(run, max_iter)[:4])
-
-
 def polytree_capacity(g: Polytree, tol: float = 1e-9) -> CapacityReport:
     """Noninteractive SK capacity of a polytree-PIN: the least edge capacity C*.
 
@@ -242,7 +187,7 @@ def polytree_capacity(g: Polytree, tol: float = 1e-9) -> CapacityReport:
     at the cap with neither stop raises, the first in edge order.
     """
     ceil = [np.inf]
-    runs = _ascend_edges([[_rows_of(e.channel)] for e in g.edges], tol, BA_MAX_ITER, ceil)
+    runs = _ascend_edges([[e.channel.rows] for e in g.edges], tol, BA_MAX_ITER, ceil)
     edges = [
         {"edge": [e.sender + 1, e.receiver + 1], "value": value,
          "optimal_input": [float(x) for x in r], "iterations": it, "gap": gap, "stopped": stop}
@@ -252,37 +197,10 @@ def polytree_capacity(g: Polytree, tol: float = 1e-9) -> CapacityReport:
                           {"edges": edges, "upper": max(ceil[0], 0.0)})
 
 
-def _edge_channels(channel, wiretap) -> list:
-    """[W(y|t), W(z|t)] of one edge; [W(y|t)], no Z term, without a wiretap."""
-    w_y = _rows_of(channel)
-    if wiretap is None:
-        return [w_y]
-    w_tap = _rows_of(wiretap)
-    if w_tap.shape[0] != w_y.shape[1]:
-        raise ModelError("wiretap input alphabet must match the edge output")
-    return [w_y, w_y @ w_tap]
-
-
-def _wiretap_result(edge, run) -> WiretapEdgeResult:
-    value, p, _, gap, stop = run
-    return WiretapEdgeResult(edge, max(value, 0.0), p, stop == "gap", max(gap, 0.0))
-
-
-def wiretapped_edge_lower(
-    channel, wiretap, tol: float = 1e-9, max_iter: int = BA_MAX_ITER,
-    edge: Optional[tuple[int, int]] = None,
-) -> WiretapEdgeResult:
-    """Certified max_p [I(T;Y) - I(T;Z)] under the Markov chain T - Y - Z.
-
-    Equals max_p I(T;Y|Z) by the Markov identity, so it lower-bounds the
-    edge's wiretap key rate; an edge without a wiretap has no Z term.  The
-    objective is concave, so the Frank-Wolfe gap at the returned input
-    certifies value + gap as an upper bound over all inputs.  Hitting
-    ``max_iter`` is not an error: both bounds stay valid, and the result
-    says ``converged=False``.
-    """
-    run = _ascend_edges([_edge_channels(channel, wiretap)], tol, max_iter)[0]
-    return _wiretap_result(edge, run)
+def _edge_channels(e) -> list:
+    """[W(y|t), W(z|t)] of edge ``e``; [W(y|t)], no Z term, without a wiretap."""
+    w_y = e.channel.rows
+    return [w_y] if e.wiretap is None else [w_y, w_y @ e.wiretap.rows]
 
 
 def wiretapped_polytree_bounds(
@@ -291,44 +209,25 @@ def wiretapped_polytree_bounds(
     """Wiretap key-capacity bounds for a wiretapped polytree-PIN, A = all terminals.
 
     Every edge is a cut, so the key capacity is min_e max_p I(T_e;Y_e|Z_e).
-    Lower: min over edges of the certified I(T;Y|Z).  Upper: min over
-    edges of that value plus its Frank-Wolfe gap, a bound over all inputs.
+    Each edge runs ``_edge_ascent`` of I(T;Y) - I(T;Z), which equals
+    I(T;Y|Z) under T - Y - Z; an edge without a wiretap has no Z term.
+    Lower: min over edges of the certified value.  Upper: min over edges
+    of that value plus its Frank-Wolfe gap, a bound over all inputs.  An
+    edge at ``BA_MAX_ITER`` is not an error: both bounds stay valid, and
+    its ``converged`` is false.
     """
-    runs = _ascend_edges([_edge_channels(e.channel, e.wiretap) for e in g.edges],
-                         tol, BA_MAX_ITER)
-    per_edge = [_wiretap_result((e.sender, e.receiver), run) for e, run in zip(g.edges, runs)]
-    lower = CapacityReport(
-        min(r.value for r in per_edge),
-        "lower_bound",
-        "wiretapped-pin-edges",
-        {
-            "edges": [
-                {
-                    "edge": [r.edge[0] + 1, r.edge[1] + 1],
-                    "value": r.value,
-                    "optimal_input": [float(x) for x in r.optimal_input],
-                    "converged": r.converged,
-                }
-                for r in per_edge
-            ],
-            "all_converged": all(r.converged for r in per_edge),
-        },
-    )
-    upper = CapacityReport(
-        min(r.value + r.gap for r in per_edge),
-        "upper_bound",
-        "wiretapped-pin-edge-cut",
-        {
-            "edges": [
-                {
-                    "edge": [r.edge[0] + 1, r.edge[1] + 1],
-                    "value": r.value + r.gap,
-                    "gap": r.gap,
-                }
-                for r in per_edge
-            ]
-        },
-    )
+    runs = _ascend_edges([_edge_channels(e) for e in g.edges], tol, BA_MAX_ITER)
+    low, up = [], []
+    for e, (value, r, _, gap, stop) in zip(g.edges, runs):
+        value, gap = max(value, 0.0), max(gap, 0.0)
+        name = [e.sender + 1, e.receiver + 1]
+        low.append({"edge": name, "value": value, "optimal_input": [float(x) for x in r],
+                    "converged": stop == "gap"})
+        up.append({"edge": name, "value": value + gap, "gap": gap})
+    lower = CapacityReport(min(x["value"] for x in low), "lower_bound", "wiretapped-pin-edges",
+                           {"edges": low, "all_converged": all(x["converged"] for x in low)})
+    upper = CapacityReport(min(x["value"] for x in up), "upper_bound",
+                           "wiretapped-pin-edge-cut", {"edges": up})
     if lower.value > upper.value + 1e-7:
         raise InternalConsistencyError(
             f"wiretap lower bound {lower.value} exceeds upper bound {upper.value}"

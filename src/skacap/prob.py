@@ -101,7 +101,7 @@ class JointPMF:
     """Dense joint distribution over an ordered list of finite variables.
 
     ``probs`` is flat, row-major in the declared variable order.  Entries are
-    nonnegative and sum to one within ``PMF_TOL``.
+    finite, nonnegative and sum to one within ``PMF_TOL``.
     """
 
     vars: VarList
@@ -120,6 +120,8 @@ class JointPMF:
             )
         if arr.size == 0:
             raise ModelError("pmf must have at least one variable")
+        if not np.isfinite(arr).all():
+            raise ModelError("pmf has a non-finite entry")
         if np.any(arr < 0):
             raise ModelError(f"negative probability {arr.min():.3e}")
         total = float(arr.sum())
@@ -154,7 +156,7 @@ class Dmc:
 
     ``rows`` has one row per joint input symbol (row-major over ``in_vars``)
     and one column per joint output symbol (row-major over ``out_vars``).
-    Every row is a probability vector within ``PMF_TOL``.
+    Every row is a probability vector within ``PMF_TOL``, every entry finite.
     """
 
     in_vars: VarList
@@ -172,6 +174,8 @@ class Dmc:
         n_out = math.prod(a.size for _, a in self.out_vars)
         check_cells(n_in * n_out, "channel")
         arr = np.ascontiguousarray(self.rows, dtype=float).reshape(n_in, n_out)
+        if not np.isfinite(arr).all():
+            raise ModelError("channel has a non-finite entry")
         if np.any(arr < 0):
             raise ModelError("channel has a negative transition probability")
         sums = arr.sum(axis=1)

@@ -168,13 +168,6 @@ class SimResult:
         }
 
 
-@dataclass(frozen=True)
-class ReconcileResult:
-    corrected: np.ndarray
-    revealed: int
-    ok: bool
-
-
 # ---------------------------------------------------------------------------
 # Code construction and decoding
 # ---------------------------------------------------------------------------
@@ -303,28 +296,6 @@ def _decode(code: _Code, err: np.ndarray):
     at, found = _lookup(code.keys, _pack((err @ code.rows.T) & 1))
     words = np.where(found, code.patterns[at], 0)[..., None]
     return ((words >> np.arange(err.shape[-1], dtype=np.int32)) & 1).astype(np.uint8), found
-
-
-def reconcile_edge(
-    sender_bits, receiver_bits, p: float, delta: float, seed: int = 0
-) -> ReconcileResult:
-    """One-way syndrome reconciliation of a single edge block.
-
-    Reveals r = ceil(L h(p) (1 + delta)) parities of the sender's bits; the
-    receiver decodes the syndrome difference to the minimum-weight error
-    pattern.  ``ok`` is the decoder's own success flag (a consistent
-    pattern was found); a wrong but consistent decode still shows up later
-    as a key mismatch.
-    """
-    sender = np.asarray(sender_bits, dtype=np.uint8).ravel()
-    receiver = np.asarray(receiver_bits, dtype=np.uint8).ravel()
-    if sender.size != receiver.size:
-        raise ModelError("sender and receiver blocks differ in length")
-    if not 0 <= p < 0.5:
-        raise ModelError("crossover probability must lie in [0, 0.5)")
-    code = _build_code(sender.size, p, delta, _rng(seed, _NS_CODE, 0))
-    e_hat, found = _decode(code, (sender ^ receiver) % 2)
-    return ReconcileResult(receiver ^ e_hat, code.h.shape[0], bool(found))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +461,7 @@ def _prepare(g: Polytree, a, cfg: SimConfig) -> _Static:
             f"key_len = floor({cfg.n} * {cfg.rate}) < 1", max_feasible_rate=None
         )
     r = {eid: parity_count(cfg.n, crossovers[eid], cfg.recon_margin) for eid in sub_edges}
-    max_rate = max_feasible_rate(g, a, cfg)
+    max_rate = _budget_rate(max(r.values()), cfg)
     if key_len / cfg.n > max_rate:
         raise RateInfeasibleError(
             f"key_len {key_len} exceeds an edge budget; "
@@ -642,7 +613,8 @@ def _run_blocks(st: _Static, lo: int, hi: int):
     """Blocks lo..hi-1 on whole arrays.
 
     Returns per-edge decode success (edges x blocks), agreement per block,
-    the root keys (blocks x key_len) and the transcript of block lo.
+    the root keys (blocks x key_len) and, when lo is 0, the transcript of
+    block 0 (None otherwise).
     """
     sent, noise = _draw_blocks(st, lo, hi)
     decode_ok = np.empty(noise.shape[:2], dtype=bool)
@@ -657,7 +629,7 @@ def _run_blocks(st: _Static, lo: int, hi: int):
     root_key = edge_keys[(st.tree[0][2], st.root)]
     keys, masks = propagate_group_key(st.tree, edge_keys, st.root, root_key)
     agree = np.logical_and.reduce([(keys[j] == root_key).all(axis=1) for j in st.a_nodes])
-    return decode_ok, agree, root_key, _transcript(st, sent, masks, keys)
+    return decode_ok, agree, root_key, _transcript(st, sent, masks, keys) if lo == 0 else None
 
 
 def run_sim(g: Polytree, a, cfg: SimConfig, csv_path: Optional[str] = None) -> SimResult:
@@ -759,4 +731,9 @@ def max_feasible_rate(g: Polytree, a, cfg: SimConfig) -> float:
     crossovers = {i: _bsc_crossover(e) for i, e in enumerate(g.edges)}
     _, _, _, sub_edges = _steiner_subtree(g, a_nodes)
     r = max(parity_count(cfg.n, crossovers[eid], cfg.recon_margin) for eid in sub_edges)
+    return _budget_rate(r, cfg)
+
+
+def _budget_rate(r: int, cfg: SimConfig) -> float:
+    """The key rate left per channel use when an edge reveals ``r`` parities."""
     return max(cfg.n - r - cfg.pa_margin, 0) / cfg.n

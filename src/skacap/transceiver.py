@@ -39,7 +39,8 @@ input T_j and observes output Y_j:
 All three read the joint P(T_M) W(Y_M | T_M) off one array layout per
 model (``_Layout``): the input (at independent inputs, the outer product
 of the per-terminal inputs, permuted to the channel's input order) times
-the channel rows.
+the channel rows.  ``sk_bounds`` is the one route to all three, on one
+search; ``noninteractive_sk_capacity`` runs that search alone.
 
 A wiretap reduction is included: promoting Eve's variable to an extra
 compromised terminal turns any PK-capacity computation into an upper bound
@@ -47,8 +48,6 @@ on the wiretap SK capacity.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -205,9 +204,10 @@ def noninteractive_sk_capacity(
     When the best ascent fails to converge within the sweep cap the value
     is still reported, flagged as a lower bound instead of exact.
     """
-    a_mask = as_mask(a)
-    _require_pair(PartySpec(t.m, a_mask, 0))
-    return _ni_report(_ni_search(t, a_mask, cfg))
+    spec = PartySpec(t.m, as_mask(a), 0)
+    _require_pair(spec)
+    lay = _Layout(t)
+    return _ni_report(_search(lay, _ni_objective(lay, spec), cfg))
 
 
 def _ni_report(res: AscentResult) -> CapacityReport:
@@ -219,12 +219,6 @@ def _ni_report(res: AscentResult) -> CapacityReport:
         "converged": res.converged,
     }
     return CapacityReport(res.value, kind, "noninteractive-input-search", witness)
-
-
-def _ni_search(t: TransceiverModel, a_mask: int, cfg) -> AscentResult:
-    """The one NI input search of ``t``."""
-    lay = _Layout(t)
-    return _search(lay, _ni_objective(lay, PartySpec(t.m, a_mask, 0)), cfg)
 
 
 def _search(lay: _Layout, objective, cfg) -> AscentResult:
@@ -269,33 +263,19 @@ def _ni_objective(lay: _Layout, spec: PartySpec):
     return objective
 
 
-def upper_bound_sk(
-    t: TransceiverModel,
-    a,
-    cfg: InputOptimizerConfig,
-    search: Optional[AscentResult] = None,
-) -> CapacityReport:
+def _upper_bound(lay: _Layout, a_mask: int, search: AscentResult) -> CapacityReport:
     """Auxiliary-multiaccess upper bound relative to a declared input family.
 
     The family is the uniform input and the endpoints of the NI search
-    (``search``, run here when not given), each evaluated once (exact
-    repeats are skipped); for each member the converse expression is
-    minimized over fractional covers by LP, and the maximum over the
-    family is reported.  A later member replaces an earlier one only when
-    it is larger by more than ``TIE_TOL``, so members tied up to round-off
-    report the first.  The family is recorded in the witness: the value
-    upper-bounds the noninteractive capacity restricted to that family,
-    per the converse of the auxiliary construction.
+    ``search``, each evaluated once (exact repeats are skipped); for each
+    member the converse expression is minimized over fractional covers by
+    LP, and the maximum over the family is reported.  A later member
+    replaces an earlier one only when it is larger by more than
+    ``TIE_TOL``, so members tied up to round-off report the first.  The
+    family is recorded in the witness: the value upper-bounds the
+    noninteractive capacity restricted to that family, per the converse
+    of the auxiliary construction.
     """
-    a_mask = as_mask(a)
-    _require_pair(PartySpec(t.m, a_mask, 0))
-    if search is None:
-        search = _ni_search(t, a_mask, cfg)
-    return _upper_bound(_Layout(t), a_mask, search)
-
-
-def _upper_bound(lay: _Layout, a_mask: int, search: AscentResult) -> CapacityReport:
-    """``upper_bound_sk`` over the family of ``search`` on the layout ``lay``."""
     family = [lay.uniform] + [point for _, point in search.finals] + [search.point]
     best_val = -np.inf
     best_lam: dict[int, float] = {}

@@ -18,6 +18,7 @@ from conftest import run_skacap
 from skacap.models import (
     PartySpec,
     Polytree,
+    PolytreeEdge,
     SourceModel,
     TransceiverModel,
     edge,
@@ -27,7 +28,7 @@ from skacap.models import (
 from skacap.modelio import serialize_model
 from skacap.omniscience import sk_capacity, pk_capacity, sk_capacity_dual
 from skacap.optimize import InputOptimizerConfig
-from skacap.polytree import edge_capacity, polytree_capacity
+from skacap.polytree import polytree_capacity
 from skacap.prob import (
     Alphabet,
     Dmc,
@@ -109,11 +110,10 @@ def test_criterion_4_blahut_arimoto():
     with criterion(4, "Blahut-Arimoto matches analytic BSC/BEC capacities"):
         start = time.monotonic()
         for p in (0.05, 0.11, 0.2, 0.35, 0.5):
-            got = edge_capacity(bsc_matrix(p), tol=1e-9).capacity
+            got = polytree_capacity(Polytree(2, (edge(0, 1, bsc_matrix(p)),)), tol=1e-9).value
             assert got == pytest.approx(1 - binary_entropy(p), abs=1e-8)
-        assert edge_capacity(bec_matrix(0.3), tol=1e-9).capacity == pytest.approx(
-            0.7, abs=1e-8
-        )
+        bec = Polytree(2, (edge(0, 1, bec_matrix(0.3)),))
+        assert polytree_capacity(bec, tol=1e-9).value == pytest.approx(0.7, abs=1e-8)
         assert time.monotonic() - start < 1.0
 
 
@@ -143,7 +143,7 @@ def test_criterion_5_polytree_decomposition():
             g = random_polytree(rng, n_nodes)
             rep = polytree_capacity(g, tol=1e-9)
             per_edge = [
-                edge_capacity(e.channel, tol=1e-9, edge=(e.sender, e.receiver)).capacity
+                polytree_capacity(Polytree(2, (PolytreeEdge(0, 1, e.channel),)), tol=1e-9).value
                 for e in g.edges
             ]
             assert rep.value == min(per_edge)  # bit-identical: same code path

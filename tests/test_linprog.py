@@ -131,11 +131,11 @@ def test_basis_hint_reuses_only_certified_optimal_bases():
     for _ in range(200):
         h = np.clip(h + rng.normal(0.0, 0.05, 12), 0.0, None)
         full = lp_solve(LinearProgram(c=-h, a_ge=-a, b_ge=-np.ones(5)))
-        sol = hint.reuse(-h)
+        sol = hint.reuse_all(-h[None])[0]
         if sol is None:
             fallbacks += 1
             hint.adopt(full.basis)
-            sol = hint.reuse(-h)
+            sol = hint.reuse_all(-h[None])[0]
             assert sol is not None and sol.basis == full.basis
         else:
             reused += 1

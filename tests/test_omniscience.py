@@ -16,7 +16,6 @@ from skacap.omniscience import (
     incidence,
     max_cover,
     pk_capacity,
-    rco,
     sk_capacity,
     sk_capacity_dual,
 )
@@ -89,22 +88,26 @@ def bsc_pair_model(p):
     return one_var_per_terminal(joint.ravel(), (2, 2))
 
 
+def rco(model, spec):
+    """R_CO as the ``pk_capacity`` witness carries it, from the same ``_rco`` call."""
+    return pk_capacity(model, spec).witness["rco"]
+
+
 def test_rco_perfectly_correlated_bits():
     model = one_var_per_terminal([0.5, 0.0, 0.0, 0.5], (2, 2))
-    rep = rco(model, PartySpec.from_one_based(2, [1, 2]))
-    assert rep.value == pytest.approx(0.0, abs=1e-12)
+    rep = pk_capacity(model, PartySpec.from_one_based(2, [1, 2]))
+    assert rep.witness["rco"] == pytest.approx(0.0, abs=1e-12)
     assert rep.kind == "exact"
 
 
 def test_rco_independent_bits():
     model = one_var_per_terminal([0.25] * 4, (2, 2))
-    rep = rco(model, PartySpec.from_one_based(2, [1, 2]))
-    assert rep.value == pytest.approx(2.0, abs=1e-10)
+    assert rco(model, PartySpec.from_one_based(2, [1, 2])) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_rco_bsc_closed_form():
-    rep = rco(bsc_pair_model(0.11), PartySpec.from_one_based(2, [1, 2]))
-    assert rep.value == pytest.approx(2 * binary_entropy(0.11), abs=1e-10)
+    got = rco(bsc_pair_model(0.11), PartySpec.from_one_based(2, [1, 2]))
+    assert got == pytest.approx(2 * binary_entropy(0.11), abs=1e-10)
 
 
 def test_pk_reduction_examples():
@@ -226,7 +229,7 @@ def test_sk_capacity_of_nearly_constant_pairs(flat):
     assert sk_capacity(model, {0, 1}).value == pytest.approx(want, rel=1e-9, abs=1e-18)
     assert sk_capacity_dual(model, {0, 1}).value == pytest.approx(want, rel=1e-9, abs=1e-18)
     want_rco = entropy(model.pmf, {0}, {1}) + entropy(model.pmf, {1}, {0})
-    assert rco(model, PartySpec(2, 0b11, 0)).value == pytest.approx(want_rco, rel=1e-9)
+    assert rco(model, PartySpec(2, 0b11, 0)) == pytest.approx(want_rco, rel=1e-9)
 
 
 def test_primal_dual_agreement_random():
@@ -274,7 +277,7 @@ def test_rate_witness_feasible():
     flat = rng.dirichlet(np.ones(2**m))
     model = one_var_per_terminal(flat, (2,) * m)
     spec = PartySpec(m, 0b0011, 0b1000)
-    rep = rco(model, spec)
+    rep = pk_capacity(model, spec)
     rates = {int(k) - 1: v for k, v in rep.witness["rates"].items()}
     h = omniscience.source_entropies(model)
     full = (1 << m) - 1
@@ -462,7 +465,7 @@ def test_basis_hint_for_another_cost_reuses_only_with_its_certificate(monkeypatc
         hint = co_basis_hint(spec)
         omniscience._pk(spec, entropies_of(first), hint)
         h = omniscience._conditionals(entropies_of(second), 3, members)
-        reused = hint.reuse(-h[0]) is not None
+        reused = hint.reuse_all(-h)[0] is not None
         before = len(solves)
         got = omniscience._pk(spec, entropies_of(second), hint)[0]
         assert len(solves) - before == (0 if reused else 1)
@@ -486,7 +489,7 @@ def test_unusable_basis_hint_falls_back_to_a_full_solve(basis, monkeypatch):
     cost = -omniscience._conditionals(entropies_of(model), 3, members)[0]
     hint = co_basis_hint(spec)
     hint.adopt(chosen)
-    assert hint.reuse(cost) is None
+    assert hint.reuse_all(cost[None])[0] is None
     assert hint.pool == ()  # the read that factors it drops it
     solves = counted_solves(monkeypatch)
     assert omniscience._pk(spec, entropies_of(model), hint)[0] == pytest.approx(want, abs=1e-12)
@@ -495,7 +498,7 @@ def test_unusable_basis_hint_falls_back_to_a_full_solve(basis, monkeypatch):
     # behind a usable basis, too, it leaves the pool at its first read
     usable = hint.pool[0]
     hint.adopt(chosen)
-    assert hint.reuse(cost).basis == usable
+    assert hint.reuse_all(cost[None])[0].basis == usable
     assert hint.pool == (usable,)
 
 
@@ -529,7 +532,7 @@ def test_stacked_pool_read_equals_one_row_at_a_time(monkeypatch):
         assert len(solves) - before == 2 * sum(full)
         mid_stack |= any(full[1:-1])
         assert stacked.pool == single.pool
-        for sol, one in zip(stacked.reuse_all(-rows), [single.reuse(-row) for row in rows]):
+        for sol, one in zip(stacked.reuse_all(-rows), [single.reuse_all(-row[None])[0] for row in rows]):
             assert (sol is None) == (one is None)
             if sol is not None:
                 assert sol.basis == one.basis and sol.value == one.value

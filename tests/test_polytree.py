@@ -5,13 +5,7 @@ from skacap import polytree
 from skacap.errors import ConvergenceError, ModelError
 from skacap.models import Polytree, edge, emulated_to_source, polytree_to_transceiver
 from skacap.optimize import InputOptimizerConfig, maximize_product_simplices
-from skacap.polytree import (
-    edge_capacity,
-    mutual_information_matrix,
-    polytree_capacity,
-    wiretapped_edge_lower,
-    wiretapped_polytree_bounds,
-)
+from skacap.polytree import polytree_capacity, wiretapped_polytree_bounds
 from skacap.prob import ZERO_CUTOFF, JointPMF, bec_matrix, binary_entropy, bsc_matrix
 from skacap.transceiver import wsk_upper_by_pk
 
@@ -21,33 +15,65 @@ def cascade(p, q):
     return p * (1 - q) + q * (1 - p)
 
 
+def one_edge(rows, wiretap_rows=None):
+    """The one-edge tree 1 -> 2 of a channel, and of its wiretap when given."""
+    return Polytree(2, (edge(0, 1, rows, wiretap_rows=wiretap_rows),))
+
+
+def edge_capacity(rows, tol=1e-9):
+    """The capacity report of the one-edge tree of ``rows`` and its edge's witness."""
+    rep = polytree_capacity(one_edge(rows), tol=tol)
+    return rep, rep.witness["edges"][0]
+
+
+def wiretapped_edge(rows, wiretap_rows, tol=1e-9):
+    """max_p I(T;Y|Z) of one wiretapped edge: (value, optimal input, converged, gap)."""
+    lower, upper = wiretapped_polytree_bounds(one_edge(rows, wiretap_rows), tol=tol)
+    low, up = lower.witness["edges"][0], upper.witness["edges"][0]
+    assert lower.value == low["value"] and upper.value == up["value"]
+    return low["value"], np.array(low["optimal_input"]), low["converged"], up["gap"]
+
+
+def mutual_information_grid(p, rows):
+    """I(T;Y) in bits for every input row of ``p`` through ``rows``, from the joint."""
+    p = p[:, :, None]
+    joint = p * rows[None]
+    p_y = joint.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(joint > 0, joint * np.log2(joint / (p * p_y)), 0.0)
+    return terms.sum(axis=(1, 2))
+
+
+def binary_inputs(t):
+    """The binary inputs (t_i, 1 - t_i), one row each."""
+    return np.stack([t, 1 - t], axis=1)
+
+
 def test_bsc_capacities_match_binary_entropy_formula():
     for p in (0.05, 0.11, 0.2, 0.35, 0.5):
-        res = edge_capacity(bsc_matrix(p), tol=1e-9)
-        assert res.capacity == pytest.approx(1 - binary_entropy(p), abs=1e-8)
-        assert res.gap <= 1e-9
-        assert res.optimal_input.sum() == pytest.approx(1.0, abs=1e-12)
+        rep, res = edge_capacity(bsc_matrix(p), tol=1e-9)
+        assert rep.value == pytest.approx(1 - binary_entropy(p), abs=1e-8)
+        assert res["gap"] <= 1e-9
+        assert sum(res["optimal_input"]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_identity_ternary_channel():
-    res = edge_capacity(np.eye(3))
-    assert res.capacity == pytest.approx(np.log2(3), abs=1e-8)
+    rep, _ = edge_capacity(np.eye(3))
+    assert rep.value == pytest.approx(np.log2(3), abs=1e-8)
 
 
 def test_bec_capacity():
-    res = edge_capacity(bec_matrix(0.3))
-    assert res.capacity == pytest.approx(0.7, abs=1e-8)
+    rep, _ = edge_capacity(bec_matrix(0.3))
+    assert rep.value == pytest.approx(0.7, abs=1e-8)
 
 
 def test_zs_channel_against_grid_oracle():
     # asymmetric channel: optimum away from uniform; oracle = fine grid search
     rows = np.array([[1.0, 0.0], [0.3, 0.7]])
-    res = edge_capacity(rows, tol=1e-11)
+    rep, _ = edge_capacity(rows, tol=1e-11)
     grid = np.linspace(0.0, 1.0, 200001)
-    best = max(
-        mutual_information_matrix(np.array([t, 1 - t]), rows) for t in grid[1:-1]
-    )
-    assert res.capacity == pytest.approx(best, abs=1e-8)
+    best = mutual_information_grid(binary_inputs(grid[1:-1]), rows).max()
+    assert rep.value == pytest.approx(best, abs=1e-8)
 
 
 def test_edge_capacity_rejects_bad_input():
@@ -63,7 +89,7 @@ def test_edge_capacity_rejects_non_finite_entries(bad):
     with pytest.raises(ModelError, match="non-finite"):
         edge_capacity(np.array([[bad, 1.0], [0.5, 0.5]]))
     with pytest.raises(ModelError, match="non-finite"):
-        wiretapped_edge_lower(bsc_matrix(0.1), np.array([[0.5, 0.5], [bad, 0.0]]))
+        wiretapped_edge(bsc_matrix(0.1), np.array([[0.5, 0.5], [bad, 0.0]]))
 
 
 def test_ba_monotone_lower_bound_sequence():
@@ -130,21 +156,22 @@ def reference_ba(rows, tol, max_iter):
     )
 
 
-def test_edge_capacity_bit_identical_to_reference_ba():
+def test_edge_capacity_bit_identical_to_reference_ba(monkeypatch):
     rng = np.random.default_rng(21)
     cases = [(rng.dirichlet(np.ones(n_out), size=n_in), 1e-9)
              for n_in, n_out in ((2, 2), (3, 2), (2, 5), (4, 4), (6, 3))]
     cases.append((TANGENT, 1e-8))
     for rows, tol in cases:
-        res = edge_capacity(rows, tol=tol)
+        rep, res = edge_capacity(rows, tol=tol)
         cap, r, it, gap = reference_ba(rows, tol, polytree.BA_MAX_ITER)
-        assert res.capacity == cap
-        assert np.array_equal(res.optimal_input, r)
-        assert res.iterations == it
-        assert res.gap == gap
+        assert rep.value == res["value"] == cap
+        assert res["optimal_input"] == [float(x) for x in r]
+        assert res["iterations"] == it
+        assert res["gap"] == gap
     # the cap raises with the same message and gap
+    monkeypatch.setattr(polytree, "BA_MAX_ITER", 50)
     with pytest.raises(ConvergenceError) as new:
-        edge_capacity(TANGENT, tol=1e-9, max_iter=50)
+        edge_capacity(TANGENT, tol=1e-9)
     with pytest.raises(ConvergenceError) as old:
         reference_ba(TANGENT, 1e-9, 50)
     assert str(new.value) == str(old.value)
@@ -325,7 +352,7 @@ def test_edge_tolerance_must_be_positive_and_finite(tol):
     with pytest.raises(ModelError, match="tolerance"):
         edge_capacity(bsc_matrix(0.1), tol=tol)
     with pytest.raises(ModelError, match="tolerance"):
-        wiretapped_edge_lower(bsc_matrix(0.1), bsc_matrix(0.3), tol=tol)
+        wiretapped_edge(bsc_matrix(0.1), bsc_matrix(0.3), tol=tol)
 
 
 def test_polytree_refuses_fewer_than_two_terminals():
@@ -363,15 +390,15 @@ def test_polytree_capacity_edge_order_invariant():
 
 
 def test_wiretap_constant_equals_edge_capacity():
-    res = wiretapped_edge_lower(bsc_matrix(0.11), None)
-    cap = edge_capacity(bsc_matrix(0.11)).capacity
-    assert res.value == pytest.approx(cap, abs=1e-6)
-    assert res.value <= cap + 1e-9
+    value, _, _, _ = wiretapped_edge(bsc_matrix(0.11), None)
+    cap = edge_capacity(bsc_matrix(0.11))[0].value
+    assert value == pytest.approx(cap, abs=1e-6)
+    assert value <= cap + 1e-9
 
 
 def test_wiretap_identity_kills_key():
-    res = wiretapped_edge_lower(bsc_matrix(0.1), np.eye(2))
-    assert res.value == pytest.approx(0.0, abs=1e-10)
+    value, _, _, _ = wiretapped_edge(bsc_matrix(0.1), np.eye(2))
+    assert value == pytest.approx(0.0, abs=1e-10)
 
 
 def test_wiretap_markov_identity_at_uniform():
@@ -379,15 +406,13 @@ def test_wiretap_markov_identity_at_uniform():
     p, q = 0.1, 0.3
     w_y = bsc_matrix(p)
     w_z = bsc_matrix(q)
-    uniform = np.array([0.5, 0.5])
-    got = mutual_information_matrix(uniform, w_y) - mutual_information_matrix(
-        uniform, w_y @ w_z
-    )
+    uniform = np.array([[0.5, 0.5]])
+    got = (mutual_information_grid(uniform, w_y) - mutual_information_grid(uniform, w_y @ w_z))[0]
     expect = binary_entropy(cascade(p, q)) - binary_entropy(p)
     assert got == pytest.approx(expect, abs=1e-12)
     # the optimizer should do at least as well as the uniform input
-    res = wiretapped_edge_lower(w_y, w_z)
-    assert res.value >= got - 1e-9
+    value, _, _, _ = wiretapped_edge(w_y, w_z)
+    assert value >= got - 1e-9
 
 
 def test_wiretap_markov_identity_vs_joint_conditional_mi():
@@ -406,9 +431,8 @@ def test_wiretap_markov_identity_vs_joint_conditional_mi():
                     joint[t, y, z] = p[t] * w_y[t, y] * w_z[y, z]
         jp = JointPMF(((0, Alphabet(2)), (1, Alphabet(2)), (2, Alphabet(2))), joint.ravel())
         direct = mutual_information(jp, {0}, {1}, {2})
-        viamarkov = mutual_information_matrix(p, w_y) - mutual_information_matrix(
-            p, w_y @ w_z
-        )
+        viamarkov = (mutual_information_grid(p[None], w_y)
+                     - mutual_information_grid(p[None], w_y @ w_z))[0]
         assert direct == pytest.approx(viamarkov, abs=1e-10)
 
 
@@ -449,14 +473,14 @@ def test_wiretap_lower_never_exceeds_capacity():
     for _ in range(10):
         w_y = rng.dirichlet(np.ones(2), size=2)
         w_z = rng.dirichlet(np.ones(2), size=2)
-        cap = edge_capacity(w_y, tol=1e-7).capacity
-        res = wiretapped_edge_lower(w_y, w_z)
-        assert res.value <= cap + 1e-7
+        cap = edge_capacity(w_y, tol=1e-7)[0].value
+        value, _, _, _ = wiretapped_edge(w_y, w_z)
+        assert value <= cap + 1e-7
 
 
 def test_wiretap_mismatched_alphabet_is_model_error():
     with pytest.raises(ModelError, match="wiretap input alphabet"):
-        wiretapped_edge_lower(np.eye(2), np.ones((3, 1)))
+        wiretapped_edge(np.eye(2), np.ones((3, 1)))
 
 
 def random_wiretapped_tree(rng, k):
@@ -489,25 +513,15 @@ def test_wiretapped_bounds_match_dense_pk_route():
         assert dense <= upper.value + 1e-9
 
 
-def mutual_information_grid(t, rows):
-    """I(T;Y) in bits for every binary input (t_i, 1 - t_i), from the joint."""
-    p = np.stack([t, 1 - t], axis=1)[:, :, None]
-    joint = p * rows[None]
-    p_y = joint.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(joint > 0, joint * np.log2(joint / (p * p_y)), 0.0)
-    return terms.sum(axis=(1, 2))
-
-
 def test_wiretapped_upper_bounds_every_input():
     rng = np.random.default_rng(607)
     grid = np.linspace(0.0, 1.0, 10_001)
     for _ in range(8):
         w_y = rng.dirichlet(np.ones(2), size=2)
         w_z = rng.dirichlet(np.ones(2), size=2)
-        g = Polytree(2, (edge(0, 1, w_y, wiretap_rows=w_z),))
-        lower, upper = wiretapped_polytree_bounds(g)
-        f = mutual_information_grid(grid, w_y) - mutual_information_grid(grid, w_y @ w_z)
+        lower, upper = wiretapped_polytree_bounds(one_edge(w_y, w_z))
+        t = binary_inputs(grid)
+        f = mutual_information_grid(t, w_y) - mutual_information_grid(t, w_y @ w_z)
         assert upper.value >= f.max() - 1e-12
         gap = upper.witness["edges"][0]["gap"]
         assert 0.0 <= gap <= 1e-6  # the search ends near the optimum: a tight certificate
@@ -515,7 +529,7 @@ def test_wiretapped_upper_bounds_every_input():
         assert upper.method == "wiretapped-pin-edge-cut"
 
 
-def test_wiretap_gap_certifies_a_rough_search():
+def test_wiretap_gap_certifies_a_rough_search(monkeypatch):
     # two Arimoto steps stop short of the optimum on ternary edges;
     # value + gap must still cover the certified value
     rng = np.random.default_rng(608)
@@ -523,11 +537,13 @@ def test_wiretap_gap_certifies_a_rough_search():
     for _ in range(6):
         w_y = rng.dirichlet(np.ones(3), size=3)
         w_z = rng.dirichlet(np.ones(3), size=3)
-        res = wiretapped_edge_lower(w_y, w_z, max_iter=2)
-        assert res.converged is False
-        best = wiretapped_edge_lower(w_y, w_z).value
-        assert res.value + res.gap >= best - 1e-12
-        shortfalls.append(best - res.value)
+        best = wiretapped_edge(w_y, w_z)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(polytree, "BA_MAX_ITER", 2)
+            value, _, converged, gap = wiretapped_edge(w_y, w_z)
+        assert converged is False
+        assert value + gap >= best - 1e-12
+        shortfalls.append(best - value)
     assert max(shortfalls) > 1e-4
 
 
@@ -542,15 +558,15 @@ def test_wiretap_ascent_matches_an_independent_search():
         v = w_y @ w_z
 
         def f(p):
-            return mutual_information_matrix(p, w_y) - mutual_information_matrix(p, v)
+            return mutual_information_grid(p, w_y) - mutual_information_grid(p, v)
 
-        res = wiretapped_edge_lower(w_y, w_z, tol=tol)
-        search = maximize_product_simplices([k], lambda stack: np.array([f(p) for p in stack[0]]),
+        value, optimal_input, converged, gap = wiretapped_edge(w_y, w_z, tol=tol)
+        search = maximize_product_simplices([k], lambda stack: f(stack[0]),
                                             InputOptimizerConfig(restarts=4, seed=k))
-        assert res.converged
-        assert res.gap <= tol
-        assert res.value == pytest.approx(f(res.optimal_input), abs=1e-12)
-        assert res.value >= search.value - tol
+        assert converged
+        assert gap <= tol
+        assert value == pytest.approx(f(optimal_input[None])[0], abs=1e-12)
+        assert value >= search.value - tol
 
 
 def test_wiretapped_bounds_at_the_iteration_cap(monkeypatch):
@@ -563,7 +579,8 @@ def test_wiretapped_bounds_at_the_iteration_cap(monkeypatch):
     assert lower.witness["edges"][0]["converged"] is False
     assert 0.0 < lower.value <= upper.value
     assert upper.witness["edges"][0]["gap"] > 1e-9
-    assert upper.value >= edge_capacity(TANGENT, tol=1e-8).capacity
+    monkeypatch.undo()
+    assert upper.value >= edge_capacity(TANGENT, tol=1e-8)[0].value
 
 
 def wiretapped_bsc_path(k):

@@ -390,3 +390,17 @@ def test_dmc_row_error_reports_index_and_sum():
     rows = np.array([[0.5, 0.5], [0.49, 0.49]])
     with pytest.raises(ModelError, match=r"row 1 sums to 0\.98"):
         Dmc([(0, B)], [(1, B)], rows)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_jointpmf_rejects_non_finite_entries(bad):
+    # a NaN passes every comparison-based check, so it must be refused by name
+    with pytest.raises(ModelError, match="non-finite"):
+        JointPMF(((0, B),), [bad, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dmc_rejects_non_finite_entries(bad):
+    with pytest.raises(ModelError, match="non-finite"):
+        Dmc([(0, B)], [(1, B)], np.array([[0.5, 0.5], [bad, 1.0]]))
+

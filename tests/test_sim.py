@@ -23,7 +23,6 @@ from skacap.sim import (
     parity_count,
     privacy_amplify,
     propagate_group_key,
-    reconcile_edge,
     run_sim,
     weight_cap,
 )
@@ -49,19 +48,21 @@ def test_parity_count_arithmetic():
 
 def test_reconcile_noiseless_zero_parities():
     bits = np.random.default_rng(0).integers(0, 2, size=24, dtype=np.uint8)
-    res = reconcile_edge(bits, bits, p=0.0, delta=0.5, seed=3)
-    assert res.revealed == 0
-    assert res.ok
-    np.testing.assert_array_equal(res.corrected, bits)
+    code = sim._build_code(24, 0.0, 0.5, sim._rng(3, sim._NS_CODE, 0))
+    e_hat, found = sim._decode(code, bits ^ bits)
+    assert code.h.shape[0] == 0
+    assert found
+    np.testing.assert_array_equal(bits ^ e_hat, bits)
 
 
 def test_reconcile_zero_error_block():
     rng = np.random.default_rng(1)
     bits = rng.integers(0, 2, size=24, dtype=np.uint8)
-    res = reconcile_edge(bits, bits, p=0.05, delta=0.5, seed=3)
-    assert res.revealed == 11
-    assert res.ok
-    np.testing.assert_array_equal(res.corrected, bits)
+    code = sim._build_code(24, 0.05, 0.5, sim._rng(3, sim._NS_CODE, 0))
+    e_hat, found = sim._decode(code, bits ^ bits)
+    assert code.h.shape[0] == 11
+    assert found
+    np.testing.assert_array_equal(bits ^ e_hat, bits)
 
 
 def test_reconcile_corrects_low_weight_errors():
@@ -70,8 +71,9 @@ def test_reconcile_corrects_low_weight_errors():
     for trial in range(50):
         sender = rng.integers(0, 2, size=24, dtype=np.uint8)
         noise = (rng.random(24) < 0.05).astype(np.uint8)
-        res = reconcile_edge(sender, sender ^ noise, p=0.05, delta=0.5, seed=trial)
-        if np.array_equal(res.corrected, sender):
+        code = sim._build_code(24, 0.05, 0.5, sim._rng(trial, sim._NS_CODE, 0))
+        e_hat, _ = sim._decode(code, noise)  # the syndrome difference is that of the noise
+        if np.array_equal((sender ^ noise) ^ e_hat, sender):
             hits += 1
     assert hits >= 40  # most blocks decode correctly at this noise level
 

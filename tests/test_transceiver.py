@@ -35,13 +35,13 @@ from skacap.prob import (
 from skacap.transceiver import (
     noninteractive_sk_capacity,
     sk_bounds,
-    upper_bound_sk,
     wsk_upper_by_pk,
     _Layout,
     _converse_terms,
     _min_lambda,
     _ni_objective,
-    _ni_search,
+    _search,
+    _upper_bound,
 )
 
 B = Alphabet(2)
@@ -278,7 +278,7 @@ def test_min_lambda_equals_sk_capacity_on_product_inputs():
             assert expression_at(t, p_in, lam) == pytest.approx(val, abs=1e-9)
 
 
-@pytest.mark.parametrize("bound", [sk_bounds, upper_bound_sk, noninteractive_sk_capacity])
+@pytest.mark.parametrize("bound", [sk_bounds, noninteractive_sk_capacity])
 def test_lone_key_terminal_refused_before_searching(bound, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("the input search ran")
@@ -413,7 +413,7 @@ def test_upper_bound_never_below_noninteractive_on_random_models():
         for _ in range(3):
             t = random_transceiver(rng, m)
             ni = noninteractive_sk_capacity(t, (1 << m) - 1, CFG)
-            up = upper_bound_sk(t, (1 << m) - 1, CFG)
+            up = sk_bounds(t, (1 << m) - 1, CFG)["upper_bound"]
             assert ni.value <= up.value + 1e-7
 
 
@@ -488,7 +488,7 @@ def test_ni_search_equals_the_plain_objective(name):
 
         lay = _Layout(t)
         want = maximize_product_simplices(lay.dims, plain, cfg, extra_seeds=[uniform_input(lay)])
-        got = _ni_search(t, a_mask, cfg)
+        got = _search(lay, _ni_objective(lay, PartySpec(t.m, a_mask, 0)), cfg)
         assert got.evaluations == want.evaluations
         assert got.value == pytest.approx(want.value, abs=1e-12)
         ni = _ni_objective(lay, PartySpec(t.m, a_mask, 0))
@@ -537,7 +537,7 @@ def test_stacked_search_equals_one_point_per_call(name, monkeypatch):
             )
 
         stacked = search()
-        assert_same_search(stacked, _ni_search(t, a_mask, cfg))
+        assert_same_search(stacked, _search(lay, _ni_objective(lay, spec), cfg))
         assert_same_search(stacked, search(one_point_per_call))
         with monkeypatch.context() as patch:
             patch.setattr(transceiver, "STACK_CELLS", 2 * int(np.prod(lay.joint_shape)))
@@ -648,7 +648,7 @@ def test_upper_bound_keeps_the_first_of_tied_family_members():
     t = single_bsc_transceiver(0.11)
     off = [np.array([np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)]), np.ones(1)]
     search = AscentResult(value=0.0, point=off, converged=True, evaluations=1, finals=[(0.0, off)])
-    rep = upper_bound_sk(t, 0b11, CFG, search=search)
+    rep = _upper_bound(_Layout(t), 0b11, search)
     values = [e["value"] for e in rep.witness["family"]]
     assert [e["input"] for e in rep.witness["family"]] == [
         [[0.5, 0.5], [1.0]], [[float(x) for x in v] for v in off]
@@ -681,8 +681,9 @@ def test_upper_bound_evaluates_each_family_input_once(name):
     # only the recorded family
     t = SEARCH_MODELS[name]
     a_mask = (1 << t.m) - 1
-    search = _ni_search(t, a_mask, CFG)
-    rep = upper_bound_sk(t, a_mask, CFG, search=search)
+    lay = _Layout(t)
+    search = _search(lay, _ni_objective(lay, PartySpec(t.m, a_mask, 0)), CFG)
+    rep = _upper_bound(lay, a_mask, search)
     family = [uniform_input(_Layout(t))] + [point for _, point in search.finals] + [search.point]
     best_val, best_point, best_lam = -np.inf, None, None
     for vecs in family:
