@@ -28,18 +28,17 @@ wrong answer.
 A search that solves many LPs over one fixed polytope, changing only the
 cost, keeps the optimal bases of its last full solves in a ``BasisHint``.
 A basis B stays optimal for a new cost exactly when the duals
-y = B^-T c_B are dual feasible, so ``BasisHint.reuse_all`` reads each
-row of a cost stack off B^-1 of the first pooled basis that passes the
-checks of ``_certify`` (dual feasibility held to the threshold at which
-``_simplex`` stops), without pivoting; the caller solves a row that no
-basis passes in full and hands the new basis to ``BasisHint.adopt``.
+y = B^-T c_B are dual feasible, so ``BasisHint.reuse_all`` checks a cost
+stack against every pooled basis at once with the checks of ``_certify``
+(dual feasibility held to the threshold at which ``_simplex`` stops) and
+reads each row off B^-1 of the first basis that passes, as arrays and
+without pivoting; the caller solves a row that no basis passes in full
+and hands the new basis to ``BasisHint.adopt``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .errors import (
@@ -281,26 +280,29 @@ class BasisHint:
         dual_map[cols] = binv
         return x, slack, primal_min, np.ascontiguousarray(dual_map[:n].T)
 
-    def reuse_all(self, costs: np.ndarray) -> list[Optional[LpSolution]]:
-        """For each row of the cost stack ``costs``, its solution off the
-        first pooled basis that certifies it, or None to solve in full.
+    def reuse_all(self, costs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Each row c of the cost stack ``costs`` read off the first pooled
+        basis that certifies it, without pivoting: that basis's pool index
+        (-1 for none, and the caller solves the row in full) and the value
+        c.x, the point x and the duals, one array each.
 
         Certified means the checks of ``_certify`` at the row's
-        ``FEAS_TOL`` scale: primal feasibility, dual feasibility (the
-        duals' signs and the reduced costs), and the duality gap and
-        complementary slackness.  Dual feasibility is held to ``FEAS_TOL``
-        itself, the threshold at which ``_simplex`` stops, so a reused
-        basis is one at which a full solve would stop too.  The checks
-        take every (basis, row) pair at once; an accepted row's value and
-        duals come from that row alone, as a one-row stack gets them.
+        ``FEAS_TOL`` scale, on every (basis, row) pair at once: primal
+        feasibility, dual feasibility (the duals' signs and the reduced
+        costs, held to ``FEAS_TOL`` itself, where ``_simplex`` stops), and
+        the duality gap and complementary slackness.  The values and duals
+        are one stacked product each over the rows' gathered bases: row by
+        row, the ``c @ x`` and ``dual_map @ c`` of a one-row stack.
         """
-        if len(costs) and self._stacked is None:  # factor new bases, drop unusable ones
+        rows = len(costs)
+        if rows and self._stacked is None:  # factor new bases, drop unusable ones
             for entry in self._pool:
                 entry[1] = entry[1] or self._factor(entry[0])
             self._pool = [e for e in self._pool if e[1]]
             self._stacked = [np.stack(a) for a in zip(*(f for _, f in self._pool))]
-        if not len(costs) or not self._pool:
-            return [None] * len(costs)
+        if not rows or not self._pool:
+            k, n = self.a_ge.shape
+            return np.full(rows, -1), np.zeros(rows), np.zeros((rows, n)), np.zeros((rows, k))
         xs, slacks, primal_min, maps = self._stacked
         tol = FEAS_TOL * np.maximum(np.abs(costs).max(axis=1), max(1.0, self._b_max))
         duals = maps @ costs.T  # [basis, dual, row]
@@ -315,8 +317,6 @@ class BasisHint:
             & (comp[:, 0] <= 10 * scale)
         )
         first = ok.argmax(axis=0)
-        out: list[Optional[LpSolution]] = []
-        for c, i, passed in zip(costs, first.tolist(), ok[first, range(len(costs))].tolist()):
-            basis, (x, _, _, dual_map) = self._pool[i]
-            out.append(LpSolution(float(c @ x), x, dual_map @ c, 0, basis) if passed else None)
-        return out
+        x, col = xs[first], costs[:, :, None]
+        which = np.where(ok[first, np.arange(rows)], first, -1)
+        return which, (costs[:, None] @ x[:, :, None])[:, 0, 0], x, (maps[first] @ col)[:, :, 0]

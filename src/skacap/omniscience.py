@@ -140,13 +140,14 @@ def _conditionals(h: np.ndarray, m: int, members) -> np.ndarray:
     return np.maximum(h[..., full:full + 1] - h[..., _complements(m, tuple(members))], 0.0)
 
 
-def _unit(h: np.ndarray) -> list[float]:
+def _unit(h: np.ndarray) -> np.ndarray:
     """Per row, the power of two that scales the row's maximum up into
-    [0.5, 1); 1 when that maximum is at least 0.5 or the row is <= 0."""
-    return [
+    [0.5, 1); 1 when that maximum is at least 0.5 or the row is <= 0.
+    Scalar math per row costs less than numpy calls on a search's few rows."""
+    return np.array([
         math.ldexp(1.0, -min(max(math.frexp(top)[1], -1000), 0)) if top > 0.0 else 1.0
         for top in h.max(axis=1).tolist()
-    ]
+    ])
 
 
 def _require_pair(spec: PartySpec):
@@ -191,28 +192,32 @@ def _rco(
     return (value if lowest >= 0.0 else np.maximum(value, 0.0)), rates
 
 
-def _pack(hint: BasisHint, h: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
+def _pack(hint: BasisHint, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """max h.lam over the packing polytope of ``hint`` for each row of the
     cost stack ``h``: the values, the lam and the row duals (for the CO
-    LP, the rates).
+    LP, the rates), one row each.
 
-    Every row is first checked against the hint's pool of bases at once.
-    The first row that no pooled basis certifies is solved in full from
-    the surplus basis, the pool adopts the new basis, and the rows after
-    it are checked again.  So each row gets the numbers it would get
+    Every row is first read off the hint's pool of bases at once
+    (``BasisHint.reuse_all``).  The first row that no pooled basis
+    certifies is solved in full from the surplus basis and its numbers
+    written into the arrays, the pool adopts the new basis, and the rows
+    after it are read again.  So each row gets the numbers it would get
     alone, after the rows before it.
     """
     units = _unit(h)
-    costs = -h * np.array(units)[:, None]
-    sols = hint.reuse_all(costs)
-    for i, sol in enumerate(sols):
-        if sol is None:
-            sols[i] = lp_solve(LinearProgram(c=costs[i], a_ge=hint.a_ge, b_ge=hint.b_ge))
-            hint.adopt(sols[i].basis)
-            sols[i + 1:] = hint.reuse_all(costs[i + 1:])
-    values = [-sol.value / unit for sol, unit in zip(sols, units)]
-    duals = [sol.dual_ge / unit for sol, unit in zip(sols, units)]
-    return np.array(values), [sol.x for sol in sols], np.array(duals)
+    costs = -h * units[:, None]
+    which, values, lam, duals = hint.reuse_all(costs)
+    missing = (which < 0).nonzero()[0]
+    while missing.size:
+        i = int(missing[0])
+        sol = lp_solve(LinearProgram(c=costs[i], a_ge=hint.a_ge, b_ge=hint.b_ge))
+        hint.adopt(sol.basis)
+        values[i], lam[i], duals[i] = sol.value, sol.x, sol.dual_ge
+        if i + 1 == len(costs):
+            break
+        which[i + 1:], values[i + 1:], lam[i + 1:], duals[i + 1:] = hint.reuse_all(costs[i + 1:])
+        missing = i + 1 + (which[i + 1:] < 0).nonzero()[0]
+    return -values / units, lam, duals / units[:, None]
 
 
 def _rate_witness(spec: PartySpec, rates_vec: np.ndarray) -> dict:

@@ -22,7 +22,9 @@ side wins, so that pair and each later step's point go with the points
 of the steps after them down both outcomes, ``GOLDEN_LOOKAHEAD`` levels
 in all.  The objective must give each point the value it would give it
 alone, so the search takes the same steps, and counts the same
-evaluations (the points it uses), as it would scoring one at a time.
+evaluations (the points it uses), as it would scoring one at a time.  A
+line search keeps each value with its row of the simplex it moves along,
+and builds the whole point only for the one it returns.
 """
 
 from __future__ import annotations
@@ -115,18 +117,25 @@ def _composition(total: int, parts: int, rank: int) -> list[int]:
 
 def _grid_seeds(dims: Sequence[int], resolution: float) -> list[list[np.ndarray]]:
     """Every stride-th point of the product of the grid simplices (fewer
-    than 2 * ``GRID_CAP``), unranked one by one, so only kept points are built."""
+    than 2 * ``GRID_CAP``), unranked so only kept points are built.  Each
+    distinct (simplex size, rank) is unranked once and its row shared by
+    every seed that holds it, so the rows are read-only."""
     g = max(1, int(round(1.0 / resolution)))
     radices = [math.comb(g + k - 1, k - 1) for k in dims]
     total = math.prod(radices)
+    rows: dict[tuple[int, int], np.ndarray] = {}
     seeds = []
     for flat in range(0, total, max(1, total // GRID_CAP)):
         idx, x = [], flat
         for r in reversed(radices):
             idx.append(x % r)
             x //= r
-        seeds.append([np.array(_composition(g, k, j), dtype=float) / g
-                      for k, j in zip(dims, reversed(idx))])
+        keys = list(zip(dims, reversed(idx)))
+        for key in keys:
+            if key not in rows:
+                rows[key] = np.array(_composition(g, *key), dtype=float) / g
+                rows[key].setflags(write=False)
+        seeds.append([rows[key] for key in keys])
     return seeds
 
 
@@ -137,23 +146,17 @@ def stack_points(points: Sequence[list[np.ndarray]]) -> list[np.ndarray]:
 
 def _trials(point, s, a, b, ts):
     """The points that move mass t from symbol a to symbol b of simplex s,
-    one per t: the stack passed to the objective, and each point alone."""
+    one per t: the stack passed to the objective, and their rows of simplex s."""
     q = np.repeat(point[s][None], len(ts), axis=0)
     q[:, a] -= ts
     q[:, b] += ts
-    q = np.clip(q, 0.0, None)
+    np.maximum(q, 0.0, out=q)
     total = q.sum(axis=1)
     if total.min() <= 0:
         raise ModelError("degenerate point off the simplex")
     q /= total[:, None]
-    stack = [v[None].repeat(len(ts), axis=0) for v in point]
-    stack[s] = q
-    trials = []
-    for row in q:
-        trial = list(point)
-        trial[s] = row
-        trials.append(trial)
-    return stack, trials
+    stack = [q if i == s else v[None].repeat(len(ts), axis=0) for i, v in enumerate(point)]
+    return stack, q
 
 
 def _golden_step(bracket, up):
@@ -194,8 +197,13 @@ def _line_search(point, s, a, b, value, objective):
         return value, point, 0
 
     def at(ts):
-        stack, trials = _trials(point, s, a, b, np.array(ts))
-        return [(float(v), t) for v, t in zip(objective(stack), trials)]
+        stack, rows = _trials(point, s, a, b, np.array(ts))
+        return list(zip(objective(stack).tolist(), rows))
+
+    def moved(row):
+        trial = list(point)
+        trial[s] = row
+        return trial
 
     ts = np.linspace(lo, hi, SCAN_POINTS)
     scanned = at(ts)
@@ -206,14 +214,14 @@ def _line_search(point, s, a, b, value, objective):
     center = int(flat[(len(flat) - 1) // 2])
     if values[center] < vmax - 1e-12:  # non-contiguous plateau
         center = int(values.argmax())
-    best_v, best_trial = scanned[center]
+    best_v, best_row = scanned[center]
 
     if vmax <= value + TOLERANCE / 16:
         # No real gain on this line.  If the scan shows a strict plateau,
         # recenter on it: min-of-concave objectives go flat one coordinate
         # at a time and a plateau-edge point would stall the whole ascent.
         if best_v >= value - 1e-13 and len(flat) < SCAN_POINTS:
-            return best_v, best_trial, evals
+            return best_v, moved(best_row), evals
         return value, point, evals
 
     left = ts[max(center - 1, 0)]
@@ -236,7 +244,7 @@ def _line_search(point, s, a, b, value, objective):
         up = f1 < f2
         kept = (f2, t2) if up else (f1, t1)
         if kept[0] >= best_v:
-            best_v, best_trial = kept
+            best_v, best_row = kept
         bracket, x = _golden_step(bracket, up)
         if x not in ahead:
             ahead = score_ahead(bracket, [x], step)
@@ -244,9 +252,9 @@ def _line_search(point, s, a, b, value, objective):
         (f1, t1), (f2, t2) = (kept, ahead[x]) if up else (ahead[x], kept)
     for f, t in ((f1, t1), (f2, t2)):
         if f > best_v:
-            best_v, best_trial = f, t
+            best_v, best_row = f, t
     if best_v > value:
-        return best_v, best_trial, evals
+        return best_v, moved(best_row), evals
     return value, point, evals
 
 

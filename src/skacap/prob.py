@@ -238,10 +238,12 @@ class _Lattice(NamedTuple):
     they already are.  ``sizes[j]`` is the number of cells of group j.  The
     first ``lead`` groups are the leading ones.  Trailing group g gets an
     axis of ``ext[g] = sizes[g] + 1`` slots in a zeta block of ``block``
-    cells, the last slot holding the sum over the others, and ``bins[c]``
-    has bit g set when block cell c keeps group g.  A chunk holds ``chunk``
-    leading cells of one node, each with its zeta block.  ``nodes`` lists,
-    per leading mask, the axes summed out of the joint and the kept mask.
+    cells, the last slot holding the sum over the others.  Cell c of the
+    block of row r of a stack has bin ``bins[r * block + c]``: r times
+    2^trailing groups, plus bit g when c keeps group g.  A chunk holds
+    ``chunk`` leading cells of one node, each with its zeta block.
+    ``nodes`` lists, per leading mask, the axes summed out of the joint
+    and the kept mask.
     On a chunk viewed as (rows, leading cells) + ``ext``, ``fill`` indexes
     the kept slots and each of ``steps`` is a zeta step: (axis, index of
     the slots summed, index of the slots written).
@@ -289,7 +291,9 @@ def _lattice(shape: tuple[int, ...], group_axes: tuple[int, ...]) -> _Lattice:
     for g in reversed(range(len(trail))):
         bins += ((np.arange(ext[g]) < trail[g]) << g).reshape((-1,) + (1,) * (len(trail) - 1 - g))
         steps.append((2 + g, kept[:3 + g], kept[:2 + g] + (trail[g],)))
-    bins = bins.ravel()
+    chunk = max(1, min(LATTICE_BLOCK // block, math.prod(sizes[:lead])))
+    rows = max(1, LATTICE_BLOCK // (chunk * block))  # the most rows a chunk of work holds
+    bins = (np.arange(rows)[:, None] * (1 << len(trail)) + bins.ravel()).ravel()
     bins.setflags(write=False)
     full = (1 << lead) - 1
     return _Lattice(
@@ -299,7 +303,7 @@ def _lattice(shape: tuple[int, ...], group_axes: tuple[int, ...]) -> _Lattice:
         ext=ext,
         block=block,
         bins=bins,
-        chunk=max(1, min(LATTICE_BLOCK // block, math.prod(sizes[:lead]))),
+        chunk=chunk,
         nodes=tuple(
             (tuple(1 + i for i in range(lead) if (t >> i) & 1), full & ~t) for t in range(full + 1)
         ),
@@ -354,7 +358,6 @@ def subset_entropies(tensor: np.ndarray, group_axes: Sequence[int]) -> np.ndarra
     block, chunk, step = plan.block, plan.chunk, 1 << plan.lead
     rows = min(n, max(1, LATTICE_BLOCK // (chunk * block)))
     nb = 1 << len(trail)
-    bins = (np.arange(rows)[:, None] * nb + plan.bins).ravel() if rows > 1 else plan.bins
     buf = np.empty((2, rows * chunk * block))
     views = {}
     out = np.empty((n, 1 << len(plan.sizes)))
@@ -378,7 +381,7 @@ def subset_entropies(tensor: np.ndarray, group_axes: Sequence[int]) -> np.ndarra
                 np.multiply(x, y, out=y)
                 if q > 1:
                     y = np.add.reduce(y.reshape(m, q, block), axis=1, out=x[:m * block].reshape(m, block))
-                part = np.bincount(bins[:m * block], weights=y.ravel(), minlength=m * nb)
+                part = np.bincount(plan.bins[:m * block], weights=y.ravel(), minlength=m * nb)
                 if acc is None:
                     acc = part
                 else:

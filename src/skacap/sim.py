@@ -461,7 +461,7 @@ def _prepare(g: Polytree, a, cfg: SimConfig) -> _Static:
             f"key_len = floor({cfg.n} * {cfg.rate}) < 1", max_feasible_rate=None
         )
     r = {eid: parity_count(cfg.n, crossovers[eid], cfg.recon_margin) for eid in sub_edges}
-    max_rate = _budget_rate(max(r.values()), cfg)
+    max_rate = max(cfg.n - max(r.values()) - cfg.pa_margin, 0) / cfg.n  # per channel use
     if key_len / cfg.n > max_rate:
         raise RateInfeasibleError(
             f"key_len {key_len} exceeds an edge budget; "
@@ -721,19 +721,3 @@ def _uniformity_pvalue(bits: np.ndarray) -> Optional[float]:
             expected = counts.mean()
             return float(chdtrc(nbins - 1, np.sum((counts - expected) ** 2 / expected)))
     return None
-
-
-def max_feasible_rate(g: Polytree, a, cfg: SimConfig) -> float:
-    """Largest key rate the budget rule allows for this model and margins:
-    n minus the most parities of an edge that joins A, minus the
-    privacy-amplification margin, per channel use."""
-    a_nodes = _key_terminals(g, a)
-    crossovers = {i: _bsc_crossover(e) for i, e in enumerate(g.edges)}
-    _, _, _, sub_edges = _steiner_subtree(g, a_nodes)
-    r = max(parity_count(cfg.n, crossovers[eid], cfg.recon_margin) for eid in sub_edges)
-    return _budget_rate(r, cfg)
-
-
-def _budget_rate(r: int, cfg: SimConfig) -> float:
-    """The key rate left per channel use when an edge reveals ``r`` parities."""
-    return max(cfg.n - r - cfg.pa_margin, 0) / cfg.n

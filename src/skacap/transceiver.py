@@ -18,13 +18,13 @@ input T_j and observes output Y_j:
   The rest have their product inputs and joints formed with a leading
   stack axis and their subset entropies taken in one lattice pass; then
   their CO LPs are checked at once against a pool of earlier optimal
-  bases (the polytope depends on (m, A) alone), each row read off the
-  first basis that still carries a duality certificate, and the first
-  row that none certifies is solved in full before the rows after it
-  are checked again.  Every step acts on each point alone, so a point's
-  value is the one it gets scored by itself after the points before it,
-  and the values are those of ``sk_capacity`` on the validated emulated
-  source.
+  bases (the polytope depends on (m, A) alone), every row read, as
+  arrays, off the first basis that still carries a duality certificate,
+  and the first row that none certifies is solved in full before the
+  rows after it are read again.  Every step acts on each point alone, so
+  a point's value is the one it gets scored by itself after the points
+  before it, and the values are those of ``sk_capacity`` on the
+  validated emulated source.
 * Auxiliary multiaccess upper bounds: split each transceiver into an input
   terminal (owning T_j, connected through a noiseless identity layer) and
   an output terminal (owning (T_j, Y_j)); the weighted-entropy converse
@@ -244,6 +244,7 @@ def _ni_objective(lay: _Layout, spec: PartySpec):
     hint = co_basis_hint(spec)
     step = max(1, STACK_CELLS // int(np.prod(lay.joint_shape)))
     memo: dict[bytes, float] = {}
+    cuts = [(end - k, end) for k, end in zip(lay.dims, np.cumsum(lay.dims).tolist())]
 
     def score(stack) -> np.ndarray:
         n = len(stack[0])
@@ -253,11 +254,12 @@ def _ni_objective(lay: _Layout, spec: PartySpec):
         return _pk(spec, lay.entropies(stack), hint)[0]
 
     def objective(stack) -> np.ndarray:
-        keys = [row.tobytes() for row in np.concatenate(stack, axis=1)]
+        flat = np.concatenate(stack, axis=1)
+        keys = [row.tobytes() for row in flat]
         unseen = dict.fromkeys(key for key in keys if key not in memo)
         if unseen:
-            rows = [keys.index(key) for key in unseen]
-            memo.update(zip(unseen, score([v[rows] for v in stack]).tolist()))
+            rows = flat[[keys.index(key) for key in unseen]]
+            memo.update(zip(unseen, score([rows[:, i:j] for i, j in cuts]).tolist()))
         return np.array([memo[key] for key in keys])
 
     return objective

@@ -5,6 +5,8 @@ from scipy.optimize import linprog as scipy_linprog
 from skacap import linprog
 from skacap.errors import LpUnboundedError, ModelError
 from skacap.linprog import FEAS_TOL, BasisHint, LinearProgram, lp_solve
+from skacap.models import PartySpec
+from skacap.omniscience import co_basis_hint
 
 
 def packing(h, a, c=None):
@@ -118,29 +120,65 @@ def test_degenerate_fallback_terminates_on_beale_cycle():
     assert ref.fun == pytest.approx(-1.25, abs=1e-12)
 
 
-def test_basis_hint_reuses_only_certified_optimal_bases():
+def test_basis_hint_reuses_only_certified_optimal_bases(monkeypatch):
     # max h.x over a fixed packing polytope  a.x <= 1, x >= 0, for many costs h:
     # a solve's own basis is reused for its cost, and any reuse agrees with a
-    # full solve for that cost
+    # full solve for that cost without running the simplex
+    simplex, runs = linprog._simplex, []
+
+    def counted(*args, **kw):
+        runs.append(1)
+        return simplex(*args, **kw)
+
+    monkeypatch.setattr(linprog, "_simplex", counted)
     rng = np.random.default_rng(90)
     a = (rng.random((5, 12)) < 0.4).astype(float)
     a[:, a.sum(axis=0) == 0] = 1.0
     hint = BasisHint(a_ge=-a, b_ge=-np.ones(5))
     reused = fallbacks = 0
     h = rng.random(12)
+    walk = []
     for _ in range(200):
         h = np.clip(h + rng.normal(0.0, 0.05, 12), 0.0, None)
+        walk.append(h)
         full = lp_solve(LinearProgram(c=-h, a_ge=-a, b_ge=-np.ones(5)))
-        sol = hint.reuse_all(-h[None])[0]
-        if sol is None:
+        before = len(runs)
+        (which,), (value,), (x,), (dual,) = hint.reuse_all(-h[None])
+        if which < 0:
             fallbacks += 1
             hint.adopt(full.basis)
-            sol = hint.reuse_all(-h[None])[0]
-            assert sol is not None and sol.basis == full.basis
+            (which,), (value,), (x,), (dual,) = hint.reuse_all(-h[None])
+            assert which >= 0 and hint.pool[which] == full.basis
         else:
             reused += 1
-        assert sol.value == pytest.approx(full.value, abs=1e-12)
-        assert sol.iterations == 0
-        assert (a @ sol.x).max() <= 1 + FEAS_TOL and sol.x.min() >= -FEAS_TOL
-        assert (sol.dual_ge @ -a + h).max() <= FEAS_TOL  # rates cover h
+        assert value == pytest.approx(full.value, abs=1e-12)
+        assert len(runs) == before  # a pooled read takes no pivot
+        assert (a @ x).max() <= 1 + FEAS_TOL and x.min() >= -FEAS_TOL
+        assert (dual @ -a + h).max() <= FEAS_TOL  # rates cover h
     assert reused > 50 and fallbacks > 5
+    # the whole walk as one stack: each certified row's value and duals are,
+    # bit for bit, the one-row products off its basis
+    costs = -np.array(walk)
+    which, values, xs, duals = hint.reuse_all(costs)
+    assert (which >= 0).sum() > 50
+    for i in np.flatnonzero(which >= 0):
+        x, _, _, dual_map = hint._pool[which[i]][1]
+        assert np.array_equal(xs[i], x)
+        assert values[i] == float(costs[i] @ x)
+        assert np.array_equal(duals[i], dual_map @ costs[i])
+
+
+def test_pooled_read_of_every_row_equals_the_one_row_products():
+    # the CO packing LP of m = 2, A = {1,2}: one basis is optimal for every
+    # cost with both entries below -FEAS_TOL, so every row of the stack
+    # passes it, and gets bit for bit the one-row c @ x and dual_map @ c
+    hint = co_basis_hint(PartySpec(2, 0b11, 0))
+    costs = -np.random.default_rng(91).uniform(0.01, 3.0, size=(40, 2))
+    hint.adopt(lp_solve(LinearProgram(c=costs[0], a_ge=hint.a_ge, b_ge=hint.b_ge)).basis)
+    which, values, xs, duals = hint.reuse_all(costs)
+    assert np.array_equal(which, np.zeros(40))
+    x, _, _, dual_map = hint._pool[0][1]
+    for c, value, point, dual in zip(costs, values, xs, duals):
+        assert np.array_equal(point, x)
+        assert value == float(c @ x)
+        assert np.array_equal(dual, dual_map @ c)

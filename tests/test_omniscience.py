@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -465,7 +466,7 @@ def test_basis_hint_for_another_cost_reuses_only_with_its_certificate(monkeypatc
         hint = co_basis_hint(spec)
         omniscience._pk(spec, entropies_of(first), hint)
         h = omniscience._conditionals(entropies_of(second), 3, members)
-        reused = hint.reuse_all(-h)[0] is not None
+        reused = hint.reuse_all(-h)[0][0] >= 0
         before = len(solves)
         got = omniscience._pk(spec, entropies_of(second), hint)[0]
         assert len(solves) - before == (0 if reused else 1)
@@ -489,7 +490,7 @@ def test_unusable_basis_hint_falls_back_to_a_full_solve(basis, monkeypatch):
     cost = -omniscience._conditionals(entropies_of(model), 3, members)[0]
     hint = co_basis_hint(spec)
     hint.adopt(chosen)
-    assert hint.reuse_all(cost[None])[0] is None
+    assert hint.reuse_all(cost[None])[0][0] == -1
     assert hint.pool == ()  # the read that factors it drops it
     solves = counted_solves(monkeypatch)
     assert omniscience._pk(spec, entropies_of(model), hint)[0] == pytest.approx(want, abs=1e-12)
@@ -498,7 +499,8 @@ def test_unusable_basis_hint_falls_back_to_a_full_solve(basis, monkeypatch):
     # behind a usable basis, too, it leaves the pool at its first read
     usable = hint.pool[0]
     hint.adopt(chosen)
-    assert hint.reuse_all(cost[None])[0].basis == usable
+    (which,), *_ = hint.reuse_all(cost[None])
+    assert hint.pool[which] == usable
     assert hint.pool == (usable,)
 
 
@@ -532,13 +534,29 @@ def test_stacked_pool_read_equals_one_row_at_a_time(monkeypatch):
         assert len(solves) - before == 2 * sum(full)
         mid_stack |= any(full[1:-1])
         assert stacked.pool == single.pool
-        for sol, one in zip(stacked.reuse_all(-rows), [single.reuse_all(-row[None])[0] for row in rows]):
-            assert (sol is None) == (one is None)
-            if sol is not None:
-                assert sol.basis == one.basis and sol.value == one.value
-                assert np.array_equal(sol.dual_ge, one.dual_ge)
+        which, values, _, duals = stacked.reuse_all(-rows)
+        for i, row in enumerate(rows):
+            one = single.reuse_all(-row[None])
+            assert (which[i] < 0) == (one[0][0] < 0)
+            if which[i] >= 0:
+                assert stacked.pool[which[i]] == single.pool[one[0][0]] and values[i] == one[1][0]
+                assert np.array_equal(duals[i], one[3][0])
     assert mid_stack
     assert 1 < len(stacked.pool) <= linprog.POOL_SIZE
+
+
+def test_unit_equals_the_scalar_frexp_form_on_edge_rows():
+    def scalar(top):
+        if top > 0.0:
+            return math.ldexp(1.0, -min(max(math.frexp(top)[1], -1000), 0))
+        return 1.0
+
+    tops = [0.0, -0.25, 0.5, 1.0, 5e-324, 2.0**-1010, 3.0, 0.375, 2.0**-1000]
+    h = np.array([[top / 2, top, 0.0] if top > 0 else [top, top, top] for top in tops])
+    got = omniscience._unit(h)
+    assert got.tolist() == [scalar(top) for top in tops]
+    assert got.tolist()[:6] == [1.0, 1.0, 1.0, 1.0, 2.0**1000, 2.0**1000]
+    assert h[-2].max() * got[-2] == 0.75 and h[-1].max() * got[-1] == 0.5
 
 
 def test_basis_pool_keeps_the_most_recent_bases_first(monkeypatch):

@@ -35,7 +35,7 @@ def enumerated_grid_seeds(dims, resolution):
     return seeds
 
 
-@pytest.mark.parametrize("dims", [[3, 3], [2, 2, 2, 1], [8], [1, 4]])
+@pytest.mark.parametrize("dims", [[3, 3], [2, 2, 2, 1], [8], [1, 4], [2, 4, 1], [4, 2, 2]])
 @pytest.mark.parametrize("grid", range(2, 9))
 def test_grid_seeds_equal_the_full_enumeration(dims, grid):
     got = _grid_seeds(dims, 1.0 / grid)
@@ -45,6 +45,11 @@ def test_grid_seeds_equal_the_full_enumeration(dims, grid):
         assert len(g) == len(w)
         for u, v in zip(g, w):
             assert np.array_equal(u, v)
+    # a row that seeds share is one array, and no seed can write to it
+    rows = [u for g in got for u in g]
+    for u in rows:
+        if sum(v is u for v in rows) > 1:
+            assert not u.flags.writeable
 
 
 def test_fine_grid_builds_only_the_kept_seeds():

@@ -19,7 +19,6 @@ from skacap.models import Polytree, edge
 from skacap.prob import binary_entropy, bsc_matrix
 from skacap.sim import (
     SimConfig,
-    max_feasible_rate,
     parity_count,
     privacy_amplify,
     propagate_group_key,
@@ -145,8 +144,9 @@ def test_run_sim_rate_infeasible_reports_max():
     cfg = SimConfig(n=24, blocks=10, rate=0.99, recon_margin=0.25, pa_margin=8, seed=0)
     with pytest.raises(RateInfeasibleError) as exc:
         run_sim(g, {0, 1}, cfg)
+    # n minus the edge's parities minus the privacy-amplification margin, per use
     assert exc.value.max_feasible_rate == pytest.approx(
-        max_feasible_rate(g, {0, 1}, cfg)
+        max(24 - parity_count(24, 0.2, 0.25) - 8, 0) / 24
     )
 
 
@@ -156,11 +156,8 @@ def test_run_sim_rate_infeasible_reports_max():
     ids=["unknown", "empty", "single"],
 )
 def test_max_feasible_rate_refuses_a_bad_terminal_set(a, message):
-    # the rate bound and the run share one check of A
     g = single_edge(0.05)
     cfg = SimConfig(n=24, blocks=10, rate=0.25, recon_margin=0.5, pa_margin=2, seed=0)
-    with pytest.raises(ModelError, match=message):
-        max_feasible_rate(g, a, cfg)
     with pytest.raises(ModelError, match=message):
         run_sim(g, a, cfg)
 
@@ -260,8 +257,12 @@ def test_eps_decreases_with_delta():
 def test_rate_capacity_relation():
     for p in (0.02, 0.05):
         g = single_edge(p)
-        cfg = SimConfig(n=24, blocks=1, rate=0.01, recon_margin=0.25, pa_margin=8, seed=0)
-        best = max_feasible_rate(g, {0, 1}, cfg)
+        # rate 1 exceeds every edge budget, so the run reports the cap
+        cfg = SimConfig(n=24, blocks=1, rate=1.0, recon_margin=0.25, pa_margin=8, seed=0)
+        with pytest.raises(RateInfeasibleError) as exc:
+            run_sim(g, {0, 1}, cfg)
+        best = exc.value.max_feasible_rate
+        assert best == pytest.approx((24 - parity_count(24, p, 0.25) - 8) / 24)
         assert best > 0
         assert best < 1 - binary_entropy(p)
 
