@@ -22,12 +22,14 @@ point x_B = B^-1 b_ge must be primal feasible, the duals y = B^-T c_B dual
 feasible (held to ``FEAS_TOL``, where ``_simplex`` stops), and the duality
 gap and complementary slackness small; a basis that fails raises instead
 of returning a wrong answer.  ``lp_solve`` runs that check on its one
-basis and cost.  A search that solves many LPs over one fixed polytope,
-changing only the cost, keeps the optimal bases of its last full solves in
-a ``BasisHint``, and ``BasisHint.reuse_all`` runs the same check on a cost
+basis and cost, and returns the factors with the solution.  A search that
+solves many LPs over one fixed polytope, changing only the cost, keeps the
+optimal bases of its last full solves, with those factors, in a
+``BasisHint``, and ``BasisHint.reuse_all`` runs the same check on a cost
 stack against every pooled basis at once and reads each row off the first
 basis that passes, without pivoting; the caller solves a row that no basis
-passes in full and hands the new basis to ``BasisHint.adopt``.
+passes in full and hands the solution to ``BasisHint.adopt``.  So every
+basis is factored once, by the solve that found it.
 """
 
 from __future__ import annotations
@@ -80,16 +82,17 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Optimum, duals and pivot count; ``basis`` lists the final basic columns.
-
-    Columns are numbered over [x | surplus of each >= row].
+    """Optimum, duals and pivot count; ``basis`` lists the final basic
+    columns, numbered over [x | surplus of each >= row], and ``factors``
+    is ``_factor``'s output for it.
     """
 
     value: float
     x: np.ndarray
     dual_ge: np.ndarray
     iterations: int
-    basis: tuple[int, ...] = ()
+    basis: tuple[int, ...]
+    factors: tuple
 
 
 def _pivot(tab: np.ndarray, obj: np.ndarray, row: int, col: int):
@@ -144,10 +147,8 @@ def _simplex(tab, obj, basis, cap):
 
 
 def _factor(a_ge: np.ndarray, b_ge: np.ndarray, basis):
-    """x, slack, primal minimum and dual map of ``basis``; None when unusable."""
+    """x, slack, primal minimum and dual map of ``basis``; None when singular."""
     k, n = a_ge.shape
-    if len(basis) != k:
-        return None
     cols = list(basis)
     bmat = np.zeros((k, k))  # the columns ``basis`` of the standard form [a_ge  -I]
     for i, j in enumerate(cols):
@@ -240,29 +241,25 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     (which,), (value,), (x,), (dual_ge,) = _read(lp.a_ge, lp.b_ge, stacked, lp.c[None])
     if which < 0:
         raise LpCertificationError("final basis fails the certificate (primal, dual or gap)")
-    return LpSolution(float(value), x, dual_ge, it, tuple(basis))
+    return LpSolution(float(value), x, dual_ge, it, tuple(basis), factors)
 
 
 class BasisHint:
     """The optimal bases of the last full solves of  min c.x  s.t.
     a_ge.x >= b_ge, x >= 0, reused while only the cost c changes.
 
-    ``key`` names what the caller built the constraints from, so that it
-    can refuse a hint built for other constraints.  The hint keeps
-    ``a_ge`` itself, without a copy when it is already float, and never
-    writes to it; the caller hands it over.  The right-hand side is
-    fixed, so the primal point x_B = B^-1 b_ge depends on the basis alone
-    and is formed once per pooled basis, together with the map
-    c -> y = B^-T c_B from a cost to the basis duals.  A basis is
-    factored at the first read after its adoption, so a hint that is
-    never read again pays for no factorization.
+    The hint keeps ``a_ge`` itself, without a copy when it is already
+    float, and never writes to it; the caller hands it over.  The
+    right-hand side is fixed, so the primal point x_B = B^-1 b_ge depends
+    on the basis alone.  ``lp_solve`` forms it once per solve, together
+    with the map c -> y = B^-T c_B from a cost to the basis duals, and the
+    pool keeps both with the basis.
     """
 
-    def __init__(self, a_ge: np.ndarray, b_ge: np.ndarray, key=None):
+    def __init__(self, a_ge: np.ndarray, b_ge: np.ndarray):
         self.a_ge = np.asarray(a_ge, dtype=float)
         self.b_ge = np.array(b_ge, dtype=float).ravel()
-        self.key = key
-        self._pool: list = []  # [basis, factors or None], most recent first
+        self._pool: list = []  # (basis, factors), most recent first
         self._stacked = None  # the factors of the pool, stacked
 
     @property
@@ -270,11 +267,11 @@ class BasisHint:
         """The pooled bases, most recently adopted first."""
         return tuple(basis for basis, _ in self._pool)
 
-    def adopt(self, basis):
-        """Put ``basis`` (an ``LpSolution.basis``) first in the pool, dropping
-        the least recent past ``POOL_SIZE``; B^-1 is formed at the next read."""
-        basis = tuple(basis)
-        entry = next((e for e in self._pool if e[0] == basis), [basis, None])
+    def adopt(self, sol: LpSolution):
+        """Put the basis of ``sol``, an ``lp_solve`` of this hint's LP, first
+        in the pool with its factors, dropping the least recent past
+        ``POOL_SIZE``."""
+        entry = next((e for e in self._pool if e[0] == sol.basis), (sol.basis, sol.factors))
         self._pool = [entry] + [e for e in self._pool if e is not entry][:POOL_SIZE - 1]
         self._stacked = None
 
@@ -285,12 +282,9 @@ class BasisHint:
         full) and the value c.x, the point x and the duals, one array each.
         """
         rows = len(costs)
-        if rows and self._stacked is None:  # factor new bases, drop unusable ones
-            for entry in self._pool:
-                entry[1] = entry[1] or _factor(self.a_ge, self.b_ge, entry[0])
-            self._pool = [e for e in self._pool if e[1]]
-            self._stacked = [np.stack(a) for a in zip(*(f for _, f in self._pool))]
         if not rows or not self._pool:
             k, n = self.a_ge.shape
             return np.full(rows, -1), np.zeros(rows), np.zeros((rows, n)), np.zeros((rows, k))
+        if self._stacked is None:
+            self._stacked = [np.stack(a) for a in zip(*(f for _, f in self._pool))]
         return _read(self.a_ge, self.b_ge, self._stacked, costs)

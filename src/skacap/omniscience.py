@@ -43,16 +43,19 @@ nonempty proper subset of D^c, and it contains A only when A = {j}, so
 every singleton lies in Gamma(A) exactly when |A| >= 2, which
 ``max_cover`` requires, as key agreement does.
 
+``constraint_family(spec)`` is the one per-spec record of that polytope:
+the sets B, their complements and the singleton indices, as int64 arrays.
 ``_pk`` and ``_rco`` take a stack of sources, one row of subset
-entropies each.  A search over many sources with one spec (the
-noninteractive input search) passes one ``co_basis_hint(spec)`` to every
-call, and the hint pools the optimal bases of its full solves.  The
-rows of a call are checked against every pooled basis at once, each
-accepted only with the solver's own certificate (rates feasible, lam
-feasible, equal objectives within ``FEAS_TOL``) off the first basis that
-passes; the first row that none passes is solved in full, its basis
-joins the pool, and the rows after it are checked again.  Without a
-hint a call starts from an empty one.
+entropies each, and a ``CoPool``: an empty basis pool built from the
+record, whose packing matrix is formed per pool and never cached.  A
+search over many sources with one spec (the noninteractive input search)
+passes one pool to every call, and the pool keeps the optimal bases of
+its full solves with the factors ``lp_solve`` formed for them.  The rows
+of a call are checked against every pooled basis at once, each accepted
+only with the solver's own certificate (rates feasible, lam feasible,
+equal objectives within ``FEAS_TOL``) off the first basis that passes;
+the first row that none passes is solved in full, its solution joins the
+pool, and the rows after it are checked again.
 
 The simplex stops once no reduced cost is below -``FEAS_TOL``, an
 absolute threshold, so conditional entropies far below one bit would all
@@ -82,41 +85,45 @@ MAX_FAMILY_TERMINALS = 20
 WITNESS_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetFamily:
-    """Constraint index family: bitmask subsets of D^c, ascending order."""
+    """The CO polytope of one spec: its constraint sets B, ascending, as
+    read-only int64 bitmask arrays."""
 
-    d_complement: int
-    members: tuple[int, ...]
+    spec: PartySpec
+    members: np.ndarray  # the sets B
+    complements: np.ndarray  # [m] minus each B
+    singles: np.ndarray  # the indices of the singleton members, ascending
 
 
 @lru_cache(maxsize=256)
 def constraint_family(spec: PartySpec) -> SubsetFamily:
-    """All B with {} != B strictly inside D^c and A not a subset of B."""
-    dc = spec.d_complement
-    if popcount(dc) > MAX_FAMILY_TERMINALS:
+    """All B with {} != B strictly inside D^c and A not a subset of B.
+
+    Only the submasks of D^c are enumerated: bit k of each rank
+    1 .. 2^|D^c| - 2 deposited at the k-th terminal of D^c, which keeps
+    them ascending.  The bits that move by the same shift move at once.
+    """
+    dc = bits(spec.d_complement)
+    if len(dc) > MAX_FAMILY_TERMINALS or spec.m > 63:
         raise ModelError(
-            f"|D^c| = {popcount(dc)} exceeds the 2^{MAX_FAMILY_TERMINALS} family guard"
+            f"|D^c| = {len(dc)} of m = {spec.m} exceeds the 2^{MAX_FAMILY_TERMINALS} "
+            "family guard or a 64-bit mask"
         )
-    members = []
-    # ascending enumeration of submasks of dc
-    for b in range(1, 1 << spec.m):
-        if b & ~dc:
-            continue
-        if b == dc:
-            continue
-        if (spec.a & b) == spec.a:  # A subset of B
-            continue
-        members.append(b)
-    return SubsetFamily(d_complement=dc, members=tuple(members))
+    rank = np.arange(1, (1 << len(dc)) - 1, dtype=np.int64)
+    members = np.zeros_like(rank)
+    for shift in set(j - k for k, j in enumerate(dc)):
+        members |= (rank & sum(1 << k for k, j in enumerate(dc) if j - k == shift)) << shift
+    members = members[(members & spec.a) != spec.a]
+    arrays = members, ((1 << spec.m) - 1) & ~members, np.flatnonzero(members & (members - 1) == 0)
+    for x in arrays:
+        x.setflags(write=False)
+    return SubsetFamily(spec, *arrays)
 
 
-def incidence(members, terminals) -> np.ndarray:
+def incidence(members: np.ndarray, terminals) -> np.ndarray:
     """0/1 matrix whose entry [i, k] is 1 when ``terminals[k]`` lies in ``members[i]``."""
-    members = np.asarray(members, dtype=np.int64).reshape(-1, 1)
-    out = members >> np.asarray(terminals, dtype=np.int64)
-    out &= 1
-    return out.astype(float)
+    return ((members[:, None] & [1 << j for j in terminals]) != 0).astype(float)
 
 
 def source_entropies(model: SourceModel) -> np.ndarray:
@@ -127,17 +134,11 @@ def source_entropies(model: SourceModel) -> np.ndarray:
     return subset_entropies(p.tensor()[None], groups)[0]
 
 
-@lru_cache(maxsize=256)
-def _complements(m: int, members: tuple[int, ...]) -> np.ndarray:
-    """[m] minus each member, as an index array."""
-    return ((1 << m) - 1) & ~np.asarray(members, dtype=np.int64)
-
-
-def _conditionals(h: np.ndarray, m: int, members) -> np.ndarray:
+def _conditionals(h: np.ndarray, family: SubsetFamily) -> np.ndarray:
     """H(X_B | X_{B^c}) off the subset entropies ``h`` (one row per source),
-    B over ``members`` in [m]."""
-    full = (1 << m) - 1
-    return np.maximum(h[..., full:full + 1] - h[..., _complements(m, tuple(members))], 0.0)
+    B over the members of ``family``."""
+    full = (1 << family.spec.m) - 1
+    return np.maximum(h[..., full:full + 1] - h[..., family.complements], 0.0)
 
 
 def _unit(h: np.ndarray) -> np.ndarray:
@@ -158,31 +159,26 @@ def _require_pair(spec: PartySpec):
         )
 
 
-def co_basis_hint(spec: PartySpec) -> BasisHint:
-    """An empty basis hint for the CO LPs of ``spec``, shared by one search."""
-    family = constraint_family(spec)
-    inc = incidence(family.members, bits(spec.d_complement))
-    np.negative(inc, out=inc)
-    return BasisHint(a_ge=inc.T, b_ge=-np.ones(inc.shape[1]), key=spec)
+class CoPool(BasisHint):
+    """An empty basis pool for the CO packing LP of ``spec``: a_ge =
+    -incidence^T over the family and the terminals of D^c, b_ge = -1."""
+
+    def __init__(self, spec: PartySpec):
+        self.family = constraint_family(spec)
+        inc = incidence(self.family.members, bits(spec.d_complement))
+        np.negative(inc, out=inc)
+        super().__init__(inc.T, -np.ones(inc.shape[1]))
 
 
-def _rco(
-    spec: PartySpec, h_all: np.ndarray, hint: BasisHint | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _rco(pool: CoPool, h_all: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """R_CO and its optimal rates, one per terminal of D^c in ascending
-    order, for each row of the subset entropies ``h_all``."""
-    family = constraint_family(spec)
-    if not family.members:
-        return np.zeros(len(h_all)), np.zeros((len(h_all), popcount(spec.d_complement)))
-    if hint is None:
-        hint = co_basis_hint(spec)
-    elif hint.key != spec:
-        raise ModelError("basis hint was built for the CO LP of another spec")
-    h = _conditionals(h_all, spec.m, family.members)
-    value, _, rates = _pack(hint, h)
-    short = rates @ hint.a_ge + h  # h - incidence @ rates, per row
+    order, for each row of the subset entropies ``h_all``.  Every caller
+    requires |A| >= 2, so the family holds at least the singletons of A."""
+    h = _conditionals(h_all, pool.family)
+    value, _, rates = _pack(pool, h)
+    short = rates @ pool.a_ge + h  # h - incidence @ rates, per row
     if short.max() > WITNESS_TOL:
-        worst = family.members[int(np.argmax(short)) % short.shape[1]]
+        worst = int(pool.family.members[int(np.argmax(short)) % short.shape[1]])
         raise InternalConsistencyError(
             f"rate vector violates constraint B={{{','.join(str(t + 1) for t in bits(worst))}}}"
         )
@@ -192,30 +188,30 @@ def _rco(
     return (value if lowest >= 0.0 else np.maximum(value, 0.0)), rates
 
 
-def _pack(hint: BasisHint, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """max h.lam over the packing polytope of ``hint`` for each row of the
+def _pack(pool: BasisHint, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """max h.lam over the packing polytope of ``pool`` for each row of the
     cost stack ``h``: the values, the lam and the row duals (for the CO
     LP, the rates), one row each.
 
-    Every row is first read off the hint's pool of bases at once
+    Every row is first read off the pool's bases at once
     (``BasisHint.reuse_all``).  The first row that no pooled basis
     certifies is solved in full from the surplus basis and its numbers
-    written into the arrays, the pool adopts the new basis, and the rows
+    written into the arrays, the pool adopts the solution, and the rows
     after it are read again.  So each row gets the numbers it would get
     alone, after the rows before it.
     """
     units = _unit(h)
     costs = -h * units[:, None]
-    which, values, lam, duals = hint.reuse_all(costs)
+    which, values, lam, duals = pool.reuse_all(costs)
     missing = (which < 0).nonzero()[0]
     while missing.size:
         i = int(missing[0])
-        sol = lp_solve(LinearProgram(c=costs[i], a_ge=hint.a_ge, b_ge=hint.b_ge))
-        hint.adopt(sol.basis)
+        sol = lp_solve(LinearProgram(c=costs[i], a_ge=pool.a_ge, b_ge=pool.b_ge))
+        pool.adopt(sol)
         values[i], lam[i], duals[i] = sol.value, sol.x, sol.dual_ge
         if i + 1 == len(costs):
             break
-        which[i + 1:], values[i + 1:], lam[i + 1:], duals[i + 1:] = hint.reuse_all(costs[i + 1:])
+        which[i + 1:], values[i + 1:], lam[i + 1:], duals[i + 1:] = pool.reuse_all(costs[i + 1:])
         missing = i + 1 + (which[i + 1:] < 0).nonzero()[0]
     return -values / units, lam, duals / units[:, None]
 
@@ -240,21 +236,20 @@ def pk_capacity(
     _require_pair(spec)
     if h is None:
         h = source_entropies(model)
-    value, h_given_d, co, rates = (x[0] for x in _pk(spec, h[None]))
+    value, h_given_d, co, rates = (x[0] for x in _pk(CoPool(spec), h[None]))
     witness = _rate_witness(spec, rates)
     witness["rco"] = float(co)
     witness["h_given_d"] = float(h_given_d)
     return CapacityReport(float(value), "exact", "omniscience-lp", witness)
 
 
-def _pk(
-    spec: PartySpec, h: np.ndarray, hint: BasisHint | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _pk(pool: CoPool, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """C_PK, H(X_M | X_D), R_CO and the CO rates for each row of the subset
-    entropies ``h``, one row per source with one group per terminal of
-    ``spec``."""
+    entropies ``h``, one row per source with one group per terminal of the
+    pool's spec."""
+    spec = pool.family.spec
     h_given_d = h[:, (1 << spec.m) - 1] - h[:, spec.d]
-    co, rates = _rco(spec, h, hint)
+    co, rates = _rco(pool, h)
     value = h_given_d - co
     lowest = value.min()
     if lowest < -1e-9:
@@ -276,19 +271,18 @@ def max_cover(spec: PartySpec, g: np.ndarray) -> tuple[float, dict[int, float]]:
     module docstring), which needs |A| >= 2.
     """
     _require_pair(spec)
-    members = constraint_family(spec).members
-    hint = co_basis_hint(spec)
-    cover = -hint.a_ge  # [j, i] = 1 when terminal j lies in member i
-    singles = np.searchsorted(members, [1 << j for j in bits(spec.d_complement)])
+    pool = CoPool(spec)
+    singles = pool.family.singles
     g = np.asarray(g, dtype=float)
     g_single = g[singles]
-    packed, lam, _ = _pack(hint, (g - g_single @ cover)[None])
+    # a_ge is minus the cover matrix: [j, i] = -1 when terminal j lies in member i
+    packed, lam, _ = _pack(pool, (g + g_single @ pool.a_ge)[None])
     lam = lam[0].copy()
-    lam[singles] += 1.0 - cover @ lam
-    if np.abs(cover @ lam - 1.0).max() > WITNESS_TOL or lam.min() < -WITNESS_TOL:
+    lam[singles] += 1.0 + pool.a_ge @ lam
+    if np.abs(pool.a_ge @ lam + 1.0).max() > WITNESS_TOL or lam.min() < -WITNESS_TOL:
         raise InternalConsistencyError("lambda witness violates Lambda(A) constraints")
     value = float(g_single.sum()) + float(packed[0])
-    return value, {b: float(x) for b, x in zip(members, lam) if x > 1e-12}
+    return value, {b: float(x) for b, x in zip(pool.family.members.tolist(), lam) if x > 1e-12}
 
 
 def lambda_witness(lam: dict[int, float]) -> dict[str, float]:
@@ -306,7 +300,7 @@ def sk_capacity_dual(model: SourceModel, a, h: np.ndarray | None = None) -> Capa
     spec = PartySpec(model.m, as_mask(a, model.m), 0)
     if h is None:
         h = source_entropies(model)
-    packed, lam = max_cover(spec, _conditionals(h, model.m, constraint_family(spec).members))
+    packed, lam = max_cover(spec, _conditionals(h, constraint_family(spec)))
     value = float(h[-1]) - packed
     witness = {"lambda": lambda_witness(lam)}
     return CapacityReport(max(value, 0.0), "exact", "omniscience-lp-dual", witness)

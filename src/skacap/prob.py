@@ -345,8 +345,10 @@ def subset_entropies(tensor: np.ndarray, group_axes: Sequence[int]) -> np.ndarra
 
     Every operation acts on each row alone, in an order that does not
     depend on the stack's size, so a row's entropies are bit for bit those
-    of its joint alone.
+    of its joint alone.  A table of more than ``MAX_CELLS`` entries per row
+    is refused before the plan is built.
     """
+    check_cells(1 << len(group_axes), "subset-entropy table")
     n = tensor.shape[0]
     plan = _lattice(tensor.shape[1:], tuple(group_axes))
     if tensor.min() <= ZERO_CUTOFF:

@@ -60,9 +60,9 @@ from .models import (
     as_mask,
 )
 from .omniscience import (
+    CoPool,
     _pk,
     _require_pair,
-    co_basis_hint,
     constraint_family,
     lambda_witness,
     max_cover,
@@ -154,7 +154,7 @@ class _Layout:
 
 
 def _converse_terms(lay: _Layout, p_flat: np.ndarray, members) -> tuple[float, np.ndarray]:
-    """The constant and the terms g_B of the converse, B over ``members``.
+    """The constant and the terms g_B of the converse, B over the int64 array ``members``.
 
     The auxiliary model has 2m terminals: output terminal j owns
     X_j = (T_j, Y_j) and input terminal m + j owns X_{m+j} = T_j, so a set
@@ -173,8 +173,7 @@ def _converse_terms(lay: _Layout, p_flat: np.ndarray, members) -> tuple[float, n
     m = len(lay.dims)
     full = (1 << m) - 1
     h = subset_entropies(lay.joint(p_flat[None]), lay.t_axes + lay.y_axes)[0]
-    b = np.asarray(members, dtype=np.int64)
-    b_o, b_i = b & full, b >> m
+    b_o, b_i = members & full, members >> m
     s = full & ~(b_o & b_i)
     g = h[-1] - h[s | ((full & ~b_o) << m)] + h[full & ~b_i] - h[full]
     return h[-1] - h[full], g
@@ -238,10 +237,10 @@ def _ni_objective(lay: _Layout, spec: PartySpec):
     A memo keyed by the points' bytes keeps every value; only the unseen
     rows of a stack are scored, in order, in slices of at most
     ``STACK_CELLS`` joint cells (at least one point each), their CO LPs
-    all on one basis hint, whose bases are accepted only with their
+    all on one basis pool, whose bases are accepted only with their
     certificates.
     """
-    hint = co_basis_hint(spec)
+    pool = CoPool(spec)
     step = max(1, STACK_CELLS // int(np.prod(lay.joint_shape)))
     memo: dict[bytes, float] = {}
     cuts = [(end - k, end) for k, end in zip(lay.dims, np.cumsum(lay.dims).tolist())]
@@ -251,7 +250,7 @@ def _ni_objective(lay: _Layout, spec: PartySpec):
         if n > step:
             return np.concatenate([score([v[i:i + step] for v in stack])
                                    for i in range(0, n, step)])
-        return _pk(spec, lay.entropies(stack), hint)[0]
+        return _pk(pool, lay.entropies(stack))[0]
 
     def objective(stack) -> np.ndarray:
         flat = np.concatenate(stack, axis=1)
@@ -341,7 +340,7 @@ def sk_bounds(t: TransceiverModel, a, cfg: InputOptimizerConfig) -> dict:
     search = _search(lay, objective, cfg)
     ni = _ni_report(search)
     upper = _upper_bound(lay, a_mask, search)
-    # a memo hit: uniform is the first seed row, scored on an empty hint
+    # a memo hit: uniform is the first seed row, scored on an empty pool
     value = float(objective(stack_points([lay.uniform]))[0])
     emulation = {
         "v_alphabet": 1,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from conftest import child_env, run_skacap
 
-from skacap import cli, linprog, omniscience, sim
+from skacap import cli, linprog, omniscience, optimize, sim, transceiver
 from skacap.modelio import serialize_model
 from skacap.models import Polytree, SourceModel, edge, polytree_to_transceiver
 from skacap.prob import Alphabet, JointPMF, binary_entropy, bsc_matrix
@@ -101,6 +101,64 @@ def test_capacity_dual_computes_the_subset_entropies_once(monkeypatch, capsys):
     assert len(calls) == 1
     result = json.loads(capsys.readouterr().out)["result"]
     assert set(result) == {"sk_capacity", "sk_capacity_dual"}
+
+
+def test_each_full_solve_factors_once_and_each_spec_is_enumerated_once(
+    monkeypatch, capsys, tmp_path
+):
+    # lp_solve hands its factors to the basis pool, which never factors
+    # again; constraint_family enumerates each spec once per command
+    factor, solve, family = linprog._factor, omniscience.lp_solve, omniscience.constraint_family
+    factors, solves, specs = [], [], []
+
+    def counted_factor(*args):
+        factors.append(1)
+        return factor(*args)
+
+    def counted_solve(lp):
+        solves.append(1)
+        return solve(lp)
+
+    def counted_family(spec):
+        specs.append(spec)
+        return family(spec)
+
+    monkeypatch.setattr(linprog, "_factor", counted_factor)
+    monkeypatch.setattr(omniscience, "lp_solve", counted_solve)
+    for module in (cli, omniscience, transceiver):
+        monkeypatch.setattr(module, "constraint_family", counted_family)
+    rng = np.random.default_rng(12)
+    pmf = JointPMF(tuple((i, Alphabet(2)) for i in range(4)), rng.dirichlet(np.ones(16)))
+    path = write_model(tmp_path, SourceModel(pmf, tuple(frozenset({i}) for i in range(4))))
+    t = polytree_to_transceiver(bsc_path_polytree())
+    cfg = optimize.InputOptimizerConfig(restarts=4, seed=3)
+    for run in (lambda: cli.main(["capacity", path, "--A", "1,2,4", "--dual"]),
+                lambda: transceiver.sk_bounds(t, 0b111, cfg)):
+        family.cache_clear()
+        factors.clear(), solves.clear(), specs.clear()
+        run()
+        assert solves and len(factors) == len(solves)
+        assert family.cache_info().misses == len(set(specs)) < len(specs)
+    assert len(set(specs)) == 2  # the NI spec and the converse's 2m-terminal spec
+    assert json.loads(capsys.readouterr().out)["result"]["sk_capacity_dual"]
+
+
+@pytest.mark.parametrize("m", [26, 40])
+def test_capacity_refuses_an_oversized_subset_entropy_table(m, tmp_path, capsys):
+    # size-1 variables: a one-cell joint but 2^m subset entropies.  The
+    # family over D^c = {1, 2} used to be found among all 2^m masks: 4.75 s
+    # at m = 26 before a 549 MB table, and no end at m = 40
+    doc = {"kind": "source", "terminals": m, "pmf": [1.0],
+           "variables": [{"id": i, "size": 1, "owner": i + 1} for i in range(m)]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    d = ",".join(str(j) for j in range(3, m + 1))
+    t0 = time.perf_counter()
+    assert cli.main(["capacity", str(path), "--A", "1,2", "--D", d]) == cli.EXIT_MODEL
+    assert time.perf_counter() - t0 < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"subset-entropy table has {1 << m} cells, cap is {1 << 24}" in err
 
 
 def test_capacity_schema_error_exit_2(tmp_path):

@@ -6,7 +6,7 @@ from skacap import linprog
 from skacap.errors import LpCertificationError, LpUnboundedError, ModelError
 from skacap.linprog import FEAS_TOL, BasisHint, LinearProgram, lp_solve
 from skacap.models import PartySpec
-from skacap.omniscience import co_basis_hint
+from skacap.omniscience import CoPool
 
 
 def packing(h, a, c=None):
@@ -146,7 +146,7 @@ def test_basis_hint_reuses_only_certified_optimal_bases(monkeypatch):
         (which,), (value,), (x,), (dual,) = hint.reuse_all(-h[None])
         if which < 0:
             fallbacks += 1
-            hint.adopt(full.basis)
+            hint.adopt(full)
             (which,), (value,), (x,), (dual,) = hint.reuse_all(-h[None])
             assert which >= 0 and hint.pool[which] == full.basis
         else:
@@ -172,9 +172,9 @@ def test_pooled_read_of_every_row_equals_the_one_row_products():
     # the CO packing LP of m = 2, A = {1,2}: one basis is optimal for every
     # cost with both entries below -FEAS_TOL, so every row of the stack
     # passes it, and gets bit for bit the one-row c @ x and dual_map @ c
-    hint = co_basis_hint(PartySpec(2, 0b11, 0))
+    hint = CoPool(PartySpec(2, 0b11, 0))
     costs = -np.random.default_rng(91).uniform(0.01, 3.0, size=(40, 2))
-    hint.adopt(lp_solve(LinearProgram(c=costs[0], a_ge=hint.a_ge, b_ge=hint.b_ge)).basis)
+    hint.adopt(lp_solve(LinearProgram(c=costs[0], a_ge=hint.a_ge, b_ge=hint.b_ge)))
     which, values, xs, duals = hint.reuse_all(costs)
     assert np.array_equal(which, np.zeros(40))
     x, _, _, dual_map = hint._pool[0][1]
@@ -189,7 +189,7 @@ def test_an_uncertified_basis_is_refused(monkeypatch):
     # CO LP with h > 0: primal feasible (x = 0), but its reduced costs -h
     # are negative, so the certificate must refuse it.
     monkeypatch.setattr(linprog, "_simplex", lambda tab, obj, basis, cap: 0)
-    hint = co_basis_hint(PartySpec(3, 0b111, 0))
+    hint = CoPool(PartySpec(3, 0b111, 0))
     h = np.random.default_rng(7).uniform(0.1, 1.0, hint.a_ge.shape[1])
     with pytest.raises(LpCertificationError, match="certificate"):
         lp_solve(LinearProgram(c=-h, a_ge=hint.a_ge, b_ge=hint.b_ge))
@@ -198,13 +198,13 @@ def test_an_uncertified_basis_is_refused(monkeypatch):
 def test_one_row_read_off_one_basis_is_the_one_row_products():
     # lp_solve reads its optimum as a stack of one basis and one row: the
     # stacked products are then, bit for bit, c @ x and dual_map @ c
-    hint = co_basis_hint(PartySpec(4, 0b1111, 0))
+    hint = CoPool(PartySpec(4, 0b1111, 0))
     rng = np.random.default_rng(92)
     for _ in range(20):
         c = -rng.uniform(0.01, 1.0, hint.a_ge.shape[1])
         sol = lp_solve(LinearProgram(c=c, a_ge=hint.a_ge, b_ge=hint.b_ge))
         one = BasisHint(hint.a_ge, hint.b_ge)
-        one.adopt(sol.basis)
+        one.adopt(sol)
         (which,), (value,), (x,), (dual,) = one.reuse_all(c[None])
         x_pool, _, _, dual_map = one._pool[0][1]
         assert which == 0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from scipy.optimize import linprog as scipy_linprog
 from skacap import linprog, omniscience
 from skacap.errors import ModelError
 from skacap.linprog import LinearProgram, lp_solve
-from skacap.models import PartySpec, SourceModel, bits, mask_of
+from skacap.models import PartySpec, SourceModel, bits, mask_of, popcount
 from skacap.omniscience import (
-    co_basis_hint,
+    CoPool,
     constraint_family,
     incidence,
     max_cover,
@@ -72,16 +73,37 @@ def test_constraint_family_with_d():
 
 def test_constraint_family_random_against_oracle():
     rng = np.random.default_rng(8)
-    for _ in range(30):
-        m = int(rng.integers(2, 6))
+    with_d = 0
+    for _ in range(60):
+        m = int(rng.integers(2, 9))
         a = set(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist())
         rest = sorted(set(range(m)) - a)
         d = set(
             rng.choice(rest, size=int(rng.integers(0, len(rest) + 1)), replace=False).tolist()
         ) if rest else set()
+        with_d += bool(d)
         spec = PartySpec(m, sum(1 << j for j in a), sum(1 << j for j in d))
         fam = constraint_family(spec)
-        assert list(fam.members) == sorted(family_oracle(m, a, d))
+        members = fam.members.tolist()
+        assert members == sorted(family_oracle(m, a, d))
+        assert fam.complements.tolist() == [(1 << m) - 1 - b for b in members]
+        assert fam.singles.tolist() == [i for i, b in enumerate(members) if popcount(b) == 1]
+        for x in (fam.members, fam.complements, fam.singles):
+            assert x.dtype == np.int64 and not x.flags.writeable
+    assert with_d > 20
+
+
+def test_constraint_family_enumerates_only_the_submasks_of_d_complement():
+    # m = 40 with |D^c| = 3: 2^3 ranks, not 2^40 masks
+    spec = PartySpec.from_one_based(40, [1, 2], range(3, 40))
+    start = time.perf_counter()
+    fam = constraint_family(spec)
+    assert time.perf_counter() - start < 0.5
+    dc = [0, 1, 39]
+    assert fam.members.tolist() == sorted(family_oracle(40, {0, 1}, set(range(40)) - set(dc)))
+    assert fam.members.tolist() == [1, 2, 1 << 39, 1 | 1 << 39, 2 | 1 << 39]
+    assert fam.complements.tolist() == [((1 << 40) - 1) & ~b for b in fam.members.tolist()]
+    assert fam.singles.tolist() == [0, 1, 2]
 
 
 def bsc_pair_model(p):
@@ -290,6 +312,9 @@ def test_rate_witness_feasible():
 def test_family_size_guard():
     with pytest.raises(ModelError, match="family guard"):
         constraint_family(PartySpec(24, a=0b11, d=0))
+    # two terminals in D^c, but masks past 64 bits
+    with pytest.raises(ModelError, match="family guard"):
+        constraint_family(PartySpec(64, a=0b11, d=((1 << 64) - 1) & ~0b11))
 
 
 def test_entropy_oracle_matches_prob_entropy():
@@ -455,7 +480,6 @@ def test_basis_hint_for_another_cost_reuses_only_with_its_certificate(monkeypatc
     # still optimal; otherwise the CO LP is solved in full
     rng = np.random.default_rng(80)
     spec = PartySpec(3, 0b111, 0)
-    members = constraint_family(spec).members
     solves = counted_solves(monkeypatch)
     outcomes = set()
     for _ in range(40):
@@ -463,12 +487,12 @@ def test_basis_hint_for_another_cost_reuses_only_with_its_certificate(monkeypatc
             one_var_per_terminal(rng.dirichlet(np.full(8, 0.3)), (2, 2, 2)) for _ in range(2)
         )
         want = sk_capacity(second, spec.a).value
-        hint = co_basis_hint(spec)
-        omniscience._pk(spec, entropies_of(first), hint)
-        h = omniscience._conditionals(entropies_of(second), 3, members)
-        reused = hint.reuse_all(-h)[0][0] >= 0
+        pool = CoPool(spec)
+        omniscience._pk(pool, entropies_of(first))
+        h = omniscience._conditionals(entropies_of(second), pool.family)
+        reused = pool.reuse_all(-h)[0][0] >= 0
         before = len(solves)
-        got = omniscience._pk(spec, entropies_of(second), hint)[0]
+        got = omniscience._pk(pool, entropies_of(second))[0]
         assert len(solves) - before == (0 if reused else 1)
         assert got == pytest.approx(want, abs=1e-12)
         outcomes.add(reused)
@@ -477,31 +501,25 @@ def test_basis_hint_for_another_cost_reuses_only_with_its_certificate(monkeypatc
 
 @pytest.mark.parametrize("basis", ["dependent", "repeated", "short"])
 def test_unusable_basis_hint_falls_back_to_a_full_solve(basis, monkeypatch):
+    # a pool adopts only the solutions of full solves, with their factors,
+    # so a singular basis never reaches it: _factor refuses it, and a pool
+    # that holds nothing solves in full and keeps that one basis
     spec = PartySpec(3, 0b111, 0)
-    members = constraint_family(spec).members
+    members = constraint_family(spec).members.tolist()
     chosen = {
         # the columns of {1}, {2} and {1,2} are linearly dependent
         "dependent": (members.index(0b001), members.index(0b010), members.index(0b011)),
         "repeated": (0, 0, 1),
         "short": (0,),
     }[basis]
+    pool = CoPool(spec)
+    assert linprog._factor(pool.a_ge, pool.b_ge, chosen) is None
     model = one_var_per_terminal(np.random.default_rng(81).dirichlet(np.ones(8)), (2, 2, 2))
     want = sk_capacity(model, spec.a).value
-    cost = -omniscience._conditionals(entropies_of(model), 3, members)[0]
-    hint = co_basis_hint(spec)
-    hint.adopt(chosen)
-    assert hint.reuse_all(cost[None])[0][0] == -1
-    assert hint.pool == ()  # the read that factors it drops it
     solves = counted_solves(monkeypatch)
-    assert omniscience._pk(spec, entropies_of(model), hint)[0] == pytest.approx(want, abs=1e-12)
+    assert omniscience._pk(pool, entropies_of(model))[0] == pytest.approx(want, abs=1e-12)
     assert len(solves) == 1
-    assert len(hint.pool) == 1
-    # behind a usable basis, too, it leaves the pool at its first read
-    usable = hint.pool[0]
-    hint.adopt(chosen)
-    (which,), *_ = hint.reuse_all(cost[None])
-    assert hint.pool[which] == usable
-    assert hint.pool == (usable,)
+    assert len(pool.pool) == 1
 
 
 def test_stacked_pool_read_equals_one_row_at_a_time(monkeypatch):
@@ -510,15 +528,14 @@ def test_stacked_pool_read_equals_one_row_at_a_time(monkeypatch):
     # same bases, value bits and duals, and the same pool
     rng = np.random.default_rng(83)
     spec = PartySpec(3, 0b111, 0)
-    members = constraint_family(spec).members
     h = np.concatenate([
         omniscience._conditionals(
             entropies_of(one_var_per_terminal(rng.dirichlet(np.full(8, 0.3)), (2, 2, 2))),
-            3, members)
+            constraint_family(spec))
         for _ in range(80)
     ])
     solves = counted_solves(monkeypatch)
-    stacked, single = co_basis_hint(spec), co_basis_hint(spec)
+    stacked, single = CoPool(spec), CoPool(spec)
     mid_stack = False
     for rows in np.array_split(h, 8):
         before = len(solves)
@@ -562,24 +579,12 @@ def test_unit_equals_the_scalar_frexp_form_on_edge_rows():
 def test_basis_pool_keeps_the_most_recent_bases_first(monkeypatch):
     monkeypatch.setattr(linprog, "POOL_SIZE", 3)
     rng = np.random.default_rng(84)
-    hint = co_basis_hint(PartySpec(3, 0b111, 0))
+    hint = CoPool(PartySpec(3, 0b111, 0))
     adopted = []
     for _ in range(40):
-        basis = lp_solve(LinearProgram(-rng.random(6), hint.a_ge, hint.b_ge)).basis
-        hint.adopt(basis)
+        sol = lp_solve(LinearProgram(-rng.random(6), hint.a_ge, hint.b_ge))
+        hint.adopt(sol)
+        basis = sol.basis
         adopted = [basis] + [b for b in adopted if b != basis]
         assert hint.pool == tuple(adopted[:3])
     assert len(adopted) > 3
-
-
-def test_basis_hint_of_another_family_is_refused():
-    model = one_var_per_terminal(np.random.default_rng(82).dirichlet(np.ones(8)), (2, 2, 2))
-    pair = PartySpec(3, 0b011, 0)
-    hint = co_basis_hint(pair)
-    omniscience._pk(pair, entropies_of(model), hint)
-    # {1,3} has as many constraint sets as {1,2}, so only the spec tells them apart
-    for spec in (PartySpec(3, 0b101, 0), PartySpec(3, 0b111, 0), PartySpec(3, 0b011, 0b100)):
-        with pytest.raises(ModelError, match="another spec"):
-            omniscience._pk(spec, entropies_of(model), hint)
-    with pytest.raises(ModelError, match="another spec"):
-        omniscience._pk(PartySpec(2, 0b11, 0), entropies_of(bsc_pair_model(0.1)), hint)

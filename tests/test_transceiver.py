@@ -222,7 +222,7 @@ def test_converse_terms_match_the_auxiliary_entropies():
 
 def expression_at(t, p_in, lam):
     """The converse expression at the cover ``lam``, by ``_converse_terms``."""
-    constant, g = _converse_terms(_Layout(t), p_in.probs, list(lam))
+    constant, g = _converse_terms(_Layout(t), p_in.probs, np.array(list(lam)))
     return constant - float(np.array(list(lam.values())) @ g)
 
 
