@@ -89,7 +89,6 @@ class AscentResult:
     point: list[np.ndarray]
     converged: bool
     evaluations: int
-    finals: list[tuple[float, list[np.ndarray]]]
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:
@@ -290,9 +289,8 @@ def maximize_product_simplices(
     ``objective`` scores a stack of points, given as one (points, k_s)
     array per simplex (``stack_points``), and returns one value per point;
     a point's value must not depend on the points stacked with it.
-    Returns the best point found, whether the best ascent converged, and
-    the converged endpoint of every start (``finals``) so callers can reuse
-    the evaluated family.
+    Returns the best point found, its value, whether the best ascent
+    converged, and the number of evaluations.
     """
     dims = [int(k) for k in dims]
     if any(k < 1 for k in dims):
@@ -315,11 +313,9 @@ def maximize_product_simplices(
 
     best_value, best_point = scored[0]
     best_converged = True  # a seed that no ascent improves counts as converged
-    finals: list[tuple[float, list[np.ndarray]]] = []
     for start in starts:
         value, point, converged, used = _ascend(start, objective, cfg)
         evals += used
-        finals.append((value, point))
         if value > best_value:
             best_value, best_point, best_converged = value, point, converged
     return AscentResult(
@@ -327,5 +323,4 @@ def maximize_product_simplices(
         point=[p.copy() for p in best_point],
         converged=best_converged,
         evaluations=evals,
-        finals=finals,
     )

@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import DecodeBudgetError, ModelError, RateInfeasibleError, SkacapError
 from .models import Polytree, bits
-from .prob import binary_entropy, check_cells
+from .prob import binary_entropy
 
 #: Exhaustive-decoder guards.
 MAX_BLOCK_LEN = 28
@@ -314,29 +314,6 @@ def _hash(bits: np.ndarray, toeplitz: np.ndarray) -> np.ndarray:
     return (bits @ toeplitz) & 1
 
 
-def privacy_amplify(
-    shared_bits, revealed_count: int, key_len: int, s: int, hash_seed: int
-) -> np.ndarray:
-    """Hash a reconciled block down to ``key_len`` bits via a seeded Toeplitz
-    matrix.
-
-    Requires key_len <= L - revealed_count - s, where the block min-entropy
-    is L because sender inputs are uniform by construction.  The L x key_len
-    matrix is refused past ``prob.MAX_CELLS`` entries.
-    """
-    bits = np.asarray(shared_bits, dtype=np.uint8).ravel()
-    budget = bits.size - revealed_count - s
-    if key_len > budget:
-        raise RateInfeasibleError(
-            f"key_len {key_len} exceeds the extractable budget {budget}",
-            max_feasible_rate=max(budget, 0) / bits.size,
-        )
-    if key_len == 0:
-        return np.zeros(0, dtype=np.uint8)
-    check_cells(bits.size * key_len, "Toeplitz hash matrix")
-    return _hash(bits, _toeplitz(bits.size, key_len, _rng(hash_seed, _NS_HASH, 0)))
-
-
 # ---------------------------------------------------------------------------
 # Group-key propagation
 # ---------------------------------------------------------------------------
@@ -392,7 +369,7 @@ def _bsc_crossover(e) -> float:
 
 
 def _steiner_subtree(g: Polytree, a_nodes: set[int]):
-    """Subtree spanning A, rooted at min(A): nodes, BFS edge list, edge ids."""
+    """Subtree spanning A, rooted at min(A): the root, BFS edge list, edge ids."""
     root = min(a_nodes)
     adj = g.neighbors()
     parent: dict[int, tuple[int, int]] = {}
@@ -420,7 +397,7 @@ def _steiner_subtree(g: Polytree, a_nodes: set[int]):
             u, eid = parent[v]
             tree.append((u, v, eid))
     sub_edges = sorted(eid for _, _, eid in tree)
-    return root, needed, tree, sub_edges
+    return root, tree, sub_edges
 
 
 @dataclass(frozen=True)
@@ -454,7 +431,7 @@ def _key_terminals(g: Polytree, a) -> set[int]:
 def _prepare(g: Polytree, a, cfg: SimConfig) -> _Static:
     a_nodes = _key_terminals(g, a)
     crossovers = {i: _bsc_crossover(e) for i, e in enumerate(g.edges)}
-    root, _, tree, sub_edges = _steiner_subtree(g, a_nodes)
+    root, tree, sub_edges = _steiner_subtree(g, a_nodes)
     key_len = int(math.floor(cfg.n * cfg.rate))
     if key_len < 1:
         raise RateInfeasibleError(

@@ -20,7 +20,6 @@ from skacap.prob import binary_entropy, bsc_matrix
 from skacap.sim import (
     SimConfig,
     parity_count,
-    privacy_amplify,
     propagate_group_key,
     run_sim,
     weight_cap,
@@ -75,25 +74,6 @@ def test_reconcile_corrects_low_weight_errors():
         if np.array_equal((sender ^ noise) ^ e_hat, sender):
             hits += 1
     assert hits >= 40  # most blocks decode correctly at this noise level
-
-
-def test_privacy_amplify_budget_rule():
-    bits = np.random.default_rng(3).integers(0, 2, size=24, dtype=np.uint8)
-    # L=24, revealed=11, s=8 -> max key_len = 5
-    key = privacy_amplify(bits, revealed_count=11, key_len=5, s=8, hash_seed=1)
-    assert key.size == 5
-    with pytest.raises(RateInfeasibleError):
-        privacy_amplify(bits, revealed_count=11, key_len=6, s=8, hash_seed=1)
-    assert privacy_amplify(bits, 11, 0, 8, 1).size == 0
-
-
-def test_privacy_amplify_deterministic():
-    bits = np.random.default_rng(4).integers(0, 2, size=24, dtype=np.uint8)
-    k1 = privacy_amplify(bits, 11, 5, 8, hash_seed=42)
-    k2 = privacy_amplify(bits, 11, 5, 8, hash_seed=42)
-    np.testing.assert_array_equal(k1, k2)
-    k3 = privacy_amplify(bits, 11, 5, 8, hash_seed=43)
-    assert not np.array_equal(k1, k3)
 
 
 def test_propagate_group_key_two_nodes():
@@ -319,7 +299,7 @@ def reference_run(g, a, cfg):
     """The simulation block by block: the seed schedule, exhaustive decoding,
     convolution hashing and per-block key forwarding, written out directly."""
     a_nodes = set(a)
-    root, _, tree, sub_edges = sim._steiner_subtree(g, a_nodes)
+    root, tree, sub_edges = sim._steiner_subtree(g, a_nodes)
     p = {eid: float(g.edges[eid].channel.rows[0, 1]) for eid in sub_edges}
     key_len = int(math.floor(cfg.n * cfg.rate))
     label = {eid: sim._edge_label(g, eid) for eid in sub_edges}
@@ -637,4 +617,5 @@ def test_privacy_amplify_matches_convolution(n, key_len):
         0, 2, size=n + key_len - 1, dtype=np.uint8
     )
     want = toeplitz_hash(bits, seed_bits, key_len)
-    np.testing.assert_array_equal(privacy_amplify(bits, 0, key_len, 0, hash_seed=11), want)
+    got = sim._hash(bits[None], sim._toeplitz(n, key_len, sim._rng(11, sim._NS_HASH, 0)))
+    np.testing.assert_array_equal(got[0], want)

@@ -16,7 +16,6 @@ from skacap.models import (
 )
 from skacap.omniscience import constraint_family, incidence, sk_capacity, source_entropies
 from skacap.optimize import (
-    AscentResult,
     InputOptimizerConfig,
     maximize_product_simplices,
     stack_points,
@@ -41,7 +40,6 @@ from skacap.transceiver import (
     _min_lambda,
     _ni_objective,
     _search,
-    _upper_bound,
 )
 
 B = Alphabet(2)
@@ -76,6 +74,11 @@ def random_transceiver(rng, m):
         output_vars=tuple((m + j,) for j in range(m)),
         channel=Dmc(in_vars, out_vars, rows),
     )
+
+
+def converse_family(t, a_mask):
+    """The constraint sets of the 2m-terminal auxiliary model for ``a_mask``."""
+    return constraint_family(PartySpec(2 * t.m, a_mask, 0))
 
 
 def sk_at(t, vecs, a_mask=0b11):
@@ -213,7 +216,7 @@ def test_converse_terms_match_the_auxiliary_entropies():
     # the closed form against the entropies of X_B and X_{B^c} of the
     # 2m-terminal model, at correlated inputs, with and without Eve
     for t, p_in, a_mask in CONVERSE_CASES:
-        members = constraint_family(PartySpec(2 * t.m, a_mask, 0)).members
+        members = converse_family(t, a_mask).members
         constant, g = _converse_terms(_Layout(t), p_in.probs, members)
         want_constant, want_g = reference_converse(t, p_in, members)
         assert abs(constant - want_constant) <= 1e-12
@@ -231,8 +234,9 @@ def test_min_lambda_is_the_cover_minimum_of_the_auxiliary_expression():
     # lies in Lambda(A), and no cover does better (scipy's LP on the
     # reference terms)
     for t, p_in, a_mask in CONVERSE_CASES:
-        members = constraint_family(PartySpec(2 * t.m, a_mask, 0)).members
-        val, lam = _min_lambda(_Layout(t), p_in.probs, a_mask)
+        family = converse_family(t, a_mask)
+        members = family.members
+        val, lam = _min_lambda(_Layout(t), p_in.probs, family)
         constant, g = reference_converse(t, p_in, members)
         weights = np.array([lam.get(b, 0.0) for b in members])
         cover = incidence(members, range(2 * t.m)).T
@@ -263,29 +267,65 @@ def test_lambda_expression_independence_cancellation():
         assert val == pytest.approx(first, abs=1e-10)
 
 
+def product_points(rng, dims):
+    """Random product inputs, the point masses on each terminal's first and
+    last symbols, and random inputs with one terminal at a point mass."""
+    points = [[rng.dirichlet(np.ones(k)) for k in dims] for _ in range(3)]
+    points += [[np.eye(k)[i % k] for k in dims] for i in (0, -1)]
+    for j, k in enumerate(dims):
+        point = [rng.dirichlet(np.ones(n)) for n in dims]
+        point[j] = np.eye(k)[-1]
+        points.append(point)
+    return points
+
+
 def test_min_lambda_equals_sk_capacity_on_product_inputs():
+    # the capacity theorem the upper bound rests on: at a product input the
+    # converse is the NI objective, for A = M and a pair, on random binary
+    # models and on the search models (PINs, a wiretap, Eve between the
+    # outputs), point masses included
     rng = np.random.default_rng(12)
-    for m in (2, 3):
-        for _ in range(5):
-            t = random_transceiver(rng, m)
-            vecs = [rng.dirichlet(np.ones(2)) for _ in range(m)]
-            p_in = product_input(t, vecs)
-            sk = sk_capacity(emulated_to_source(t, p_in), (1 << m) - 1).value
-            val, lam = _min_lambda(_Layout(t), p_in.probs, (1 << m) - 1)
-            assert val == pytest.approx(sk, abs=1e-9)
-            # re-evaluating the expression at the returned cover
-            # reproduces the minimum
-            assert expression_at(t, p_in, lam) == pytest.approx(val, abs=1e-9)
+    models = [random_transceiver(rng, m) for m in (2, 3) for _ in range(3)]
+    for t in models + list(SEARCH_MODELS.values()):
+        lay = _Layout(t)
+        for a_mask in {(1 << t.m) - 1, 0b101 if t.m > 2 else 0b11}:
+            for vecs in product_points(rng, lay.dims):
+                p_in = product_input(t, vecs)
+                sk = sk_capacity(emulated_to_source(t, p_in), a_mask).value
+                val, lam = _min_lambda(lay, p_in.probs, converse_family(t, a_mask))
+                assert val == pytest.approx(sk, abs=1e-9)
+                # re-evaluating the expression at the returned cover
+                # reproduces the minimum
+                assert expression_at(t, p_in, lam) == pytest.approx(val, abs=1e-9)
+
+
+def no_search(*args, **kwargs):
+    raise AssertionError("the input search ran")
 
 
 @pytest.mark.parametrize("bound", [sk_bounds, noninteractive_sk_capacity])
 def test_lone_key_terminal_refused_before_searching(bound, monkeypatch):
-    def no_search(*args, **kwargs):
-        raise AssertionError("the input search ran")
-
     monkeypatch.setattr(transceiver, "maximize_product_simplices", no_search)
     with pytest.raises(ModelError, match="at least two terminals"):
         bound(single_bsc_transceiver(0.1), 0b10, InputOptimizerConfig())
+
+
+def test_oversized_converse_family_refused_before_searching(monkeypatch):
+    # 11 terminals with binary inputs and size-1 outputs: the converse's 22
+    # auxiliary terminals pass the family guard, which refuses the model
+    # before the input search starts
+    m = 11
+    in_vars = tuple((j, B) for j in range(m))
+    out_vars = tuple((m + j, Alphabet(1)) for j in range(m))
+    t = TransceiverModel(
+        m=m,
+        input_vars=tuple((j,) for j in range(m)),
+        output_vars=tuple((m + j,) for j in range(m)),
+        channel=Dmc(in_vars, out_vars, np.ones((2**m, 1))),
+    )
+    monkeypatch.setattr(transceiver, "maximize_product_simplices", no_search)
+    with pytest.raises(ModelError, match="family guard"):
+        sk_bounds(t, 0b11, InputOptimizerConfig())
 
 
 def test_noninteractive_single_bsc():
@@ -381,7 +421,9 @@ def test_sk_bounds_sandwich_and_witnesses():
     ni = out["noninteractive"]
     upper = out["upper_bound"]
     assert ni.value <= upper.value + 1e-7
-    assert upper.witness["family"]
+    # the converse at the search's best point is the NI value there
+    assert upper.witness["input"] == ni.witness["input"]
+    assert upper.value == pytest.approx(ni.value, abs=1e-9)
     # the one lower bound is the search objective at the uniform input, by
     # the independent route, and each other product input scores at most
     # the NI value
@@ -494,7 +536,6 @@ def test_ni_search_equals_the_plain_objective(name):
         ni = _ni_objective(lay, PartySpec(t.m, a_mask, 0))
         assert plain(stack_points([got.point]))[0] == pytest.approx(got.value, abs=1e-12)
         assert ni(stack_points([want.point]))[0] == pytest.approx(want.value, abs=1e-12)
-        assert [v for v, _ in got.finals] == pytest.approx([v for v, _ in want.finals], abs=1e-12)
 
 
 def one_point_per_call(objective):
@@ -512,10 +553,6 @@ def assert_same_search(got, want):
     assert got.converged == want.converged
     assert got.evaluations == want.evaluations
     assert all(np.array_equal(u, v) for u, v in zip(got.point, want.point))
-    assert len(got.finals) == len(want.finals)
-    for (gv, gp), (wv, wp) in zip(got.finals, want.finals):
-        assert gv == wv
-        assert all(np.array_equal(u, v) for u, v in zip(gp, wp))
 
 
 @pytest.mark.parametrize("name", SEARCH_MODELS)
@@ -642,21 +679,6 @@ def test_golden_lookahead_takes_the_one_point_steps(name, monkeypatch):
         assert deep_calls < one_calls
 
 
-def test_upper_bound_keeps_the_first_of_tied_family_members():
-    # a member one ulp off the uniform input ties with it up to round-off;
-    # the uniform input, first in the family, stays the argmax
-    t = single_bsc_transceiver(0.11)
-    off = [np.array([np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)]), np.ones(1)]
-    search = AscentResult(value=0.0, point=off, converged=True, evaluations=1, finals=[(0.0, off)])
-    rep = _upper_bound(_Layout(t), 0b11, search)
-    values = [e["value"] for e in rep.witness["family"]]
-    assert [e["input"] for e in rep.witness["family"]] == [
-        [[0.5, 0.5], [1.0]], [[float(x) for x in v] for v in off]
-    ]
-    assert rep.witness["argmax_input"] == [[0.5, 0.5], [1.0]]
-    assert abs(rep.value - max(values)) <= 1e-12
-
-
 def test_emulated_oracle_matches_the_jointpmf_route():
     # the layout oracle gives the very floats of the product_pmf/compose
     # route
@@ -672,34 +694,3 @@ def test_emulated_oracle_matches_the_jointpmf_route():
         for point in points:
             src = emulated_to_source(t, product_input(t, point))
             assert np.array_equal(lay.entropies(stack_points([point]))[0], source_entropies(src))
-
-
-@pytest.mark.parametrize("name", ["t3-binary", "pin4"])
-def test_upper_bound_evaluates_each_family_input_once(name):
-    # the loop before repeats were skipped: every member evaluated, first
-    # argmax kept up to the tie tolerance; skipping exact repeats changes
-    # only the recorded family
-    t = SEARCH_MODELS[name]
-    a_mask = (1 << t.m) - 1
-    lay = _Layout(t)
-    search = _search(lay, _ni_objective(lay, PartySpec(t.m, a_mask, 0)), CFG)
-    rep = _upper_bound(lay, a_mask, search)
-    family = [uniform_input(_Layout(t))] + [point for _, point in search.finals] + [search.point]
-    best_val, best_point, best_lam = -np.inf, None, None
-    for vecs in family:
-        val, lam = _min_lambda(_Layout(t), product_input(t, vecs).probs, a_mask)
-        if val > best_val + transceiver.TIE_TOL:
-            best_val, best_point, best_lam = val, vecs, lam
-    distinct = []
-    for vecs in family:
-        if not any(all(np.array_equal(u, v) for u, v in zip(vecs, d)) for d in distinct):
-            distinct.append(vecs)
-    assert len(distinct) < len(family)
-
-    def as_lists(vecs):
-        return [[float(x) for x in v] for v in vecs]
-
-    assert [e["input"] for e in rep.witness["family"]] == [as_lists(d) for d in distinct]
-    assert rep.value == best_val
-    assert rep.witness["argmax_input"] == as_lists(best_point)
-    assert list(rep.witness["lambda"].values()) == [w for _, w in sorted(best_lam.items())]
