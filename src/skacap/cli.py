@@ -41,7 +41,7 @@ from .omniscience import (
     sk_capacity_dual,
     source_entropies,
 )
-from .optimize import InputOptimizerConfig
+from .optimize import MAX_RESTARTS, InputOptimizerConfig
 from .polytree import polytree_capacity, wiretapped_polytree_bounds
 from .sim import SimConfig, run_sim
 from .transceiver import sk_bounds
@@ -247,7 +247,8 @@ def _capacity_args(p):
 def _bounds_args(p):
     p.add_argument("--A", required=True)
     p.add_argument("--D", default="")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=int, default=8,
+                   help=f"Dirichlet-random ascent starts, 1 to {MAX_RESTARTS}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=_positive_int, default=8,
                    help="grid resolution denominator")

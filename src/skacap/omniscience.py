@@ -67,7 +67,6 @@ back; larger costs are solved as they are.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -143,12 +142,10 @@ def _conditionals(h: np.ndarray, family: SubsetFamily) -> np.ndarray:
 
 def _unit(h: np.ndarray) -> np.ndarray:
     """Per row, the power of two that scales the row's maximum up into
-    [0.5, 1); 1 when that maximum is at least 0.5 or the row is <= 0.
-    Scalar math per row costs less than numpy calls on a search's few rows."""
-    return np.array([
-        math.ldexp(1.0, -min(max(math.frexp(top)[1], -1000), 0)) if top > 0.0 else 1.0
-        for top in h.max(axis=1).tolist()
-    ])
+    [0.5, 1); 1 when that maximum is at least 0.5 or the row is <= 0."""
+    top = h.max(axis=1)
+    e = np.maximum(np.minimum(np.frexp(top)[1], 0), -1000)
+    return np.where(top > 0.0, np.ldexp(1.0, np.negative(e)), 1.0)
 
 
 def _require_pair(spec: PartySpec):

@@ -14,22 +14,24 @@ matters: objectives of min-of-concave shape (polytree capacities) have
 flat plateaus along single coordinates, and a plateau-edge point would
 stall the ascent one coordinate at a time.
 
-The objective scores stacks of points.  Points whose values the search
-needs before it decides anything are passed as one stack: the whole
-seed set, the scan of each line search, and the first pair of its golden
-section.  Golden steps are pure functions of the bracket and of which
-side wins, so that pair and each later step's point go with the points
-of the steps after them down both outcomes, ``GOLDEN_LOOKAHEAD`` levels
-in all.  The objective must give each point the value it would give it
-alone, so the search takes the same steps, and counts the same
-evaluations (the points it uses), as it would scoring one at a time.  A
-line search keeps each value with its row of the simplex it moves along,
-and builds the whole point only for the one it returns.
+The objective scores stacks: the seed set, then one per round of the
+ascents, which run in lockstep.  An ascent yields the points it needs
+before it decides anything: the scan of a line search, or the first pair
+of its golden section.  Golden steps are pure functions of the bracket
+and of which side wins, so that pair and each later step's point go with
+the points of the steps after them down both outcomes,
+``GOLDEN_LOOKAHEAD`` levels in all.  The objective must give each point
+the value it gets alone, after the rows before it in round order, so each
+ascent takes the same steps, and counts the same evaluations (the points
+it uses), as it would scoring one at a time.  A line search keeps each
+value with its row of the simplex it moves along, and builds the whole
+point only for the one it returns.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -54,6 +56,12 @@ GOLDEN_STEPS = 40
 #: pair) and, for either outcome, the points of the steps after it.
 GOLDEN_LOOKAHEAD = 3
 
+#: Ascents that run in step at most; the next start enters as one ends.
+LIVE_ASCENTS = 64
+
+#: Most Dirichlet restarts a search takes.
+MAX_RESTARTS = 5_000
+
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -73,8 +81,8 @@ class InputOptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ModelError("restarts must be >= 1")
+        if not 1 <= self.restarts <= MAX_RESTARTS:
+            raise ModelError(f"restarts must lie in [1, {MAX_RESTARTS}]")
         if self.seed < 0:
             raise ModelError("seed must be >= 0")
         if not 0 < self.grid_resolution <= 0.5:
@@ -183,10 +191,11 @@ def _golden_ahead(bracket, points, step, stop):
     return points
 
 
-def _line_search(point, s, a, b, value, objective):
+def _line_search(point, s, a, b, value):
     """Maximize along moving mass between symbols a and b of simplex s.
 
-    The scan is one stack; the golden section's first pair, and each later
+    A generator that yields each stack it needs and is sent its values.  The
+    scan is one stack; the golden section's first pair, and each later
     step's point that no earlier stack held, go with ``_golden_ahead``.
     """
     p = point[s]
@@ -197,7 +206,7 @@ def _line_search(point, s, a, b, value, objective):
 
     def at(ts):
         stack, rows = _trials(point, s, a, b, np.array(ts))
-        return list(zip(objective(stack).tolist(), rows))
+        return list(zip((yield stack).tolist(), rows))
 
     def moved(row):
         trial = list(point)
@@ -205,7 +214,7 @@ def _line_search(point, s, a, b, value, objective):
         return trial
 
     ts = np.linspace(lo, hi, SCAN_POINTS)
-    scanned = at(ts)
+    scanned = yield from at(ts)
     evals = SCAN_POINTS
     values = np.array([v for v, _ in scanned])
     vmax = float(values.max())
@@ -231,10 +240,10 @@ def _line_search(point, s, a, b, value, objective):
 
     def score_ahead(bracket, points, step):
         points = _golden_ahead(bracket, points, step, stop)
-        return dict(zip(points, at(points)))
+        return dict(zip(points, (yield from at(points))))
 
     bracket = (left, right, x1, x2)
-    ahead = score_ahead(bracket, [x1, x2], -1)
+    ahead = yield from score_ahead(bracket, [x1, x2], -1)
     (f1, t1), (f2, t2) = ahead[x1], ahead[x2]
     evals += 2
     for step in range(GOLDEN_STEPS):
@@ -246,7 +255,7 @@ def _line_search(point, s, a, b, value, objective):
             best_v, best_row = kept
         bracket, x = _golden_step(bracket, up)
         if x not in ahead:
-            ahead = score_ahead(bracket, [x], step)
+            ahead = yield from score_ahead(bracket, [x], step)
         evals += 1
         (f1, t1), (f2, t2) = (kept, ahead[x]) if up else (ahead[x], kept)
     for f, t in ((f1, t1), (f2, t2)):
@@ -257,9 +266,10 @@ def _line_search(point, s, a, b, value, objective):
     return value, point, evals
 
 
-def _ascend(start, objective, cfg):
+def _ascend(start, cfg):
+    """Cyclic line searches from ``start``, as a generator like ``_line_search``."""
     point = [p.copy() for p in start]
-    value = float(objective(stack_points([point]))[0])
+    value = float((yield stack_points([point]))[0])
     evals = 1
     converged = False
     for _ in range(cfg.ascent):
@@ -270,12 +280,32 @@ def _ascend(start, objective, cfg):
                 continue
             for a in range(k):
                 for b in range(a + 1, k):
-                    value, point, used = _line_search(point, s, a, b, value, objective)
+                    value, point, used = yield from _line_search(point, s, a, b, value)
                     evals += used
         if value - before < TOLERANCE:
             converged = True
             break
     return value, point, converged, evals
+
+
+def _lockstep(starts, objective, cfg):
+    """Run the ascents from ``starts`` in rounds, the first ``LIVE_ASCENTS``
+    unfinished ones at a time: each round is one ``objective`` call on their
+    pending stacks, in order.  Yields each ascent's index and result as it ends."""
+    waiting, live = enumerate(_ascend(start, cfg) for start in starts), []
+    while True:
+        live += [(i, g, next(g)) for i, g in itertools.islice(waiting, LIVE_ASCENTS - len(live))]
+        if not live:
+            return
+        values = objective([np.concatenate(v) for v in zip(*(stack for _, _, stack in live))])
+        ends = np.cumsum([len(stack[0]) for _, _, stack in live]).tolist()
+        pending = []
+        for (i, g, _), lo, hi in zip(live, [0] + ends, ends):
+            try:
+                pending.append((i, g, g.send(values[lo:hi])))
+            except StopIteration as stop:
+                yield i, stop.value
+        live = pending
 
 
 def maximize_product_simplices(
@@ -289,8 +319,8 @@ def maximize_product_simplices(
     ``objective`` scores a stack of points, given as one (points, k_s)
     array per simplex (``stack_points``), and returns one value per point;
     a point's value must not depend on the points stacked with it.
-    Returns the best point found, its value, whether the best ascent
-    converged, and the number of evaluations.
+    Returns the best point found (the first start's of the highest value),
+    its value, whether the best ascent converged, and the number of evaluations.
     """
     dims = [int(k) for k in dims]
     if any(k < 1 for k in dims):
@@ -304,20 +334,19 @@ def maximize_product_simplices(
     evals = len(seeds)
     scored = [(float(v), sd) for v, sd in zip(objective(stack_points(seeds)), seeds)]
     scored.sort(key=lambda t: -t[0])
-    starts = [sd for _, sd in scored[:2]]
-
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    for child in children:
-        rng = np.random.default_rng(child)
-        starts.append([rng.dirichlet(np.ones(k)) if k > 1 else np.ones(1) for k in dims])
+    starts = itertools.chain(
+        (sd for _, sd in scored[:2]),
+        ([rng.dirichlet(np.ones(k)) if k > 1 else np.ones(1) for k in dims]
+         for rng in map(np.random.default_rng, children)),
+    )
 
     best_value, best_point = scored[0]
-    best_converged = True  # a seed that no ascent improves counts as converged
-    for start in starts:
-        value, point, converged, used = _ascend(start, objective, cfg)
+    best_converged, best_start = True, -1  # a seed that no ascent improves counts as converged
+    for i, (value, point, converged, used) in _lockstep(starts, objective, cfg):
         evals += used
-        if value > best_value:
-            best_value, best_point, best_converged = value, point, converged
+        if value > best_value or value == best_value and i < best_start:
+            best_value, best_point, best_converged, best_start = value, point, converged, i
     return AscentResult(
         value=best_value,
         point=[p.copy() for p in best_point],

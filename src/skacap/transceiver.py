@@ -54,6 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InternalConsistencyError, ModelError
+from .linprog import POOL_SIZE
 from .models import (
     CapacityReport,
     PartySpec,
@@ -79,8 +80,8 @@ from .optimize import (
 )
 from .prob import subset_entropies
 
-#: Joint cells of the largest stack of points the NI objective scores in
-#: one pass; a larger stack is scored in slices, in order.
+#: Joint cells, and pooled bases times CO family members, of the largest
+#: stack the NI objective scores in one pass; larger ones go in slices, in order.
 STACK_CELLS = 1 << 16
 
 
@@ -235,13 +236,13 @@ def _ni_objective(lay: _Layout, spec: PartySpec):
     """The NI objective C_PK(product input) of ``spec`` on stacks of points.
 
     A memo keyed by the points' bytes keeps every value; only the unseen
-    rows of a stack are scored, in order, in slices of at most
-    ``STACK_CELLS`` joint cells (at least one point each), their CO LPs
-    all on one basis pool, whose bases are accepted only with their
-    certificates.
+    rows of a stack are scored, in order, in slices within ``STACK_CELLS``
+    (at least one point each), their CO LPs all on one basis pool, whose
+    bases are accepted only with their certificates.
     """
     pool = CoPool(spec)
-    step = max(1, STACK_CELLS // int(np.prod(lay.joint_shape)))
+    step = max(1, STACK_CELLS // max(int(np.prod(lay.joint_shape)),
+                                     POOL_SIZE * len(pool.family.members)))
     memo: dict[bytes, float] = {}
     cuts = [(end - k, end) for k, end in zip(lay.dims, np.cumsum(lay.dims).tolist())]
 
@@ -255,10 +256,12 @@ def _ni_objective(lay: _Layout, spec: PartySpec):
     def objective(stack) -> np.ndarray:
         flat = np.concatenate(stack, axis=1)
         keys = [row.tobytes() for row in flat]
-        unseen = dict.fromkeys(key for key in keys if key not in memo)
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # each key's first row
+        unseen = sorted(i for key, i in first.items() if key not in memo)
         if unseen:
-            rows = flat[[keys.index(key) for key in unseen]]
-            memo.update(zip(unseen, score([rows[:, i:j] for i, j in cuts]).tolist()))
+            rows = flat[unseen]
+            values = score([rows[:, i:j] for i, j in cuts]).tolist()
+            memo.update(zip([keys[i] for i in unseen], values))
         return np.array([memo[key] for key in keys])
 
     return objective

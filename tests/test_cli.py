@@ -520,6 +520,17 @@ def test_simulate_blocks_past_the_cap_exit_2():
     assert "Traceback" not in proc.stderr
 
 
+def test_bounds_restarts_past_the_cap_exit_2():
+    # refused by InputOptimizerConfig, before a restart is spawned: 3e7
+    # seed sequences used to end in a MemoryError under a 1 GB limit
+    samples = pathlib.Path(__file__).parents[1] / "sample_models"
+    proc = run_cli("bounds", str(samples / "transceiver_bsc.json"), "--A", "1,2",
+                   "--restarts", "30000000")
+    assert proc.returncode == 2, proc.stderr
+    assert str(optimize.MAX_RESTARTS) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_readme_exit_codes_match_cli():
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     table = readme.split("Exit codes:", 1)[1].split("\n\n")[1]

@@ -3,7 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from skacap.optimize import GRID_CAP, _grid_seeds
+from skacap.errors import ModelError
+from skacap.optimize import GRID_CAP, MAX_RESTARTS, InputOptimizerConfig, _grid_seeds
 
 
 def enumerated_grid_seeds(dims, resolution):
@@ -76,3 +77,10 @@ def test_grid_seed_heads_are_found_by_bisection():
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert q.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.array_equal(seeds[0][0], [0.0, 1.0])
+
+
+def test_restarts_are_capped():
+    assert InputOptimizerConfig(restarts=MAX_RESTARTS).restarts == MAX_RESTARTS
+    for restarts in (0, MAX_RESTARTS + 1, 30_000_000):
+        with pytest.raises(ModelError, match=f"restarts must lie in \\[1, {MAX_RESTARTS}\\]"):
+            InputOptimizerConfig(restarts=restarts)

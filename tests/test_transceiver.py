@@ -679,6 +679,134 @@ def test_golden_lookahead_takes_the_one_point_steps(name, monkeypatch):
         assert deep_calls < one_calls
 
 
+def lockstep_and_alone(dims, make_objective, monkeypatch, extra_seeds=()):
+    """The search with its ascents in lockstep and with one ascent at a
+    time, each on a fresh ``make_objective()``."""
+    cfg = InputOptimizerConfig(restarts=3, ascent=15, grid_resolution=0.25, seed=5)
+    searches = []
+    for live in (optimize.LIVE_ASCENTS, 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(optimize, "LIVE_ASCENTS", live)
+            searches.append(maximize_product_simplices(dims, make_objective(), cfg, extra_seeds))
+    return searches
+
+
+def flat_top(stack):
+    """A stateless objective whose maximum 0.9 is a plateau no grid seed reaches."""
+    p, q = stack
+    return np.minimum(p[:, 0], 0.6) + np.minimum(p[:, 1], 0.3) + 0.0 * q[:, 0]
+
+
+def constant(stack):
+    return np.zeros(len(stack[0]))
+
+
+@pytest.mark.parametrize("objective, dims", [(closed_form, (3, 2, 4)), (flat_top, (3, 2)),
+                                              (constant, (3, 2))])
+def test_lockstep_search_equals_one_start_at_a_time_on_closed_forms(objective, dims,
+                                                                    monkeypatch):
+    # ties go to the seeds, then to the first start in start order, however
+    # the ascents' ends fall in the rounds
+    lockstep, alone = lockstep_and_alone(dims, lambda: objective, monkeypatch)
+    assert_same_search(lockstep, alone)
+    if objective is constant:
+        assert all(np.array_equal(u, np.full(k, 1.0 / k)) for u, k in zip(lockstep.point, dims))
+
+    def last_first(starts, score, cfg, real=optimize._lockstep):
+        yield from reversed(list(real(starts, score, cfg)))
+
+    monkeypatch.setattr(optimize, "_lockstep", last_first)
+    assert_same_search(lockstep_and_alone(dims, lambda: objective, monkeypatch)[0], alone)
+
+
+@pytest.mark.parametrize("name", SEARCH_MODELS)
+def test_lockstep_search_equals_one_start_at_a_time(name, monkeypatch):
+    # the starts' ascents scored as one stack per round walk the paths they
+    # walk one start after another, bit for bit, with the CO basis pool
+    # seeing the rows in round order
+    t = SEARCH_MODELS[name]
+    lay = _Layout(t)
+    pair = 0b101 if t.m > 2 else 0b11
+    for a_mask in {(1 << t.m) - 1, pair}:
+        lockstep, alone = lockstep_and_alone(
+            lay.dims, lambda: _ni_objective(lay, PartySpec(t.m, a_mask, 0)), monkeypatch,
+            extra_seeds=[uniform_input(lay)],
+        )
+        assert_same_search(lockstep, alone)
+
+
+@pytest.mark.parametrize("name", ["closed_form", "pin4"])
+def test_lockstep_calls_the_objective_once_per_round(name, monkeypatch):
+    # one call for the seed set, then one per round: as many rounds as the
+    # start that yields the most stacks, where one start at a time makes a
+    # call per stack of every start
+    if name == "closed_form":
+        dims, make = (3, 2, 4), lambda: closed_form
+    else:
+        lay = _Layout(SEARCH_MODELS[name])
+        dims, make = lay.dims, lambda: _ni_objective(lay, PartySpec(4, 0b1111, 0))
+    yields, calls = [], []
+
+    def counting_ascent(start, cfg, real=optimize._ascend):
+        yields.append(0)
+        run, k = real(start, cfg), len(yields) - 1
+        stack = next(run)
+        while True:
+            yields[k] += 1
+            try:
+                stack = run.send((yield stack))
+            except StopIteration as stop:
+                return stop.value
+
+    def counting():
+        objective, sizes = make(), []
+        calls.append(sizes)
+
+        def score(stack):
+            sizes.append(len(stack[0]))
+            return objective(stack)
+
+        return score
+
+    monkeypatch.setattr(optimize, "_ascend", counting_ascent)
+    assert_same_search(*lockstep_and_alone(dims, counting, monkeypatch))
+    starts = len(yields) // 2
+    assert starts == 5  # the two best seeds and three restarts
+    lockstep, alone = yields[:starts], yields[starts:]
+    assert lockstep == alone
+    assert len(calls[0]) == 1 + max(lockstep) < len(calls[1]) == 1 + sum(alone)
+    assert sum(calls[0]) == sum(calls[1])
+
+
+def test_identical_starts_score_each_unseen_point_once(monkeypatch):
+    # on a BSC the uniform seed, seeded twice, scores best and fills both
+    # best starts: their ascents stack the same points in every round,
+    # and each reaches the lattice once
+    t = single_bsc_transceiver(0.11)
+    lay = _Layout(t)
+    scored, calls = [], []
+
+    def entropies(stack, real=lay.entropies):
+        scored.extend(row.tobytes() for row in np.concatenate(stack, axis=1))
+        return real(stack)
+
+    def recording(objective):
+        def score(stack):
+            calls.append(np.concatenate(stack, axis=1))
+            return objective(stack)
+
+        return score
+
+    monkeypatch.setattr(lay, "entropies", entropies)
+    cfg = InputOptimizerConfig(restarts=3, ascent=15, grid_resolution=0.25, seed=5)
+    objective = recording(_ni_objective(lay, PartySpec(2, 0b11, 0)))
+    search = maximize_product_simplices(lay.dims, objective, cfg, extra_seeds=[lay.uniform])
+    assert np.array_equal(calls[1][0], calls[1][1])  # both ascents start at uniform
+    assert any(len(np.unique(rows, axis=0)) < len(rows) for rows in calls[2:])
+    assert len(scored) == len(set(scored))
+    assert search.value == pytest.approx(1.0 - binary_entropy(0.11), abs=1e-9)
+
+
 def test_emulated_oracle_matches_the_jointpmf_route():
     # the layout oracle gives the very floats of the product_pmf/compose
     # route
