@@ -108,11 +108,16 @@ def _terminal_list(text: str) -> list[int]:
     return out
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """The argparse type of an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return integer
 
 
 def cmd_capacity(args) -> int:
@@ -250,8 +255,8 @@ def _bounds_args(p):
     p.add_argument("--restarts", type=int, default=8,
                    help=f"Dirichlet-random ascent starts, 1 to {MAX_RESTARTS}")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", type=_positive_int, default=8,
-                   help="grid resolution denominator")
+    p.add_argument("--grid", type=_int_at_least(2), default=8,
+                   help="seeding-grid denominator, at least 2: the grid steps by 1/GRID")
 
 
 def _polytree_args(p):
@@ -308,7 +313,7 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
             continue
         p = sub.add_parser(name, help=help_line)
         p.add_argument("model", help="model file (JSON)")
-        p.add_argument("--threads", type=_positive_int, default=1,
+        p.add_argument("--threads", type=_int_at_least(1), default=1,
                        help="accepted for compatibility; has no effect")
         add_args(p)
         p.set_defaults(fn=fn)

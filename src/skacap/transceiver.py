@@ -14,9 +14,9 @@ input T_j and observes output Y_j:
   capacity.  Realized by a multistart search over per-terminal simplices.
   The objective scores stacks of points: the search passes its seed set,
   each line-search scan, and each golden step with the steps after it
-  as one stack.  A memo per search skips the points already scored.
-  The rest have their product inputs and joints formed with a leading
-  stack axis and their subset entropies taken in one lattice pass; then
+  as one stack.  Every point of a stack is scored, also one scored
+  before: the product inputs and joints are formed with a leading stack
+  axis and their subset entropies taken in one lattice pass; then
   their CO LPs are checked at once against a pool of earlier optimal
   bases (the polytope depends on (m, A) alone), every row read, as
   arrays, off the first basis that still carries a duality certificate,
@@ -225,9 +225,9 @@ def _search(lay: _Layout, objective, cfg) -> AscentResult:
     """The NI input search of ``objective`` on ``lay``.
 
     The uniform input goes in as an extra seed on top of the optimizer's
-    own uniform seed, so it is seeded twice and scored once (the second
-    seed is a memo hit), and when it scores best it fills both of the two
-    best starts; the reported values are those of this seed set.
+    own uniform seed, so it is seeded and scored twice, and when it scores
+    best it fills both of the two best starts; the reported values are
+    those of this seed set.
     """
     return maximize_product_simplices(lay.dims, objective, cfg, extra_seeds=[lay.uniform])
 
@@ -235,34 +235,20 @@ def _search(lay: _Layout, objective, cfg) -> AscentResult:
 def _ni_objective(lay: _Layout, spec: PartySpec):
     """The NI objective C_PK(product input) of ``spec`` on stacks of points.
 
-    A memo keyed by the points' bytes keeps every value; only the unseen
-    rows of a stack are scored, in order, in slices within ``STACK_CELLS``
-    (at least one point each), their CO LPs all on one basis pool, whose
-    bases are accepted only with their certificates.
+    Every row of a stack is scored, in order, in slices within
+    ``STACK_CELLS`` (at least one point each), their CO LPs all on one
+    basis pool, whose bases are accepted only with their certificates.
     """
     pool = CoPool(spec)
     step = max(1, STACK_CELLS // max(int(np.prod(lay.joint_shape)),
                                      POOL_SIZE * len(pool.family.members)))
-    memo: dict[bytes, float] = {}
-    cuts = [(end - k, end) for k, end in zip(lay.dims, np.cumsum(lay.dims).tolist())]
-
-    def score(stack) -> np.ndarray:
-        n = len(stack[0])
-        if n > step:
-            return np.concatenate([score([v[i:i + step] for v in stack])
-                                   for i in range(0, n, step)])
-        return _pk(pool, lay.entropies(stack))[0]
 
     def objective(stack) -> np.ndarray:
-        flat = np.concatenate(stack, axis=1)
-        keys = [row.tobytes() for row in flat]
-        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # each key's first row
-        unseen = sorted(i for key, i in first.items() if key not in memo)
-        if unseen:
-            rows = flat[unseen]
-            values = score([rows[:, i:j] for i, j in cuts]).tolist()
-            memo.update(zip([keys[i] for i in unseen], values))
-        return np.array([memo[key] for key in keys])
+        n = len(stack[0])
+        if n > step:
+            return np.concatenate([objective([v[i:i + step] for v in stack])
+                                   for i in range(0, n, step)])
+        return _pk(pool, lay.entropies(stack))[0]
 
     return objective
 
@@ -329,7 +315,8 @@ def sk_bounds(t: TransceiverModel, a, cfg: InputOptimizerConfig) -> dict:
     search = _search(lay, objective, cfg)
     ni = _ni_report(search)
     upper = _upper_bound(lay, family, search.point)
-    # a memo hit: uniform is the first seed row, scored on an empty pool
+    # the first seed again, now read off the pool the search left: a
+    # certified optimum, so the seed's value up to round-off
     value = float(objective(stack_points([lay.uniform]))[0])
     emulation = {
         "v_alphabet": 1,

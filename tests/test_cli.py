@@ -510,6 +510,16 @@ def test_bad_numeric_flags_exit_2(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_bounds_grid_below_two_is_refused_by_name():
+    # a grid step of 1/1 lies past every simplex midpoint: the parser
+    # refuses it in the flag's own terms, before a config is built
+    samples = pathlib.Path(__file__).parents[1] / "sample_models"
+    proc = run_cli("bounds", str(samples / "transceiver_bsc.json"), "--A", "1,2", "--grid", "1")
+    assert proc.returncode == 2, proc.stderr
+    assert "argument --grid: expected an integer >= 2, got '1'" in proc.stderr
+    assert "grid_resolution" not in proc.stderr
+
+
 def test_simulate_blocks_past_the_cap_exit_2():
     # refused by SimConfig, before a decode table is built or a block drawn
     samples = pathlib.Path(__file__).parents[1] / "sample_models"

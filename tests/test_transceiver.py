@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -655,25 +657,15 @@ def test_golden_lookahead_takes_the_one_point_steps_on_a_closed_form(monkeypatch
 @pytest.mark.parametrize("name", SEARCH_MODELS)
 def test_golden_lookahead_takes_the_one_point_steps(name, monkeypatch):
     # each golden step scored with the steps after it walks the
-    # one-point-per-step search path bit for bit, in fewer calls, and the
-    # memo hands each point of a search to _pk once
+    # one-point-per-step search path bit for bit, in fewer calls
     t = SEARCH_MODELS[name]
     lay = _Layout(t)
-    scored = []
-
-    def entropies(stack, real=lay.entropies):
-        scored.extend(row.tobytes() for row in np.concatenate(stack, axis=1))
-        return real(stack)
-
-    monkeypatch.setattr(lay, "entropies", entropies)
     pair = 0b101 if t.m > 2 else 0b11
     for a_mask in {(1 << t.m) - 1, pair}:
         runs = []
         for depth in (optimize.GOLDEN_LOOKAHEAD, 1):
-            scored.clear()
             objective = _ni_objective(lay, PartySpec(t.m, a_mask, 0))
             runs.append(search_at_depth(depth, lay.dims, objective, monkeypatch))
-            assert len(scored) == len(set(scored))
         (deep, deep_calls), (one, one_calls) = runs
         assert_same_search(deep, one)
         assert deep_calls < one_calls
@@ -778,17 +770,12 @@ def test_lockstep_calls_the_objective_once_per_round(name, monkeypatch):
     assert sum(calls[0]) == sum(calls[1])
 
 
-def test_identical_starts_score_each_unseen_point_once(monkeypatch):
+def test_uniform_seed_fills_both_best_starts():
     # on a BSC the uniform seed, seeded twice, scores best and fills both
-    # best starts: their ascents stack the same points in every round,
-    # and each reaches the lattice once
+    # best starts: their ascents stack the same points in every round
     t = single_bsc_transceiver(0.11)
     lay = _Layout(t)
-    scored, calls = [], []
-
-    def entropies(stack, real=lay.entropies):
-        scored.extend(row.tobytes() for row in np.concatenate(stack, axis=1))
-        return real(stack)
+    calls = []
 
     def recording(objective):
         def score(stack):
@@ -797,14 +784,30 @@ def test_identical_starts_score_each_unseen_point_once(monkeypatch):
 
         return score
 
-    monkeypatch.setattr(lay, "entropies", entropies)
     cfg = InputOptimizerConfig(restarts=3, ascent=15, grid_resolution=0.25, seed=5)
     objective = recording(_ni_objective(lay, PartySpec(2, 0b11, 0)))
     search = maximize_product_simplices(lay.dims, objective, cfg, extra_seeds=[lay.uniform])
     assert np.array_equal(calls[1][0], calls[1][1])  # both ascents start at uniform
     assert any(len(np.unique(rows, axis=0)) < len(rows) for rows in calls[2:])
-    assert len(scored) == len(set(scored))
     assert search.value == pytest.approx(1.0 - binary_entropy(0.11), abs=1e-9)
+
+
+def test_search_memory_does_not_grow_with_restarts(monkeypatch):
+    # the objective keeps nothing per scored point, so past the widest
+    # round of live ascents a search's peak allocation stays level as its
+    # restarts, and with them its evaluations, grow twentyfold
+    monkeypatch.setattr(optimize, "GOLDEN_STEPS", 4)  # short line searches keep it fast
+    lay = _Layout(SEARCH_MODELS["t2-ternary"])
+    peaks = []
+    for restarts in (20, 400):
+        cfg = InputOptimizerConfig(restarts=restarts, ascent=1, grid_resolution=0.5, seed=0)
+        tracemalloc.start()
+        try:
+            _search(lay, _ni_objective(lay, PartySpec(2, 0b11, 0)), cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1 << 20
 
 
 def test_emulated_oracle_matches_the_jointpmf_route():
