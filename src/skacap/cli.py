@@ -5,20 +5,27 @@ noninteractive / upper), polytree (per-edge capacities, optionally
 wiretapped bounds), simulate (Monte-Carlo protocol runs), validate
 (parse-only check).
 
-Reports go to stdout as JSON with sorted keys and numbers rounded to 12
-significant digits; every report embeds the tool version, the model-file
-SHA-256, and the full configuration.  Diagnostics go to stderr.  Exit
-codes: 0 ok, 2 model/schema error (also a command-line usage error or an
-unwritable --csv), 3 LP failure, 4 internal-consistency failure, 5
-infeasible rate, 6 iteration cap hit before convergence.
+Reports go to stdout as JSON with sorted keys, an indent of 2 and numbers
+rounded to 12 significant digits; every report embeds the tool version,
+the model-file SHA-256, and the full configuration.  Diagnostics go to
+stderr.  Exit codes: 0 ok, 2 model/schema error (also a command-line usage
+error or an unwritable --csv), 3 LP failure, 4 internal-consistency
+failure, 5 infeasible rate, 6 iteration cap hit before convergence.
+
+A command's fixed cost is kept small, since on small models it is most of
+the command: a command line that starts with a verb builds only that
+verb's parser (``_parse``), and ``_json`` rounds and writes a report in
+one walk, with the bytes ``json.dumps(..., sort_keys=True, indent=2)``
+gives for the rounded report.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -59,22 +66,46 @@ FAMILY_WARN = 1 << 14
 PRIMAL_DUAL_TOL = 1e-7
 
 
-def _round12(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+def _json(obj, pad: str = "\n") -> str:
+    """``obj`` as JSON text, with every float rounded to 12 significant digits.
+
+    One walk gives ``json.dumps(rounded, sort_keys=True, indent=2)``:
+    ``pad`` is the newline and indent of ``obj``'s level; strings are
+    ASCII-escaped, floats print as ``float.__repr__`` of the rounded value
+    or as ``NaN``/``Infinity``/``-Infinity``, and numpy scalars as the
+    Python numbers they hold.
+    """
+    if isinstance(obj, (float, np.floating)):
+        x = float(f"{float(obj):.12g}")
+        if math.isfinite(x):
+            return repr(x)
+        return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
     if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = [_quote(k) + ": " + _json(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.12g}")
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + pad + "]"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (int, np.integer)):
+        return repr(int(obj))
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(envelope: dict):
-    sys.stdout.write(json.dumps(_round12(envelope), sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_json(envelope) + "\n")
 
 
 def _envelope(args, verb: str, model_bytes: bytes, config: dict, result: dict) -> dict:
@@ -291,51 +322,59 @@ VERBS = {
 }
 
 
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The skacap parser with every verb, or with ``verb``'s subparser alone.
+def _add_verb(p: argparse.ArgumentParser, verb: str) -> argparse.ArgumentParser:
+    """Give ``p`` the arguments of ``verb``, and ``verb``/``fn`` as defaults."""
+    _, add_args, fn = VERBS[verb]
+    p.add_argument("model", help="model file (JSON)")
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
+                   help="accepted for compatibility; has no effect")
+    add_args(p)
+    p.set_defaults(verb=verb, fn=fn)
+    return p
 
-    The one-verb parser parses that verb's command lines to the same
-    namespace, output and exit code as the full one.  Its subparsers carry
-    the full choice list as their metavar, so the top-level usage line it
-    prints (for an unrecognized argument) is the same too.  The full parser
-    sets no metavar, because argparse would then name the verb argument by
-    its metavar in the errors for an unknown or missing verb.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The skacap parser, with a subparser per verb."""
     parser = argparse.ArgumentParser(
         prog="skacap",
         description="Secret-key agreement capacities for multiterminal channel models",
     )
     parser.add_argument("--version", action="version", version=f"skacap {__version__}")
-    metavar = None if verb is None else "{" + ",".join(VERBS) + "}"
-    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
-    for name, (help_line, add_args, fn) in VERBS.items():
-        if verb not in (None, name):
-            continue
-        p = sub.add_parser(name, help=help_line)
-        p.add_argument("model", help="model file (JSON)")
-        p.add_argument("--threads", type=_int_at_least(1), default=1,
-                       help="accepted for compatibility; has no effect")
-        add_args(p)
-        p.set_defaults(fn=fn)
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for name, (help_line, _, _) in VERBS.items():
+        _add_verb(sub.add_parser(name, help=help_line), name)
     return parser
 
 
-def main(argv=None) -> int:
-    """Run one command line (``sys.argv[1:]`` when ``argv`` is None).
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building one verb's parser alone
+    when ``argv`` starts with that verb.
 
-    Only the named verb's subparser is built: building all of them costs
-    more than a small command's work.  A command line that does not start
-    with a verb (``-h``, ``--version``, an unknown verb, none) gets the full
-    parser and its messages.
+    The full parser hands everything after the verb to the verb's subparser
+    (prog ``skacap <verb>``), so the verb's own parser gives the same
+    namespace, help and errors.  Three things only the full parser does,
+    so those command lines go to it: a line that does not start with a
+    verb; arguments the verb does not know, which the top-level parser
+    reports as unrecognized; and an argument starting with ``--=``, which
+    the top-level parser refuses as an ambiguous ``--help``/``--version``
+    before the verb's subparser runs.
     """
-    argv = list(sys.argv[1:] if argv is None else argv)
-    verb = argv[0] if argv and argv[0] in VERBS else None
-    args = build_parser(verb).parse_args(argv)
+    if argv and argv[0] in VERBS and not any(a.startswith("--=") for a in argv):
+        verb = _add_verb(argparse.ArgumentParser(prog=f"skacap {argv[0]}"), argv[0])
+        args, unknown = verb.parse_known_args(argv[1:])
+        if not unknown:
+            return args
+    return build_parser().parse_args(argv)
+
+
+def main(argv=None) -> int:
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None)."""
+    args = _parse(list(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except RateInfeasibleError as exc:
-        msg = {"error": str(exc), "max_feasible_rate": exc.max_feasible_rate}
-        sys.stderr.write(json.dumps(_round12(msg)) + "\n")
+        sys.stderr.write(f'{{"error": {_json(str(exc))}, '
+                         f'"max_feasible_rate": {_json(exc.max_feasible_rate)}}}\n')
         return EXIT_RATE
     except (ModelError, DecodeBudgetError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -64,7 +64,7 @@ def _numbers(val, path: str) -> np.ndarray:
         arr = np.asarray(val, dtype=float)
     except (TypeError, ValueError):
         _fail(path, "expected an array of numbers")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         _fail(path, "expected finite numbers, got NaN or Infinity")
     return arr
 

@@ -208,18 +208,17 @@ class PolytreeEdge:
         return self.channel.out_vars[0][1].size
 
 
+def _scalar_dmc(rows, what: str) -> Dmc:
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ModelError(f"{what} must be a matrix of rows, got {rows.ndim} dimension(s)")
+    return Dmc([(0, Alphabet(rows.shape[0]))], [(1, Alphabet(rows.shape[1]))], rows)
+
+
 def edge(sender: int, receiver: int, rows, wiretap_rows=None) -> PolytreeEdge:
     """Convenience constructor building the scalar Dmc wrappers."""
-    rows = np.asarray(rows, dtype=float)
-    ch = Dmc([(0, Alphabet(rows.shape[0]))], [(1, Alphabet(rows.shape[1]))], rows)
-    wt = None
-    if wiretap_rows is not None:
-        wiretap_rows = np.asarray(wiretap_rows, dtype=float)
-        wt = Dmc(
-            [(0, Alphabet(wiretap_rows.shape[0]))],
-            [(1, Alphabet(wiretap_rows.shape[1]))],
-            wiretap_rows,
-        )
+    ch = _scalar_dmc(rows, "channel")
+    wt = None if wiretap_rows is None else _scalar_dmc(wiretap_rows, "wiretap")
     return PolytreeEdge(sender, receiver, ch, wt)
 
 

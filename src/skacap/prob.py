@@ -118,15 +118,13 @@ class JointPMF:
             raise ModelError(
                 f"pmf has {arr.size} entries, expected {cells} for the declared alphabets"
             )
-        if arr.size == 0:
-            raise ModelError("pmf must have at least one variable")
-        if not np.isfinite(arr).all():
-            raise ModelError("pmf has a non-finite entry")
-        if np.any(arr < 0):
-            raise ModelError(f"negative probability {arr.min():.3e}")
-        total = float(arr.sum())
-        if abs(total - 1.0) > PMF_TOL:
-            raise ModelError(f"pmf sums to {total!r}, not 1 within {PMF_TOL}")
+        # one pass accepts: a NaN or -inf fails the min, a +inf the sum
+        if not (arr.min() >= 0.0 and abs(float(arr.sum()) - 1.0) <= PMF_TOL):
+            if not np.isfinite(arr).all():
+                raise ModelError("pmf has a non-finite entry")
+            if np.any(arr < 0):
+                raise ModelError(f"negative probability {arr.min():.3e}")
+            raise ModelError(f"pmf sums to {float(arr.sum())!r}, not 1 within {PMF_TOL}")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -173,15 +171,21 @@ class Dmc:
         n_in = math.prod(a.size for _, a in self.in_vars)
         n_out = math.prod(a.size for _, a in self.out_vars)
         check_cells(n_in * n_out, "channel")
-        arr = np.ascontiguousarray(self.rows, dtype=float).reshape(n_in, n_out)
-        if not np.isfinite(arr).all():
-            raise ModelError("channel has a non-finite entry")
-        if np.any(arr < 0):
-            raise ModelError("channel has a negative transition probability")
+        arr = np.ascontiguousarray(self.rows, dtype=float)
+        if arr.size != n_in * n_out:
+            raise ModelError(
+                f"channel has {arr.size} entries, expected {n_in} x {n_out} "
+                "for the declared alphabets"
+            )
+        arr = arr.reshape(n_in, n_out)
         sums = arr.sum(axis=1)
-        bad = np.where(np.abs(sums - 1.0) > PMF_TOL)[0]
-        if bad.size:
-            i = int(bad[0])
+        # one pass accepts: a NaN or -inf fails the min, a +inf its row sum
+        if not (arr.min() >= 0.0 and np.abs(sums - 1.0).max() <= PMF_TOL):
+            if not np.isfinite(arr).all():
+                raise ModelError("channel has a non-finite entry")
+            if np.any(arr < 0):
+                raise ModelError("channel has a negative transition probability")
+            i = int(np.flatnonzero(np.abs(sums - 1.0) > PMF_TOL)[0])
             raise ModelError(
                 f"channel row {i} sums to {float(sums[i])!r}, not 1 within {PMF_TOL}"
             )

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import pathlib
 import re
@@ -9,6 +11,8 @@ import time
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import child_env, run_skacap
 
 from skacap import cli, linprog, omniscience, optimize, sim, transceiver
@@ -564,9 +568,10 @@ def test_readme_exit_2_row_covers_usage_and_csv_errors(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_MODEL
 
 
-# The front end: main() builds only the named verb's subparser, and falls
-# back to the full parser when argv does not start with a verb.  Both must
-# give the same bytes and exit codes.
+# The front end: main() builds only the named verb's parser, and falls back
+# to the full parser when argv does not start with a verb, has arguments the
+# verb does not know, or has an argument starting with "--=".  Both must give
+# the same namespaces, bytes and exit codes.
 
 def _outcome(capsys, call):
     try:
@@ -582,6 +587,31 @@ def _subparser(parser, verb):
     return sub.choices[verb]
 
 
+def _echo(args):
+    return args
+
+
+@pytest.fixture
+def echo_handlers(monkeypatch):
+    """Every verb's handler returns its namespace, so main returns what it parsed."""
+    monkeypatch.setattr(cli, "VERBS", {
+        name: (help_line, add_args, _echo) for name, (help_line, add_args, _) in cli.VERBS.items()
+    })
+
+
+def _counting_parsers(monkeypatch):
+    """The prog of every ArgumentParser built from now on, in order."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
 _SAMPLE_ARGV = {
     "capacity": ["--A", "1,2", "--D", "3", "--dual"],
     "bounds": ["--A", "1,2", "--restarts", "2", "--seed", "5", "--grid", "4"],
@@ -594,35 +624,44 @@ _SAMPLE_ARGV = {
 @pytest.mark.parametrize("verb", list(cli.VERBS))
 def test_main_builds_only_the_named_verbs_parser(verb, tmp_path, monkeypatch, capsys):
     full_dests = [a.dest for a in _subparser(cli.build_parser(), verb)._actions]
-    built, added = [], []
-    init = argparse.ArgumentParser.__init__
+    added = []
     add_argument = argparse.ArgumentParser.add_argument
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
 
     def recording_add_argument(self, *args, **kwargs):
         action = add_argument(self, *args, **kwargs)
         added.append((self.prog, action.dest))
         return action
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    built = _counting_parsers(monkeypatch)
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording_add_argument)
     code, _, err = _outcome(capsys, lambda: cli.main(
         [verb, str(tmp_path / "missing.json"), *_SAMPLE_ARGV[verb]]
     ))
     assert code == cli.EXIT_MODEL
     assert err.startswith("error: cannot read model file")
-    assert len(built) <= 2
-    assert {prog for prog, _ in added} <= {"skacap", f"skacap {verb}"}
+    assert built == [f"skacap {verb}"]
     assert [dest for prog, dest in added if prog == f"skacap {verb}"] == full_dests
+    assert {prog for prog, _ in added} == {f"skacap {verb}"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "m.json", "--A", "1,2"],
+    ["capacity", "-h"],
+    ["validate"],
+    ["bounds", "m.json", "--A", "1,2", "--grid", "1"],
+    ["polytree", "m.json", "--t", "1e-6"],
+    ["simulate", "--n", "16", "--blocks", "2", "--rate", "0.1", "--", "m.json"],
+], ids=lambda argv: " ".join(argv))
+def test_a_known_verb_builds_exactly_one_parser(argv, echo_handlers, monkeypatch, capsys):
+    built = _counting_parsers(monkeypatch)
+    _outcome(capsys, lambda: cli.main(argv))
+    assert built == [f"skacap {argv[0]}"]
 
 
 @pytest.mark.parametrize("verb", list(cli.VERBS))
 def test_one_verb_parser_gives_the_full_parsers_namespace(verb):
     argv = [verb, "m.json", *_SAMPLE_ARGV[verb]]
-    lean = vars(cli.build_parser(verb).parse_args(argv))
+    lean = vars(cli._parse(argv))
     assert lean == vars(cli.build_parser().parse_args(argv))
     assert lean["verb"] == verb
 
@@ -644,13 +683,67 @@ def test_one_verb_parser_gives_the_full_parsers_namespace(verb):
         ["validate", "m.json", "extra"],
         ["validate", "m.json", "--threads", "0"],
         ["bounds", "m.json", "--A", "1,2", "--grid", "x"],
+        # "--" forms
+        ["--", "bounds", "m.json", "--A", "1,2"],
+        ["bounds", "--", "m.json", "--A", "1,2"],
+        ["bounds", "--A", "1,2", "--", "m.json"],
+        ["bounds", "m.json", "--A", "1,2", "--"],
+        ["bounds", "m.json", "--", "--A", "1,2"],
+        ["validate", "--", "-m.json"],
+        # abbreviations, one of them ambiguous
+        ["capacity", "m.json", "--A", "1,2", "--du"],
+        ["bounds", "m.json", "--A", "1,2", "--res", "3"],
+        ["polytree", "m.json", "--t", "1e-6"],
+        # --version after a verb is not the verb's option
+        ["capacity", "m.json", "--A", "1,2", "--version"],
+        ["bounds", "m.json", "--A", "1,2", "--vers"],
+        ["validate", "--version"],
+        # repeated options: the last one wins
+        ["bounds", "m.json", "--A", "1", "--A=1,2", "--restarts", "2", "--restarts", "3"],
+        # options before the model
+        ["bounds", "--A", "1,2", "--grid", "3", "m.json"],
+        ["simulate", "--n", "16", "--blocks", "2", "--rate", "0.1", "m.json"],
+        # -h after other arguments, also after an unknown one
+        ["bounds", "m.json", "--A", "1,2", "-h"],
+        ["capacity", "m.json", "--bogus", "-h"],
+        ["validate", "m.json", "extra", "--help"],
+        ["bounds", "m.json", "--A", "1,2", "--grid", "1"],
+        # the top-level parser refuses "--=" as ambiguous before the verb's parser runs
+        ["validate", "m.json", "--=x"],
+        ["capacity", "-h", "--="],
     ],
     ids=lambda argv: " ".join(argv) or "no-verb",
 )
-def test_main_parses_like_the_full_parser(argv, capsys):
+def test_main_parses_like_the_full_parser(argv, echo_handlers, capsys):
     want = _outcome(capsys, lambda: cli.build_parser().parse_args(argv))
-    assert want[0] in (0, 2)  # each case ends while parsing
     assert _outcome(capsys, lambda: cli.main(argv)) == want
+
+
+_TOKENS = [
+    *cli.VERBS, "m.json", "1,2", "3", "-1", "1e-6", "x", "-", "--", "---", "-h", "--help", "--he",
+    "-hx", "--version", "--vers", "--v", "--=x", "--=", "--bogus", "-x", "--A", "--A=1", "--D",
+    "--d", "--dual", "--du", "--restarts", "--res", "--r", "--seed", "--grid", "--grid=1",
+    "--tol", "--t", "--wiretap", "--threads", "--th", "--threads=0", "--n", "--blocks",
+    "--rate", "--delta", "--s", "--csv", "--help=1", "--vers=1",
+]
+
+
+def _parsed(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(cli.VERBS)), st.lists(st.sampled_from(_TOKENS), max_size=7))
+def test_one_verb_parse_equals_the_full_parse_on_random_lines(verb, rest):
+    argv = [verb, *rest]
+    want = _parsed(cli.build_parser().parse_args, argv)
+    assert _parsed(cli._parse, argv) == want
 
 
 @pytest.mark.parametrize(
@@ -663,6 +756,69 @@ def test_main_without_argv_reads_sys_argv(argv, monkeypatch, capsys):
     want = _outcome(capsys, lambda: cli.build_parser().parse_args(None))
     assert _outcome(capsys, lambda: cli.main(None)) == want
     assert want[0] in (0, 2)
+
+
+def _round12(obj):
+    """The report's rounding as its own walk: the reference for the writer."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _round12(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round12(v) for v in obj]
+    if isinstance(obj, np.floating):
+        return float(f"{float(obj):.12g}")
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e-310,
+                     -2.2250738585072014e-308, 1e16, 12345678901234567.0, 1e22, 1.7e308]),
+    st.floats(min_value=1e16, max_value=1e308),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+)
+_LEAVES = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é€😀\u2028", "\"quoted\""]),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TREES)
+def test_report_writer_equals_json_dumps_of_the_rounded_report(obj):
+    assert cli._json(obj) == json.dumps(_round12(obj), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("n, rate, max_rate", [("24", "0.99", 7 / 24), ("8", "0.1", None)],
+                         ids=["rate-past-the-budget", "no-key-bit"])
+def test_rate_infeasible_stderr_is_the_compact_json_line(n, rate, max_rate, tmp_path, capsys):
+    path = write_model(tmp_path, Polytree(2, (edge(0, 1, bsc_matrix(0.05)),)))
+    code = cli.main(["simulate", path, "--n", n, "--blocks", "10", "--rate", rate])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_RATE and out == ""
+    msg = json.loads(err)
+    assert msg["max_feasible_rate"] == (None if max_rate is None else pytest.approx(max_rate))
+    assert err == json.dumps(_round12(msg)) + "\n"
+    assert list(msg) == ["error", "max_feasible_rate"]
 
 
 def _parallel_edges_file(tmp_path):

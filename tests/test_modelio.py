@@ -317,3 +317,53 @@ def test_terminal_numbers_past_m_are_refused_before_a_mask():
 def test_terminals_are_bounded_by_the_file(doc, where):
     with pytest.raises(ModelError, match=r"\$\.terminals: .*" + where):
         parse_model(json.dumps(doc))
+
+
+def _set(path, value):
+    """A spoiler that sets the entry at ``path`` (a key/index sequence)."""
+    def spoil(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return spoil
+
+
+FINITE = "expected finite numbers, got NaN or Infinity"
+
+
+@pytest.mark.parametrize("make, spoil, message", [
+    (source_doc, _set(("pmf", 1), float("nan")), f"$.pmf: {FINITE}"),
+    (source_doc, _set(("pmf",), [0.75, -0.25, 0.0, 0.5]),
+     "$.pmf: negative probability -2.500e-01"),
+    (source_doc, _set(("pmf",), [0.5, 0.0, 0.0, 0.25]),
+     "$.pmf: pmf sums to 0.75, not 1 within 1e-12"),
+    (source_doc, _set(("pmf",), [0.5, 0.5]),
+     "$.pmf: pmf has 2 entries, expected 4 for the declared alphabets"),
+    (transceiver_doc, _set(("rows", 0, 1), float("inf")), f"$.rows: {FINITE}"),
+    (transceiver_doc, _set(("rows", 1), [1.25, -0.25]),
+     "$.rows: channel has a negative transition probability"),
+    (transceiver_doc, _set(("rows", 1), [0.5, 0.25]),
+     "$.rows: channel row 1 sums to 0.75, not 1 within 1e-12"),
+    (transceiver_doc, _set(("rows",), [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
+     "$.rows: channel has 6 entries, expected 2 x 2 for the declared alphabets"),
+    (polytree_doc, _set(("edges", 0, "channel", 0, 0), float("-inf")),
+     f"$.edges[0].channel: {FINITE}"),
+    (polytree_doc, _set(("edges", 0, "channel", 0), [1.5, -0.5]),
+     "$.edges[0]: channel has a negative transition probability"),
+    (polytree_doc, _set(("edges", 0, "wiretap", 1), [0.25, 0.25]),
+     "$.edges[0]: channel row 1 sums to 0.5, not 1 within 1e-12"),
+    (polytree_doc, _set(("edges", 0, "channel"), [0.5, 0.5]),
+     "$.edges[0]: channel must be a matrix of rows, got 1 dimension(s)"),
+    (polytree_doc, _set(("edges", 0, "wiretap"), 1.0),
+     "$.edges[0]: wiretap must be a matrix of rows, got 0 dimension(s)"),
+], ids=["source-non-finite", "source-negative", "source-sum", "source-size",
+        "transceiver-non-finite", "transceiver-negative", "transceiver-row-sum",
+        "transceiver-size", "polytree-non-finite", "polytree-negative",
+        "polytree-wiretap-row-sum", "polytree-vector-channel", "polytree-scalar-wiretap"])
+def test_parse_refusals_keep_their_messages_behind_the_field_path(make, spoil, message):
+    doc = make()
+    spoil(doc)
+    with pytest.raises(ModelError) as exc:
+        parse_model(json.dumps(doc))
+    assert str(exc.value) == message

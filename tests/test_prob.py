@@ -404,3 +404,56 @@ def test_dmc_rejects_non_finite_entries(bad):
     with pytest.raises(ModelError, match="non-finite"):
         Dmc([(0, B)], [(1, B)], np.array([[0.5, 0.5], [bad, 1.0]]))
 
+
+
+# Valid input passes one min/sum pass; the messages below come from the
+# detailed checks, which run only to word a refusal, in this order.
+PMF_REFUSALS = [
+    ([np.nan, 1.0], "pmf has a non-finite entry"),
+    ([np.inf, 0.0], "pmf has a non-finite entry"),
+    ([-np.inf, 1.0], "pmf has a non-finite entry"),
+    ([np.nan, -1.0], "pmf has a non-finite entry"),
+    ([-0.25, 1.25], "negative probability -2.500e-01"),
+    ([-0.25, 0.5], "negative probability -2.500e-01"),
+    ([0.5, 0.25], "pmf sums to 0.75, not 1 within 1e-12"),
+    ([0.5, 0.5 + 1e-11], "pmf sums to 1.00000000001, not 1 within 1e-12"),
+    ([1.0], "pmf has 1 entries, expected 2 for the declared alphabets"),
+    ([np.nan, 0.5, 0.5], "pmf has 3 entries, expected 2 for the declared alphabets"),
+]
+
+DMC_REFUSALS = [
+    ([[0.5, 0.5], [np.nan, 1.0]], "channel has a non-finite entry"),
+    ([[0.5, 0.5], [np.inf, 0.0]], "channel has a non-finite entry"),
+    ([[-np.inf, 1.0], [0.5, 0.5]], "channel has a non-finite entry"),
+    ([[1.5, -0.5], [0.5, 0.5]], "channel has a negative transition probability"),
+    ([[0.5, 0.5], [-0.5, 0.5]], "channel has a negative transition probability"),
+    ([[0.5, 0.5], [0.49, 0.49]], "channel row 1 sums to 0.98, not 1 within 1e-12"),
+    ([[0.6, 0.6], [0.49, 0.49]], "channel row 0 sums to 1.2, not 1 within 1e-12"),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+     "channel has 6 entries, expected 2 x 2 for the declared alphabets"),
+]
+
+
+@pytest.mark.parametrize("flat, message", PMF_REFUSALS)
+def test_jointpmf_refusal_messages(flat, message):
+    with pytest.raises(ModelError) as exc:
+        JointPMF(((0, B),), flat)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("rows, message", DMC_REFUSALS)
+def test_dmc_refusal_messages(rows, message):
+    with pytest.raises(ModelError) as exc:
+        Dmc([(0, B)], [(1, B)], np.array(rows))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("flat", [[0.5, 0.5], [1.0, 0.0], [-0.0, 1.0], [0.5, 0.5 + 9e-13],
+                                  [1e-300, 1.0]])
+def test_jointpmf_accepts_the_edges_of_the_checks(flat):
+    assert JointPMF(((0, B),), flat).probs.tolist() == flat
+
+
+def test_dmc_accepts_rows_of_any_shape_with_the_declared_size():
+    rows = Dmc([(0, B)], [(1, B)], np.array([0.9, 0.1, 0.0, 1.0])).rows
+    assert rows.shape == (2, 2) and not rows.flags.writeable
