@@ -69,7 +69,7 @@ def measure(m: int, seed: int, restarts: int) -> dict:
     transceiver._ni_objective = counted_objective
     omniscience.lp_solve = counted_solve
     t = binary_transceiver(m, seed)
-    cfg = InputOptimizerConfig(restarts=restarts, seed=0, grid_resolution=1.0 / 8)
+    cfg = InputOptimizerConfig(restarts=restarts, seed=0, grid=8)
     t0 = time.perf_counter()
     out = transceiver.sk_bounds(t, (1 << m) - 1, cfg)
     wall = time.perf_counter() - t0

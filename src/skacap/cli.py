@@ -195,9 +195,7 @@ def cmd_bounds(args) -> int:
             "use 'capacity' on an emulated source for PK studies"
         )
     spec = PartySpec.from_one_based(model.m, a)
-    cfg = InputOptimizerConfig(
-        restarts=args.restarts, seed=args.seed, grid_resolution=1.0 / args.grid
-    )
+    cfg = InputOptimizerConfig(restarts=args.restarts, seed=args.seed, grid=args.grid)
     out = sk_bounds(model, spec.a, cfg)
     result = {
         "lower_bounds": [r.to_dict() for r in out["lower_bounds"]],

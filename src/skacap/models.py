@@ -28,15 +28,30 @@ def mask_of(terminals: Iterable[int]) -> int:
     return m
 
 
-def as_mask(terminals, m: int) -> int:
+def _refuse_unknown(name: str, outside: Iterable[int]):
+    # terminal set ``name`` holds the 0-based indices ``outside`` past [m]
+    outside = sorted({t + 1 for t in outside})
+    if outside:
+        raise ModelError(f"{name} references unknown terminals: {outside}")
+
+
+def as_mask(terminals, m: int, name: str = "A") -> int:
     """A terminal set given as a bitmask or as 0-based indices, as a bitmask;
     an index past the m terminals is refused before a mask as wide as it."""
     if isinstance(terminals, int):
         return terminals
     terminals = list(terminals)
-    if any(t >= m for t in terminals):
-        raise ModelError("A or D references terminals outside [m]")
+    _refuse_unknown(name, (t for t in terminals if t >= m))
     return mask_of(terminals)
+
+
+def require_pair(a: int):
+    """Refuse a key set ``a`` (a bitmask) of fewer than two terminals."""
+    if popcount(a) < 2:
+        raise ModelError(
+            "key agreement needs at least two terminals in A "
+            "(a lone terminal has no counterpart)"
+        )
 
 
 def bits(mask: int) -> list[int]:
@@ -75,12 +90,12 @@ class PartySpec:
             raise ModelError(
                 f"A and D intersect: terminals {[t + 1 for t in bits(self.a & self.d)]}"
             )
-        if (self.a | self.d) & ~full:
-            raise ModelError("A or D references terminals outside [m]")
+        _refuse_unknown("A", bits(self.a & ~full))
+        _refuse_unknown("D", bits(self.d & ~full))
 
     @classmethod
     def from_one_based(cls, m: int, a: Iterable[int], d: Iterable[int] = ()) -> "PartySpec":
-        return cls(m, as_mask([t - 1 for t in a], m), as_mask([t - 1 for t in d], m))
+        return cls(m, as_mask([t - 1 for t in a], m), as_mask([t - 1 for t in d], m, "D"))
 
     @property
     def d_complement(self) -> int:

@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, ModelError
 from .linprog import BasisHint, LinearProgram, lp_solve
-from .models import CapacityReport, PartySpec, SourceModel, as_mask, bits, popcount
+from .models import CapacityReport, PartySpec, SourceModel, as_mask, bits, require_pair
 from .prob import marginalize, subset_entropies
 
 #: Never enumerate families over more than this many participating terminals.
@@ -146,14 +146,6 @@ def _unit(h: np.ndarray) -> np.ndarray:
     top = h.max(axis=1)
     e = np.maximum(np.minimum(np.frexp(top)[1], 0), -1000)
     return np.where(top > 0.0, np.ldexp(1.0, np.negative(e)), 1.0)
-
-
-def _require_pair(spec: PartySpec):
-    if popcount(spec.a) < 2:
-        raise ModelError(
-            "key agreement needs at least two terminals in A "
-            "(a lone terminal has no counterpart)"
-        )
 
 
 class CoPool(BasisHint):
@@ -230,7 +222,7 @@ def pk_capacity(
     """
     if model.m != spec.m:
         raise ModelError(f"model has {model.m} terminals, spec has {spec.m}")
-    _require_pair(spec)
+    require_pair(spec.a)
     if h is None:
         h = source_entropies(model)
     value, h_given_d, co, rates = (x[0] for x in _pk(CoPool(spec), h[None]))
@@ -267,7 +259,7 @@ def max_cover(spec: PartySpec, g: np.ndarray) -> tuple[float, dict[int, float]]:
     Solved as the CO packing LP by the singleton completion (see the
     module docstring), which needs |A| >= 2.
     """
-    _require_pair(spec)
+    require_pair(spec.a)
     pool = CoPool(spec)
     singles = pool.family.singles
     g = np.asarray(g, dtype=float)

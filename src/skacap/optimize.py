@@ -52,6 +52,9 @@ TOLERANCE = 1e-7
 #: Cap on golden-section steps per line search.
 GOLDEN_STEPS = 40
 
+#: Cap on coordinate-ascent sweeps per start.
+ASCENT_SWEEPS = 50
+
 #: Golden levels one objective call scores: a step's point (or the first
 #: pair) and, for either outcome, the points of the steps after it.
 GOLDEN_LOOKAHEAD = 3
@@ -70,14 +73,12 @@ class InputOptimizerConfig:
     """Search budget for input-distribution optimization.
 
     restarts: Dirichlet-random ascent starts (on top of uniform + grid).
-    grid_resolution: per-simplex step of the coarse seeding grid.
-    ascent: cap on coordinate-ascent sweeps per start.
+    grid: denominator of the coarse seeding grid, which steps by 1/grid.
     seed: master RNG seed; identical configs give identical results.
     """
 
     restarts: int = 32
-    grid_resolution: float = 0.125
-    ascent: int = 50
+    grid: int = 8
     seed: int = 0
 
     def __post_init__(self):
@@ -85,10 +86,8 @@ class InputOptimizerConfig:
             raise ModelError(f"restarts must lie in [1, {MAX_RESTARTS}]")
         if self.seed < 0:
             raise ModelError("seed must be >= 0")
-        if not 0 < self.grid_resolution <= 0.5:
-            raise ModelError("grid_resolution must lie in (0, 0.5]")
-        if self.ascent < 1:
-            raise ModelError("ascent sweep cap must be >= 1")
+        if self.grid < 2:
+            raise ModelError("grid must be >= 2")
 
 
 @dataclass
@@ -122,12 +121,11 @@ def _composition(total: int, parts: int, rank: int) -> list[int]:
     return out + [total]
 
 
-def _grid_seeds(dims: Sequence[int], resolution: float) -> list[list[np.ndarray]]:
-    """Every stride-th point of the product of the grid simplices (fewer
-    than 2 * ``GRID_CAP``), unranked so only kept points are built.  Each
-    distinct (simplex size, rank) is unranked once and its row shared by
-    every seed that holds it, so the rows are read-only."""
-    g = max(1, int(round(1.0 / resolution)))
+def _grid_seeds(dims: Sequence[int], g: int) -> list[list[np.ndarray]]:
+    """Every stride-th point of the product of the grid simplices of step
+    1/``g`` (fewer than 2 * ``GRID_CAP``), unranked so only kept points are
+    built.  Each distinct (simplex size, rank) is unranked once and its row
+    shared by every seed that holds it, so the rows are read-only."""
     radices = [math.comb(g + k - 1, k - 1) for k in dims]
     total = math.prod(radices)
     rows: dict[tuple[int, int], np.ndarray] = {}
@@ -220,8 +218,6 @@ def _line_search(point, s, a, b, value):
     vmax = float(values.max())
     flat = np.where(values >= vmax - 1e-12)[0]
     center = int(flat[(len(flat) - 1) // 2])
-    if values[center] < vmax - 1e-12:  # non-contiguous plateau
-        center = int(values.argmax())
     best_v, best_row = scanned[center]
 
     if vmax <= value + TOLERANCE / 16:
@@ -261,18 +257,17 @@ def _line_search(point, s, a, b, value):
     for f, t in ((f1, t1), (f2, t2)):
         if f > best_v:
             best_v, best_row = f, t
-    if best_v > value:
-        return best_v, moved(best_row), evals
-    return value, point, evals
+    # best_v >= vmax - 1e-12 > value: the scan found a gain
+    return best_v, moved(best_row), evals
 
 
-def _ascend(start, cfg):
+def _ascend(start):
     """Cyclic line searches from ``start``, as a generator like ``_line_search``."""
     point = [p.copy() for p in start]
     value = float((yield stack_points([point]))[0])
     evals = 1
     converged = False
-    for _ in range(cfg.ascent):
+    for _ in range(ASCENT_SWEEPS):
         before = value
         for s, p in enumerate(point):
             k = p.size
@@ -288,11 +283,11 @@ def _ascend(start, cfg):
     return value, point, converged, evals
 
 
-def _lockstep(starts, objective, cfg):
+def _lockstep(starts, objective):
     """Run the ascents from ``starts`` in rounds, the first ``LIVE_ASCENTS``
     unfinished ones at a time: each round is one ``objective`` call on their
     pending stacks, in order.  Yields each ascent's index and result as it ends."""
-    waiting, live = enumerate(_ascend(start, cfg) for start in starts), []
+    waiting, live = enumerate(_ascend(start) for start in starts), []
     while True:
         live += [(i, g, next(g)) for i, g in itertools.islice(waiting, LIVE_ASCENTS - len(live))]
         if not live:
@@ -329,7 +324,7 @@ def maximize_product_simplices(
     uniform = [np.full(k, 1.0 / k) for k in dims]
     seeds: list[list[np.ndarray]] = [uniform]
     seeds.extend([_normalize(np.asarray(p, dtype=float)) for p in s] for s in extra_seeds)
-    seeds.extend(_grid_seeds(dims, cfg.grid_resolution))
+    seeds.extend(_grid_seeds(dims, cfg.grid))
 
     evals = len(seeds)
     scored = [(float(v), sd) for v, sd in zip(objective(stack_points(seeds)), seeds)]
@@ -343,7 +338,7 @@ def maximize_product_simplices(
 
     best_value, best_point = scored[0]
     best_converged, best_start = True, -1  # a seed that no ascent improves counts as converged
-    for i, (value, point, converged, used) in _lockstep(starts, objective, cfg):
+    for i, (value, point, converged, used) in _lockstep(starts, objective):
         evals += used
         if value > best_value or value == best_value and i < best_start:
             best_value, best_point, best_converged, best_start = value, point, converged, i

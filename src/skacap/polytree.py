@@ -1,4 +1,4 @@
-"""Polytree-PIN capacities: one stacked, certified Arimoto step per edge shape.
+"""Polytree-PIN capacities: one certified Arimoto loop per edge.
 
 The noninteractive SK capacity of a polytree-PIN is the max-min of the
 per-edge mutual informations, and because each edge term depends only on
@@ -13,16 +13,16 @@ gives the upper side (Ahlswede and Csiszar, IEEE Trans. IT 1993), and
 per-edge keys joined by one-time pads over the tree reach it (Nitinawarat,
 Ye, Barg, Narayan and Reznik, IEEE Trans. IT 2010).  Under T - Y - Z the
 edge objective I(T;Y) - I(T;Z) is concave (van Dijk, IEEE Trans. IT 1997),
-so both edge objectives share ``_edge_ascent``: Arimoto's multiplicative
-step (with the wiretap term as in Yasui, Suko and Matsushima, ISIT 2007)
-until its Frank-Wolfe gap, a bound over all inputs, is at most ``tol``.
+so both edge objectives share ``_ascend``: Arimoto's multiplicative step
+(with the wiretap term as in Yasui, Suko and Matsushima, ISIT 2007) until
+its Frank-Wolfe gap, a bound over all inputs, is at most ``tol``.
 
-The tree solvers step all edges of one (channel, wiretap) shape as one
-stack, with the channel-only constants computed once; each edge leaves
-the stack on its own stopping step, and every operation acts on each edge
-alone, so an edge's iterates are those of its own loop.  For the capacity,
-an edge whose value reaches the least value + gap of any edge cannot be
-the minimum, and stops early.  No dense model of the tree is built.
+The tree solvers run each edge's own loop, the edges stepped in turn.
+For the capacity, an edge whose value reaches the least value + gap of
+any edge cannot be the minimum, and stops early: at each step every edge
+lowers that shared ceiling before any edge compares with it, so where an
+edge stops does not depend on the order of the edges.  No dense model of
+the tree is built.
 
 ``polytree_capacity`` and ``wiretapped_polytree_bounds`` are the module's
 two routes; a single channel is a one-edge tree ``Polytree(2, (edge(0, 1,
@@ -31,8 +31,6 @@ it was built.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -45,7 +43,7 @@ BA_MAX_ITER = 100_000
 
 
 def _hoist(w: np.ndarray):
-    """The channel-only constants of a divergence step, for one channel or a stack.
+    """The channel-only constants of one channel's divergence step.
 
     Returns (w, w clamped to >= 1e-300, mask of entries <= ZERO_CUTOFF or
     None when there are none).  Both operands of the step's division are
@@ -56,9 +54,9 @@ def _hoist(w: np.ndarray):
 
 
 def _divergences(chan, r: np.ndarray) -> np.ndarray:
-    # d[..., x] = D(W_x || rW) in bits; r is (k,) or a stack (E, k)
+    # d[x] = D(W_x || rW) in bits
     w, w_safe, zero = chan
-    logs = np.log2(w_safe / np.maximum(r[..., None, :] @ w, 1e-300))
+    logs = np.log2(w_safe / np.maximum(r[None, :] @ w, 1e-300))
     if zero is not None:
         logs[zero] = 0.0
     return (w * logs).sum(axis=-1)
@@ -70,26 +68,32 @@ def _gradient(chans, r: np.ndarray) -> np.ndarray:
     return g if len(chans) == 1 else g - _divergences(chans[1], r)
 
 
-def _lower(ceil, bound: float) -> float:
-    # the running ceiling, a one-item list, lowered to ``bound``; infinite without one
-    if ceil is None:
-        return np.inf
-    ceil[0] = min(ceil[0], bound)
-    return ceil[0]
+def _ascend(chans, tol: float, max_iter: int, ceil):
+    """Arimoto ascent of I(T;Y) - I(T;Z) for one edge, from the uniform input.
 
-
-def _stop(value, gap, tol: float, top: float) -> Optional[str]:
-    # why an edge leaves its loop: its gap certifies it, or its value reached the ceiling
-    return "gap" if gap <= tol else "bound" if value >= top else None
-
-
-def _ascend_one(chans, r: np.ndarray, it: int, tol: float, max_iter: int, ceil):
-    """The Arimoto loop of one edge from input ``r`` at step ``it``; yields after each step."""
+    ``chans`` holds the hoisted channel W and, for a Z term, V.  The edge
+    steps r <- r 2^g / sum with g_x = D(W_x||rW) - D(V_x||rV); its value
+    r.g plus its Frank-Wolfe gap max_x g_x - r.g bounds its maximum over
+    all inputs.  It stops on "gap", a gap at most ``tol``, or on "bound", a
+    value at least the ceiling U in ``ceil`` (a one-item list, or None for
+    no ceiling): then its maximum is at least the least bound of any edge,
+    so it cannot lower the minimum.  A generator that yields twice a step,
+    after lowering U to its value + gap and after comparing with U, so
+    edges stepped in turn each compare with every edge's bound of that
+    step.  Returns (value, r, iterations, gap, stopped) at its last
+    evaluated r, stopped None at ``max_iter``.
+    """
+    k = chans[0][0].shape[0]
+    r = np.full(k, 1.0 / k)
+    it = 1
     while True:
         g = _gradient(chans, r)
         value = float(r @ g)
         gap = float(g.max()) - value
-        stop = _stop(value, gap, tol, _lower(ceil, value + gap))
+        if ceil is not None:
+            ceil[0] = min(ceil[0], value + gap)
+        yield
+        stop = "gap" if gap <= tol else "bound" if ceil is not None and value >= ceil[0] else None
         if stop or it == max_iter:
             return value, r, it, gap, stop
         r = r * np.exp2(g)
@@ -98,70 +102,25 @@ def _ascend_one(chans, r: np.ndarray, it: int, tol: float, max_iter: int, ceil):
         yield
 
 
-def _edge_ascent(ws: list, tol: float, max_iter: int, ceil, out: list, idx):
-    """Arimoto ascent of I(T;Y) - I(T;Z) from the uniform input, for a stack of edges.
+def _ascend_edges(edges: list, tol: float, max_iter: int, ceil=None) -> list:
+    """``_ascend`` runs of the edges' channels ([W] or [W, V]), in order, stepped in turn.
 
-    ``ws`` holds an (E, k, n) stack of channels W and, for a Z term, an
-    (E, k, n_z) stack V.  Each edge steps r <- r 2^g / sum with
-    g_x = D(W_x||rW) - D(V_x||rV); its value r.g plus its Frank-Wolfe gap
-    max_x g_x - r.g bounds its maximum over all inputs.  It leaves the stack
-    on "gap", a gap at most ``tol``, or on "bound", a value at least the
-    ceiling U in ``ceil`` (a one-item list, lowered in place to the least
-    such bound over every edge and step so far): then its maximum is at
-    least the least one, so it cannot lower the minimum.  Every operation
-    acts on each edge alone, so its iterates are those of its own loop.  A
-    generator, one step per ``next``: edge e's (value, r, iterations, gap,
-    stopped) at its last evaluated r goes to ``out[idx[e]]``, stopped None
-    at ``max_iter``.  Only the capacity minimum prunes: a wiretapped tree
-    reports each edge's gap, and its upper bound, the least value + gap,
-    could rise if an edge stopped early.
+    Only the capacity minimum prunes: a wiretapped tree passes no ceiling
+    and reports each edge's gap, since its upper bound, the least value +
+    gap, could rise if an edge stopped early.
     """
     if not 0 < tol < np.inf:
         raise ModelError(f"tolerance must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise ModelError("iteration cap must be >= 1")
-    live = np.asarray(idx)  # index into ``out`` of each stacked row
-    r = np.full((live.size, ws[0].shape[1]), 1.0 / ws[0].shape[1])
-    it = 1
-    chans = [_hoist(w) for w in ws]
-    while live.size > 1:
-        g = _gradient(chans, r)
-        value = (r[:, None, :] @ g[:, :, None])[:, 0, 0]
-        gap = g.max(axis=1) - value
-        top = np.inf if ceil is None else _lower(ceil, float((value + gap).min()))
-        done = (gap <= tol) | (value >= top) | (it == max_iter)
-        if done.any():
-            for i in np.flatnonzero(done):
-                out[live[i]] = (float(value[i]), r[i], it, float(gap[i]),
-                                _stop(value[i], gap[i], tol, top))
-            keep = ~done
-            live, r, g = live[keep], r[keep], g[keep]
-            ws = [w[keep] for w in ws]
-            chans = [_hoist(w) for w in ws]
-        if live.size:
-            r = r * np.exp2(g)
-            r = r / r.sum(axis=1, keepdims=True)
-            it += 1
-        yield
-    if live.size:
-        chans = [_hoist(w[0]) for w in ws]
-        out[live[0]] = yield from _ascend_one(chans, r[0], it, tol, max_iter, ceil)
-
-
-def _ascend_edges(edges: list, tol: float, max_iter: int, ceil=None) -> list:
-    """``_edge_ascent`` runs of the edges' channels ([W] or [W, V]), in order, a stack per shape.
-
-    The stacks step in turn, so every edge meets the ceiling of all edges'
-    bounds so far, whatever the order of the shapes.
-    """
-    groups: dict = {}
-    for i, ws in enumerate(edges):
-        groups.setdefault(tuple(w.shape for w in ws), []).append(i)
     out = [None] * len(edges)
-    stacks = [_edge_ascent([np.stack(w) for w in zip(*(edges[i] for i in idx))],
-                           tol, max_iter, ceil, out, idx) for idx in groups.values()]
-    while stacks:
-        stacks = [s for s in stacks if next(s, "done") is None]  # one step each
+
+    def run(i, ws):
+        out[i] = yield from _ascend([_hoist(w) for w in ws], tol, max_iter, ceil)
+
+    steps = [run(i, ws) for i, ws in enumerate(edges)]
+    while steps:
+        steps = [s for s in steps if next(s, "done") is None]  # half a step each
     return out
 
 
@@ -178,7 +137,7 @@ def _uncapped(run, max_iter: int):
 def polytree_capacity(g: Polytree, tol: float = 1e-9) -> CapacityReport:
     """Noninteractive SK capacity of a polytree-PIN: the least edge capacity C*.
 
-    The edges run ``_edge_ascent`` at ``BA_MAX_ITER`` under one ceiling U >= C*.
+    The edges run ``_ascend`` at ``BA_MAX_ITER`` under one ceiling U >= C*.
     The value, the least edge value, lies in [C* - tol, C*]: a minimizing
     edge's value is at most C*, a gap-stopped edge is within ``tol`` of its
     capacity and a bound-stopped one is at least U.  The product of the
@@ -209,7 +168,7 @@ def wiretapped_polytree_bounds(
     """Wiretap key-capacity bounds for a wiretapped polytree-PIN, A = all terminals.
 
     Every edge is a cut, so the key capacity is min_e max_p I(T_e;Y_e|Z_e).
-    Each edge runs ``_edge_ascent`` of I(T;Y) - I(T;Z), which equals
+    Each edge runs ``_ascend`` of I(T;Y) - I(T;Z), which equals
     I(T;Y|Z) under T - Y - Z; an edge without a wiretap has no Z term.
     Lower: min over edges of the certified value.  Upper: min over edges
     of that value plus its Frank-Wolfe gap, a bound over all inputs.  An

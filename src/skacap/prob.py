@@ -58,21 +58,13 @@ def check_cells(cells: int, what: str):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """A finite alphabet of ``size`` symbols with optional distinct labels."""
+    """A finite alphabet of ``size`` symbols."""
 
     size: int
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         if self.size < 1:
             raise ModelError(f"alphabet size must be >= 1, got {self.size}")
-        if self.labels is not None:
-            if len(self.labels) != self.size:
-                raise ModelError(
-                    f"{len(self.labels)} labels for alphabet of size {self.size}"
-                )
-            if len(set(self.labels)) != len(self.labels):
-                raise ModelError("alphabet labels must be distinct")
 
 
 #: Variables are identified by small nonnegative integers, unique per model.
@@ -136,12 +128,6 @@ class JointPMF:
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(a.size for _, a in self.vars)
-
-    def index_of(self, vid: VarId) -> int:
-        for i, (v, _) in enumerate(self.vars):
-            if v == vid:
-                return i
-        raise ModelError(f"unknown variable id {vid}")
 
     def tensor(self) -> np.ndarray:
         """Probabilities reshaped to one axis per variable (read-only view)."""

@@ -53,7 +53,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DecodeBudgetError, ModelError, RateInfeasibleError, SkacapError
-from .models import Polytree, bits
+from .models import PartySpec, Polytree, as_mask, bits, require_pair
 from .prob import binary_entropy
 
 #: Exhaustive-decoder guards.
@@ -419,13 +419,9 @@ class _Static:
 
 def _key_terminals(g: Polytree, a) -> set[int]:
     """A as a set of terminal indices: at least two, all of them in ``g``."""
-    a_nodes = set(bits(a) if isinstance(a, int) else a)  # no mask as wide as a bad index
-    unknown = sorted(t + 1 for t in a_nodes if not 0 <= t < g.m)
-    if unknown:
-        raise ModelError(f"A references unknown terminals: {unknown}")
-    if len(a_nodes) < 2:
-        raise ModelError("A must contain at least two terminals")
-    return a_nodes
+    mask = as_mask(a, g.m)
+    require_pair(mask)
+    return set(bits(PartySpec(g.m, mask).a))
 
 
 def _prepare(g: Polytree, a, cfg: SimConfig) -> _Static:

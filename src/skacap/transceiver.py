@@ -61,12 +61,12 @@ from .models import (
     SourceModel,
     TransceiverModel,
     as_mask,
+    require_pair,
 )
 from .omniscience import (
     CoPool,
     SubsetFamily,
     _pk,
-    _require_pair,
     constraint_family,
     lambda_witness,
     max_cover,
@@ -205,7 +205,7 @@ def noninteractive_sk_capacity(
     is still reported, flagged as a lower bound instead of exact.
     """
     spec = PartySpec(t.m, as_mask(a, t.m), 0)
-    _require_pair(spec)
+    require_pair(spec.a)
     lay = _Layout(t)
     return _ni_report(_search(lay, _ni_objective(lay, spec), cfg))
 
@@ -308,7 +308,7 @@ def sk_bounds(t: TransceiverModel, a, cfg: InputOptimizerConfig) -> dict:
     """
     a_mask = as_mask(a, t.m)
     spec = PartySpec(t.m, a_mask, 0)
-    _require_pair(spec)
+    require_pair(spec.a)
     family = constraint_family(PartySpec(2 * t.m, a_mask, 0))
     lay = _Layout(t)
     objective = _ni_objective(lay, spec)

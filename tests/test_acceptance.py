@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from conftest import run_skacap
 
+from skacap import optimize
 from skacap.models import (
     PartySpec,
     Polytree,
@@ -134,7 +135,8 @@ def random_polytree(rng, n_nodes):
     return Polytree(n_nodes, tuple(edges))
 
 
-def test_criterion_5_polytree_decomposition():
+def test_criterion_5_polytree_decomposition(monkeypatch):
+    monkeypatch.setattr(optimize, "ASCENT_SWEEPS", 10)
     with criterion(5, "polytree capacity = min edge BA = transceiver optimizer"):
         start = time.monotonic()
         rng = np.random.default_rng(1005)
@@ -148,7 +150,7 @@ def test_criterion_5_polytree_decomposition():
             ]
             assert rep.value == min(per_edge)  # bit-identical: same code path
             t = polytree_to_transceiver(g)
-            cfg = InputOptimizerConfig(restarts=2, ascent=10, seed=trial)
+            cfg = InputOptimizerConfig(restarts=2, seed=trial)
             ni = __import__("skacap.transceiver", fromlist=["noninteractive_sk_capacity"])
             got = ni.noninteractive_sk_capacity(t, (1 << g.m) - 1, cfg)
             assert got.value == pytest.approx(rep.value, abs=1e-4)
@@ -167,11 +169,12 @@ def random_transceiver(rng, m):
     )
 
 
-def test_criterion_6_sandwich():
+def test_criterion_6_sandwich(monkeypatch):
+    monkeypatch.setattr(optimize, "ASCENT_SWEEPS", 10)
     with criterion(6, "emulation lower <= noninteractive <= lambda upper on 50 models"):
         start = time.monotonic()
         rng = np.random.default_rng(1006)
-        cfg = InputOptimizerConfig(restarts=2, ascent=10, seed=6)
+        cfg = InputOptimizerConfig(restarts=2, seed=6)
         for trial in range(50):
             m = 2 if trial % 2 == 0 else 3
             t = random_transceiver(rng, m)

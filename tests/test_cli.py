@@ -839,9 +839,11 @@ def _parallel_edges_file(tmp_path):
         (["simulate", "polytree_sim.json", "--A", "1,9", "--n", "24", "--blocks", "4",
           "--rate", "0.2"],
          "A references unknown terminals: [9]"),
+        (["capacity", "source_three_terminals.json", "--A", "1,2", "--D", "3,9,12"],
+         "D references unknown terminals: [9, 12]"),
         (["validate", None], "parallel edges between terminals (1, 2)"),
     ],
-    ids=["a-d-intersect", "unknown-terminal", "parallel-edges"],
+    ids=["a-d-intersect", "unknown-terminal", "unknown-compromised-terminal", "parallel-edges"],
 )
 def test_terminal_numbers_in_errors_are_one_based(tmp_path, argv, message):
     samples = pathlib.Path(__file__).parents[1] / "sample_models"
@@ -850,6 +852,22 @@ def test_terminal_numbers_in_errors_are_one_based(tmp_path, argv, message):
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("a, message", [
+    ("1,9", "A references unknown terminals: [9]"),
+    ("1", "key agreement needs at least two terminals in A (a lone terminal has no counterpart)"),
+], ids=["unknown-terminal", "lone-terminal"])
+def test_verbs_refuse_a_bad_key_set_in_one_wording(a, message):
+    samples = pathlib.Path(__file__).parents[1] / "sample_models"
+    procs = [
+        run_cli("capacity", str(samples / "source_three_terminals.json"), "--A", a),
+        run_cli("bounds", str(samples / "transceiver_bsc.json"), "--A", a),
+        run_cli("simulate", str(samples / "polytree_sim.json"), "--A", a,
+                "--n", "16", "--blocks", "10", "--rate", "0.1"),
+    ]
+    assert [p.returncode for p in procs] == [2, 2, 2]
+    assert {p.stderr for p in procs} == {f"error: {message}\n"}
 
 
 HUGE_TERMINAL_LISTS = [

@@ -295,13 +295,15 @@ def test_parse_rejects_non_finite_numbers(make, spoil, bad):
 
 def test_terminal_numbers_past_m_are_refused_before_a_mask():
     # 1 << t for these would take gigabytes
-    with pytest.raises(ModelError, match=r"outside \[m\]"):
+    with pytest.raises(ModelError, match=r"^A references unknown terminals: \[100000000001\]$"):
         PartySpec.from_one_based(2, [1, 100_000_000_001])
-    with pytest.raises(ModelError, match=r"outside \[m\]"):
+    with pytest.raises(ModelError, match=r"^D references unknown terminals: \[100000000001\]$"):
         PartySpec.from_one_based(2, [1], [100_000_000_001])
-    with pytest.raises(ModelError, match=r"outside \[m\]"):
+    with pytest.raises(ModelError, match=r"^A references unknown terminals: \[100000000001\]$"):
         as_mask([0, 100_000_000_000], 2)
     assert as_mask([0, 1], 2) == 0b11
+    with pytest.raises(ModelError, match=r"^D references unknown terminals: \[4, 6\]$"):
+        PartySpec(3, 0b1, 0b101000)
     assert bits((1 << 3_000_000) | 1) == [0, 3_000_000]  # one step per set bit
 
 

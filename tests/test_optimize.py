@@ -7,7 +7,7 @@ from skacap.errors import ModelError
 from skacap.optimize import GRID_CAP, MAX_RESTARTS, InputOptimizerConfig, _grid_seeds
 
 
-def enumerated_grid_seeds(dims, resolution):
+def enumerated_grid_seeds(dims, g):
     """The grid seeds as they were built before unranking: every composition
     of every simplex, then every stride-th point of the product."""
 
@@ -19,7 +19,6 @@ def enumerated_grid_seeds(dims, resolution):
             for rest in compositions(total - head, parts - 1):
                 yield (head,) + rest
 
-    g = max(1, int(round(1.0 / resolution)))
     per_axis = [
         [np.ones(1)] if k == 1 else [np.array(c, dtype=float) / g for c in compositions(g, k)]
         for k in dims
@@ -39,8 +38,8 @@ def enumerated_grid_seeds(dims, resolution):
 @pytest.mark.parametrize("dims", [[3, 3], [2, 2, 2, 1], [8], [1, 4], [2, 4, 1], [4, 2, 2]])
 @pytest.mark.parametrize("grid", range(2, 9))
 def test_grid_seeds_equal_the_full_enumeration(dims, grid):
-    got = _grid_seeds(dims, 1.0 / grid)
-    want = enumerated_grid_seeds(dims, 1.0 / grid)
+    got = _grid_seeds(dims, grid)
+    want = enumerated_grid_seeds(dims, grid)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert len(g) == len(w)
@@ -56,7 +55,7 @@ def test_grid_seeds_equal_the_full_enumeration(dims, grid):
 def test_fine_grid_builds_only_the_kept_seeds():
     # C(71, 7) ~ 1.2e9 compositions: enumerating them would not finish
     start = time.perf_counter()
-    seeds = _grid_seeds([8], 1.0 / 64)
+    seeds = _grid_seeds([8], 64)
     assert time.perf_counter() - start < 1.0
     assert GRID_CAP <= len(seeds) < 2 * GRID_CAP
     for (p,) in seeds:
@@ -70,7 +69,7 @@ def test_grid_seed_heads_are_found_by_bisection():
     # a grid of 10^9 steps: walking each head up one unit at a time would
     # take minutes
     start = time.perf_counter()
-    seeds = _grid_seeds([2, 3], 1e-9)
+    seeds = _grid_seeds([2, 3], 10**9)
     assert time.perf_counter() - start < 1.0
     assert len(seeds) < 2 * GRID_CAP
     for p, q in seeds:

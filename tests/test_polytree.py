@@ -215,7 +215,7 @@ def mixed_shape_tree(rng, wiretapped):
 
 def near_tie_tree():
     """Six edges within 0.04 bit of each other, so the ceiling stops edges only
-    after tens of steps; the three 3x3 edges leave their stack on different steps."""
+    after tens of steps; the three 3x3 edges stop on different steps."""
     def near(s):
         return (1 - s) * TANGENT + s * np.eye(3)
 
@@ -287,6 +287,22 @@ def test_polytree_capacity_prunes_only_edges_above_the_minimum():
     assert pruned > 0
 
 
+def test_polytree_capacity_does_not_depend_on_edge_order():
+    # every edge lowers the ceiling with its step-t bound before any edge
+    # compares its step-t value with it, so reversing the edges reverses
+    # the witness; on draws 0-3 of rng 41, an edge that saw only the bounds
+    # of the edges stepped before it would stop later in one of the orders
+    rng = np.random.default_rng(41)
+    trees = [random_mixed_tree(rng)[0] for _ in range(4)]
+    trees += [mixed_shape_tree(np.random.default_rng(31), wiretapped=False)[0], near_tie_tree()[0]]
+    for g in trees:
+        for tol in (1e-6, 1e-9):
+            rep = polytree_capacity(g, tol=tol)
+            back = polytree_capacity(Polytree(g.m, g.edges[::-1]), tol=tol)
+            assert back.witness["edges"] == rep.witness["edges"][::-1]
+            assert back.value == rep.value and back.witness["upper"] == rep.witness["upper"]
+
+
 def test_wiretapped_bounds_bit_identical_to_frozen_loop():
     g, channels, taps = mixed_shape_tree(np.random.default_rng(32), wiretapped=True)
     tol = 1e-8
@@ -308,8 +324,8 @@ def test_wiretapped_bounds_bit_identical_to_frozen_loop():
 
 #: Five edges for the cap tests: at tol 1e-6 and a 50-step cap the 2nd
 #: (TANGENT) and the 4th (TANGENT with a useless fourth input) hit the cap
-#: with different gaps; the 4th shares its stack with the 1st, which
-#: converges on step 16.  The other edges carry 0.92 to 1.3 bit, above
+#: with different gaps; the 1st, of the 4th's shape, converges on step
+#: 16.  The other edges carry 0.92 to 1.3 bit, above
 #: TANGENT's 0.8, so the capped edges are the minimum and no ceiling stops them.
 CAPPED_TREE = (
     np.array([[0.96, 0.02, 0.02], [0.02, 0.96, 0.02], [0.02, 0.02, 0.96], [0.4, 0.3, 0.3]]),

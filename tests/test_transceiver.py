@@ -45,7 +45,13 @@ from skacap.transceiver import (
 )
 
 B = Alphabet(2)
-CFG = InputOptimizerConfig(restarts=2, ascent=15, seed=3)
+CFG = InputOptimizerConfig(restarts=2, seed=3)
+
+
+@pytest.fixture(autouse=True)
+def short_ascents(monkeypatch):
+    """Every search here stops its ascents after at most 15 sweeps."""
+    monkeypatch.setattr(optimize, "ASCENT_SWEEPS", 15)
 
 
 def product_input(t, vecs):
@@ -57,7 +63,7 @@ def product_input(t, vecs):
         for g, v in zip(t.input_vars, vecs)
     ]
     joint = product_pmf(factors)
-    order = [joint.index_of(v) for v in t.channel.in_ids]
+    order = [joint.ids.index(v) for v in t.channel.in_ids]
     return JointPMF(t.channel.in_vars, np.transpose(joint.tensor(), order).ravel())
 
 
@@ -352,9 +358,10 @@ def test_noninteractive_constant_output_channel():
     assert rep.value == pytest.approx(0.0, abs=1e-10)
 
 
-def test_noninteractive_deterministic_given_seed():
+def test_noninteractive_deterministic_given_seed(monkeypatch):
+    monkeypatch.setattr(optimize, "ASCENT_SWEEPS", 10)
     t = random_transceiver(np.random.default_rng(9), 2)
-    cfg = InputOptimizerConfig(restarts=3, ascent=10, seed=77)
+    cfg = InputOptimizerConfig(restarts=3, seed=77)
     r1 = noninteractive_sk_capacity(t, {0, 1}, cfg)
     r2 = noninteractive_sk_capacity(t, {0, 1}, cfg)
     assert r1.value == r2.value
@@ -520,7 +527,7 @@ def test_ni_search_equals_the_plain_objective(name):
     # flat at the maximum, so they may report different maximizers: each
     # point, scored by the other route, gives its own route's value.
     t = SEARCH_MODELS[name]
-    cfg = InputOptimizerConfig(restarts=1, ascent=15, grid_resolution=0.25, seed=5)
+    cfg = InputOptimizerConfig(restarts=1, grid=4, seed=5)
     pair = 0b101 if t.m > 2 else 0b11
     for a_mask in {(1 << t.m) - 1, pair}:
 
@@ -564,7 +571,7 @@ def test_stacked_search_equals_one_point_per_call(name, monkeypatch):
     # bit, also when a small cell cap splits every stack
     t = SEARCH_MODELS[name]
     lay = _Layout(t)
-    cfg = InputOptimizerConfig(restarts=1, ascent=15, grid_resolution=0.25, seed=5)
+    cfg = InputOptimizerConfig(restarts=1, grid=4, seed=5)
     pair = 0b101 if t.m > 2 else 0b11
     for a_mask in {(1 << t.m) - 1, pair}:
         spec = PartySpec(t.m, a_mask, 0)
@@ -590,7 +597,7 @@ def test_stacked_search_solves_in_full_inside_a_stack(monkeypatch):
     t = SEARCH_MODELS["t3-binary"]
     lay = _Layout(t)
     spec = PartySpec(t.m, (1 << t.m) - 1, 0)
-    cfg = InputOptimizerConfig(restarts=1, ascent=15, grid_resolution=0.25, seed=5)
+    cfg = InputOptimizerConfig(restarts=1, grid=4, seed=5)
     solves = []
 
     def counting(lp):
@@ -629,7 +636,7 @@ def search_at_depth(depth, dims, objective, monkeypatch):
         calls.append(len(stack[0]))
         return objective(stack)
 
-    cfg = InputOptimizerConfig(restarts=1, ascent=15, grid_resolution=0.25, seed=5)
+    cfg = InputOptimizerConfig(restarts=1, grid=4, seed=5)
     uniform = [np.full(k, 1.0 / k) for k in dims]
     with monkeypatch.context() as patch:
         patch.setattr(optimize, "GOLDEN_LOOKAHEAD", depth)
@@ -674,7 +681,7 @@ def test_golden_lookahead_takes_the_one_point_steps(name, monkeypatch):
 def lockstep_and_alone(dims, make_objective, monkeypatch, extra_seeds=()):
     """The search with its ascents in lockstep and with one ascent at a
     time, each on a fresh ``make_objective()``."""
-    cfg = InputOptimizerConfig(restarts=3, ascent=15, grid_resolution=0.25, seed=5)
+    cfg = InputOptimizerConfig(restarts=3, grid=4, seed=5)
     searches = []
     for live in (optimize.LIVE_ASCENTS, 1):
         with monkeypatch.context() as patch:
@@ -704,8 +711,8 @@ def test_lockstep_search_equals_one_start_at_a_time_on_closed_forms(objective, d
     if objective is constant:
         assert all(np.array_equal(u, np.full(k, 1.0 / k)) for u, k in zip(lockstep.point, dims))
 
-    def last_first(starts, score, cfg, real=optimize._lockstep):
-        yield from reversed(list(real(starts, score, cfg)))
+    def last_first(starts, score, real=optimize._lockstep):
+        yield from reversed(list(real(starts, score)))
 
     monkeypatch.setattr(optimize, "_lockstep", last_first)
     assert_same_search(lockstep_and_alone(dims, lambda: objective, monkeypatch)[0], alone)
@@ -739,9 +746,9 @@ def test_lockstep_calls_the_objective_once_per_round(name, monkeypatch):
         dims, make = lay.dims, lambda: _ni_objective(lay, PartySpec(4, 0b1111, 0))
     yields, calls = [], []
 
-    def counting_ascent(start, cfg, real=optimize._ascend):
+    def counting_ascent(start, real=optimize._ascend):
         yields.append(0)
-        run, k = real(start, cfg), len(yields) - 1
+        run, k = real(start), len(yields) - 1
         stack = next(run)
         while True:
             yields[k] += 1
@@ -784,7 +791,7 @@ def test_uniform_seed_fills_both_best_starts():
 
         return score
 
-    cfg = InputOptimizerConfig(restarts=3, ascent=15, grid_resolution=0.25, seed=5)
+    cfg = InputOptimizerConfig(restarts=3, grid=4, seed=5)
     objective = recording(_ni_objective(lay, PartySpec(2, 0b11, 0)))
     search = maximize_product_simplices(lay.dims, objective, cfg, extra_seeds=[lay.uniform])
     assert np.array_equal(calls[1][0], calls[1][1])  # both ascents start at uniform
@@ -797,10 +804,11 @@ def test_search_memory_does_not_grow_with_restarts(monkeypatch):
     # round of live ascents a search's peak allocation stays level as its
     # restarts, and with them its evaluations, grow twentyfold
     monkeypatch.setattr(optimize, "GOLDEN_STEPS", 4)  # short line searches keep it fast
+    monkeypatch.setattr(optimize, "ASCENT_SWEEPS", 1)
     lay = _Layout(SEARCH_MODELS["t2-ternary"])
     peaks = []
     for restarts in (20, 400):
-        cfg = InputOptimizerConfig(restarts=restarts, ascent=1, grid_resolution=0.5, seed=0)
+        cfg = InputOptimizerConfig(restarts=restarts, grid=2, seed=0)
         tracemalloc.start()
         try:
             _search(lay, _ni_objective(lay, PartySpec(2, 0b11, 0)), cfg)
